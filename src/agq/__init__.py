@@ -16,7 +16,6 @@ from .kernels import (
     gemm_int4_raw,
     gemm_int_affine,
     gemm_log2_attnv,
-    lane_accumulate,
     lane_multiply,
     pack_int4,
     pack_weights_for_gemm,

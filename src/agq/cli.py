@@ -2,16 +2,20 @@
 
 All randomness flows from the seeds in the config; every command is
 deterministic given (config, seeds, inputs) except bench wall-clock timings,
-which are informational only. Exit codes are a stable contract:
-1 = config error, 2 = I/O error, 3 = numeric error, 4 = threshold failure.
+which are informational only. Exit codes are a stable contract, kept by one
+table (``EXIT_TABLE``) applied once for the whole command group: each failure
+it lists prints one ``<kind> error: <message>`` line on stderr and exits with
+1 = config or usage error, 2 = I/O error, 3 = numeric error,
+4 = threshold failure.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
-import os
 import sys
+from dataclasses import replace
 from importlib import resources
 
 import click
@@ -22,10 +26,53 @@ from . import kernels, pipeline, pruning, tensor_store
 from .pruning import default_start_layer, make_schedule
 from .quantizers import QuantError, fit_weight_symmetric, quantize_weight_symmetric
 
-EXIT_CONFIG = 1
-EXIT_IO = 2
-EXIT_NUMERIC = 3
-EXIT_THRESHOLD = 4
+class ConfigError(Exception):
+    """The run config does not parse, fails its schema, or describes no valid run."""
+
+
+class ThresholdError(Exception):
+    """A configured quality threshold was not met."""
+
+
+# (exception types, exit code, kind printed before "error:"); first match wins.
+EXIT_TABLE = (
+    (ConfigError, 1, "config"),
+    (click.UsageError, 1, "usage"),
+    (tensor_store.StoreError, 2, "store"),
+    (OSError, 2, "I/O"),
+    ((QuantError, pipeline.PipelineError, pruning.PruneError, kernels.KernelError),
+     3, "numeric"),
+    (ThresholdError, 4, "threshold"),
+)
+
+
+@contextlib.contextmanager
+def _exit_codes():
+    """Turn an exception listed in EXIT_TABLE into one stderr line and its exit
+    code; anything else propagates."""
+    try:
+        yield
+    except Exception as e:
+        for types, code, kind in EXIT_TABLE:
+            if isinstance(e, types):
+                msg = e.format_message() if isinstance(e, click.ClickException) else str(e)
+                click.echo(f"{kind} error: {' '.join(msg.split())}", err=True)
+                sys.exit(code)
+        raise
+
+
+class _Group(click.Group):
+    """The command group with EXIT_TABLE around argument parsing (usage errors
+    of the group itself) and around invocation (everything a command does,
+    including parsing its own arguments)."""
+
+    def parse_args(self, ctx, args):
+        with _exit_codes():
+            return super().parse_args(ctx, args)
+
+    def invoke(self, ctx):
+        with _exit_codes():
+            return super().invoke(ctx)
 
 
 def _load_schema() -> dict:
@@ -34,24 +81,27 @@ def _load_schema() -> dict:
 
 
 def load_config(path: str) -> dict:
-    """Parse and schema-validate a run config; unknown keys are rejected."""
-    try:
-        with open(path) as f:
-            raw = f.read()
-    except OSError as e:
-        click.echo(f"config read error: {e}", err=True)
-        sys.exit(EXIT_IO)
+    """Parse, schema-validate and check the meaning of a run config.
+
+    Unknown keys are rejected; so are settings the schema cannot express,
+    such as a head count that does not divide ``d_model`` or a prune schedule
+    that does not fit the block count.
+    """
+    with open(path) as f:
+        raw = f.read()
     try:
         cfg = json.loads(raw)
     except json.JSONDecodeError as e:
-        click.echo(f"config parse error at line {e.lineno}, column {e.colno}: {e.msg}",
-                   err=True)
-        sys.exit(EXIT_CONFIG)
+        raise ConfigError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
     try:
         jsonschema.validate(cfg, _load_schema())
     except jsonschema.ValidationError as e:
-        click.echo(f"config schema error: {e.message}", err=True)
-        sys.exit(EXIT_CONFIG)
+        raise ConfigError(f"schema: {e.message}") from e
+    try:
+        _block_config(cfg)
+        _schedule(cfg)
+    except (pipeline.PipelineError, pruning.PruneError) as e:
+        raise ConfigError(str(e)) from e
     return cfg
 
 
@@ -72,10 +122,15 @@ def _block_config(cfg: dict) -> pipeline.BlockConfig:
     )
 
 
-def _schedule(cfg: dict, n_blocks: int):
+def _n_blocks(cfg: dict) -> int:
+    return cfg.get("block", {}).get("n_blocks", 2)
+
+
+def _schedule(cfg: dict):
     prune = cfg.get("prune")
     if prune is None:
         return None
+    n_blocks = _n_blocks(cfg)
     start = prune.get("start_layer", default_start_layer(n_blocks))
     return make_schedule(n_blocks, start, prune["beta"], prune["m"])
 
@@ -90,15 +145,9 @@ def _emit(report: dict, cfg: dict) -> None:
         click.echo(text)
 
 
-@click.group()
-@click.option("--threads", type=int, default=None,
-              help="GEMM row-partition thread count (AGQ_THREADS fallback).")
-@click.pass_context
-def main(ctx, threads):
-    if threads is None:
-        env = os.environ.get("AGQ_THREADS")
-        threads = int(env) if env else None
-    ctx.obj = {"threads": threads}
+@click.group(cls=_Group, no_args_is_help=False)
+def main():
+    """Activation-guided low-bit quantization toolkit."""
 
 
 @main.command()
@@ -108,37 +157,25 @@ def main(ctx, threads):
 def quantize(config_path, in_path, out_path):
     """Quantize every float tensor in a store to per-channel 4-bit codes."""
     load_config(config_path)
-    try:
-        store = tensor_store.load_store(in_path)
-    except (tensor_store.StoreError, OSError) as e:
-        click.echo(f"store error: {e}", err=True)
-        sys.exit(EXIT_IO)
+    store = tensor_store.load_store(in_path)
     out_store: dict[str, np.ndarray] = {}
     sidecar: dict[str, dict] = {}
-    try:
-        for name in sorted(store):
-            w = store[name]
-            if w.dtype != np.float32:
-                continue
-            wq = quantize_weight_symmetric(w, fit_weight_symmetric(w, 4))
-            out_store[name + ".codes"] = (wq.codes + 8).astype(np.uint8)
-            sidecar[name] = {
-                "kind": "weight_symmetric",
-                "bits": 4,
-                "offset": 8,
-                "scales": [float(s) for s in wq.params.scales],
-            }
-    except QuantError as e:
-        click.echo(f"numeric error: {e}", err=True)
-        sys.exit(EXIT_NUMERIC)
-    try:
-        tensor_store.save_store(out_store, out_path)
-        with open(out_path + ".params.json", "w") as f:
-            json.dump(sidecar, f, indent=2, sort_keys=True)
-            f.write("\n")
-    except OSError as e:
-        click.echo(f"write error: {e}", err=True)
-        sys.exit(EXIT_IO)
+    for name in sorted(store):
+        w = store[name]
+        if w.dtype != np.float32:
+            continue
+        wq = quantize_weight_symmetric(w, fit_weight_symmetric(w, 4))
+        out_store[name + ".codes"] = (wq.codes + 8).astype(np.uint8)
+        sidecar[name] = {
+            "kind": "weight_symmetric",
+            "bits": 4,
+            "offset": 8,
+            "scales": [float(s) for s in wq.params.scales],
+        }
+    tensor_store.save_store(out_store, out_path)
+    with open(out_path + ".params.json", "w") as f:
+        json.dump(sidecar, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 @main.command()
@@ -149,35 +186,25 @@ def quantize(config_path, in_path, out_path):
 def analyze(config_path, in_path, input_name):
     """Outlier-channel and attention-locality report for one activation."""
     cfg = load_config(config_path)
-    try:
-        store = tensor_store.load_store(in_path)
-    except (tensor_store.StoreError, OSError) as e:
-        click.echo(f"store error: {e}", err=True)
-        sys.exit(EXIT_IO)
+    store = tensor_store.load_store(in_path)
     if input_name not in store:
-        click.echo(f"tensor {input_name!r} not in store", err=True)
-        sys.exit(EXIT_IO)
+        raise tensor_store.StoreError(f"tensor {input_name!r} not in store")
     x = store[input_name]
     k_sigma = cfg.get("analysis", {}).get("k_sigma", 3.0)
-    block_cfg = _block_config(cfg)
-    try:
-        report_out = pipeline.analyze_outliers(x, k_sigma)
-        block = pipeline.init_block(block_cfg)
-        _, fp_maps = pipeline.forward_fp(block, x)
-        _, q_map, _ = pipeline.forward_block(block, x)
-        report = {
-            "outliers": {
-                "k_sigma": k_sigma,
-                "threshold": report_out.threshold,
-                "counts": report_out.counts.tolist(),
-                "ranked_channels": report_out.ranked_channels.tolist(),
-            },
-            "locality_fp": pipeline.attention_locality(fp_maps[0]),
-            "locality_q": pipeline.attention_locality(q_map),
-        }
-    except (QuantError, pipeline.PipelineError, pruning.PruneError) as e:
-        click.echo(f"numeric error: {e}", err=True)
-        sys.exit(EXIT_NUMERIC)
+    report_out = pipeline.analyze_outliers(x, k_sigma)
+    block = pipeline.init_block(_block_config(cfg))
+    _, fp_maps = pipeline.forward_fp(block, x)
+    _, q_map, _ = pipeline.forward_block(block, x)
+    report = {
+        "outliers": {
+            "k_sigma": k_sigma,
+            "threshold": report_out.threshold,
+            "counts": report_out.counts.tolist(),
+            "ranked_channels": report_out.ranked_channels.tolist(),
+        },
+        "locality_fp": pipeline.attention_locality(fp_maps[0]),
+        "locality_q": pipeline.attention_locality(q_map),
+    }
     _emit(report, cfg)
     csv_path = cfg.get("output", {}).get("csv")
     if csv_path:
@@ -202,63 +229,42 @@ def eval_cmd(config_path, in_path, seed):
     if seed is not None:
         cfg["seed"] = seed
     block_cfg = _block_config(cfg)
-    n_blocks = cfg.get("block", {}).get("n_blocks", 2)
-    t = cfg.get("sequence_length", 32)
     if in_path:
-        try:
-            store = tensor_store.load_store(in_path)
-        except (tensor_store.StoreError, OSError) as e:
-            click.echo(f"store error: {e}", err=True)
-            sys.exit(EXIT_IO)
-        x = store.get("input")
+        x = tensor_store.load_store(in_path).get("input")
         if x is None:
-            click.echo("store has no tensor named 'input'", err=True)
-            sys.exit(EXIT_IO)
+            raise tensor_store.StoreError("store has no tensor named 'input'")
     else:
         rng = np.random.default_rng(cfg.get("seed", 0) + 1)
-        x = rng.standard_normal((t, block_cfg.d_model)).astype(np.float32)
+        x = rng.standard_normal((cfg.get("sequence_length", 32), block_cfg.d_model))
+        x = x.astype(np.float32)
 
-    try:
-        blocks = pipeline.init_stack(block_cfg, n_blocks)
-        schedule = _schedule(cfg, n_blocks)
-        fp_cfg = pipeline.BlockConfig(
-            d_model=block_cfg.d_model, n_heads=block_cfg.n_heads,
-            d_ff=block_cfg.d_ff, sites={}, seed=block_cfg.seed,
-        )
-        fp_out, fp_info = pipeline.forward_stack(blocks, x, fp_cfg)
-        records = []
-        q_out, q_info = pipeline.forward_stack(blocks, x, block_cfg)
-        records.append(_eval_record("no_prune", q_out, q_info, fp_out, fp_info))
-        if schedule is not None:
-            qp_out, qp_info = pipeline.forward_stack(blocks, x, block_cfg,
-                                                     schedule=schedule)
-            keeps = {i: qp_info["keeps"][i] for i in schedule.prune_layers}
-            fpp_out, fpp_info = pipeline.forward_stack(blocks, x, fp_cfg,
-                                                       forced_keeps=keeps)
-            rec = _eval_record("prune", qp_out, qp_info, fpp_out, fpp_info)
-            rec["schedule"] = {
-                "beta": schedule.final_ratio,
-                "m": len(schedule.prune_layers),
-                "gamma": schedule.per_layer_ratio,
-                "prune_layers": list(schedule.prune_layers),
-            }
-            records.append(rec)
-    except (QuantError, pipeline.PipelineError, pruning.PruneError) as e:
-        click.echo(f"numeric error: {e}", err=True)
-        sys.exit(EXIT_NUMERIC)
+    blocks = pipeline.init_stack(block_cfg, _n_blocks(cfg))
+    schedule = _schedule(cfg)
+    fp_cfg = replace(block_cfg, sites={})
+    fp_out, fp_info = pipeline.forward_stack(blocks, x, fp_cfg)
+    records = []
+    q_out, q_info = pipeline.forward_stack(blocks, x, block_cfg)
+    records.append(_eval_record("no_prune", q_out, q_info, fp_out, fp_info))
+    if schedule is not None:
+        qp_out, qp_info = pipeline.forward_stack(blocks, x, block_cfg, schedule=schedule)
+        keeps = {i: qp_info["keeps"][i] for i in schedule.prune_layers}
+        fpp_out, fpp_info = pipeline.forward_stack(blocks, x, fp_cfg, forced_keeps=keeps)
+        rec = _eval_record("prune", qp_out, qp_info, fpp_out, fpp_info)
+        rec["schedule"] = {
+            "beta": schedule.final_ratio,
+            "m": len(schedule.prune_layers),
+            "gamma": schedule.per_layer_ratio,
+            "prune_layers": list(schedule.prune_layers),
+        }
+        records.append(rec)
 
-    report = {"records": records}
-    _emit(report, cfg)
+    _emit({"records": records}, cfg)
     min_cosine = cfg.get("thresholds", {}).get("min_cosine")
     if min_cosine is not None:
         for rec in records:
             if rec["cosine"] < min_cosine:
-                click.echo(
-                    f"threshold failure: cosine {rec['cosine']:.6f} < {min_cosine} "
-                    f"({rec['name']})",
-                    err=True,
-                )
-                sys.exit(EXIT_THRESHOLD)
+                raise ThresholdError(
+                    f"cosine {rec['cosine']:.6f} < {min_cosine} ({rec['name']})")
 
 
 def _eval_record(name, q_out, q_info, fp_out, fp_info) -> dict:
@@ -275,23 +281,21 @@ def _eval_record(name, q_out, q_info, fp_out, fp_info) -> dict:
 @main.command()
 @click.option("--sizes", default="64,256,512", help="Comma-separated square sizes.")
 @click.option("--kernels", "kernel_names", default="f32,int8,int4")
-@click.option("--repeats", type=int, default=50, show_default=True)
+@click.option("--repeats", type=click.IntRange(min=3), default=50, show_default=True)
 def bench(sizes, kernel_names, repeats):
     """JSON-lines latency report; numbers are informational, never gated."""
-    if repeats < 3:
-        click.echo("repeats must be >= 3", err=True)
-        sys.exit(EXIT_CONFIG)
     try:
         size_list = [int(s) for s in sizes.split(",") if s]
     except ValueError:
-        click.echo(f"bad sizes {sizes!r}", err=True)
-        sys.exit(EXIT_CONFIG)
-    for kernel in kernel_names.split(","):
+        size_list = None
+    if size_list is None or any(n < 1 for n in size_list):
+        raise click.BadParameter(f"bad sizes {sizes!r}", param_hint="'--sizes'")
+    kernel_list = kernel_names.split(",")
+    for kernel in kernel_list:
         if kernel not in kernels.BENCH_KERNELS:
-            click.echo(f"unknown kernel {kernel!r}", err=True)
-            sys.exit(EXIT_CONFIG)
+            raise click.BadParameter(f"unknown kernel {kernel!r}", param_hint="'--kernels'")
     for n in size_list:
-        for kernel in kernel_names.split(","):
+        for kernel in kernel_list:
             row = kernels.bench_gemm(n, n, n, kernel, repeats)
             click.echo(json.dumps(row, sort_keys=True))
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,31 +34,13 @@ class AccumulatorBudgetError(KernelError):
     """More than 256 additions on one lane accumulator."""
 
 
-def gemm_f32(a, w, threads: int | None = None) -> np.ndarray:
-    """Reference GEMM: float64 accumulation narrowed to float32.
-
-    ``threads`` > 1 partitions output rows across a thread pool; results are
-    byte-identical regardless of thread count.
-    """
+def gemm_f32(a, w) -> np.ndarray:
+    """Reference GEMM: float64 accumulation narrowed to float32."""
     a = as_tensor2d(a)
     w = as_tensor2d(w)
     if a.shape[1] != w.shape[0]:
         raise KernelError(f"inner dims differ: {a.shape[1]} vs {w.shape[0]}")
-    a64 = a.astype(np.float64)
-    w64 = w.astype(np.float64)
-    if threads is None or threads <= 1 or a.shape[0] < 2:
-        return (a64 @ w64).astype(np.float32)
-    out = np.empty((a.shape[0], w.shape[1]), dtype=np.float32)
-    bounds = np.linspace(0, a.shape[0], threads + 1, dtype=int)
-
-    def run(lo, hi):
-        out[lo:hi] = (a64[lo:hi] @ w64).astype(np.float32)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(run, lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-        for f in futs:
-            f.result()
-    return out
+    return (a.astype(np.float64) @ w.astype(np.float64)).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +60,7 @@ def gemm_int_affine(aq: QuantTensor, wq: QuantTensor) -> np.ndarray:
     """
     if aq.kind not in ("affine", "trip"):
         raise KernelError(f"activation side must be affine/trip codes, got {aq.kind}")
-    if aq.kind == "trip":
-        s_a, zp_a = aq.params.base.scale, aq.params.base.zero_point
-    else:
-        s_a, zp_a = aq.params.scale, aq.params.zero_point
+    s_a, zp_a = aq.params.scale, aq.params.zero_point
     a = aq.codes.astype(np.int64)
     if aq.cols != wq.rows:
         raise KernelError(f"inner dims differ: {aq.cols} vs {wq.rows}")
@@ -199,10 +177,6 @@ class LaneAccumulator:
         return self.value & 0xFFFF, self.value >> 16
 
 
-def lane_accumulate(acc: LaneAccumulator, product: int) -> LaneAccumulator:
-    return acc.add(product)
-
-
 @dataclass(frozen=True)
 class Int4GemmParams:
     act_scale: float
@@ -266,20 +240,10 @@ def gemm_int4_raw(a_codes, packed: PackedInt4Matrix, impl: str = "vector") -> np
     return out[:, : packed.rows]
 
 
-def gemm_int4_packed(
-    a_codes,
-    packed: PackedInt4Matrix,
-    params: Int4GemmParams,
-    impl: str = "vector",
-    requantize_bits: int | None = None,
-):
-    """Packed-nibble GEMM, affine-corrected and scaled back to FP32.
-
-    With ``requantize_bits`` set, the FP32 result is affine-quantized back to
-    that width and returned as a QuantTensor.
-    """
+def gemm_int4_packed(a_codes, packed: PackedInt4Matrix, params: Int4GemmParams):
+    """Packed-nibble GEMM, affine-corrected and scaled back to FP32."""
     a = np.asarray(a_codes)
-    raw = gemm_int4_raw(a, packed, impl=impl)
+    raw = gemm_int4_raw(a, packed)
     k = a.shape[1]
     zp_a, zp_w = params.act_zero_point, params.weight_zero_point
     w = unpack_int4(packed).astype(np.int64)  # (rows, k)
@@ -289,13 +253,10 @@ def gemm_int4_packed(
         - zp_w * a.astype(np.int64).sum(axis=1)[:, None]
         + k * zp_a * zp_w
     )
-    out = (
+    return (
         corrected.astype(np.float64)
         * (params.act_scale * np.asarray(params.weight_scales)[None, :])
     ).astype(np.float32)
-    if requantize_bits is not None:
-        return quantize_affine(out, fit_affine(out, requantize_bits))
-    return out
 
 
 # ---------------------------------------------------------------------------

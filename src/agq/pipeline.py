@@ -214,13 +214,8 @@ def _site_matmul(x: np.ndarray, w: np.ndarray, sc: SiteConfig, wq: QuantTensor,
         return gemm_int_affine(aq, wq)
     # 4-bit activations: packed lane GEMM on unsigned nibbles
     packed = pack_weights_for_gemm((wq.codes + 8).astype(np.uint8))
-    if aq.kind == "trip":
-        act_scale, act_zp = aq.params.base.scale, aq.params.base.zero_point
-    else:
-        act_scale, act_zp = aq.params.scale, aq.params.zero_point
-    params = Int4GemmParams(
-        act_scale=act_scale, act_zero_point=act_zp, weight_scales=wq.params.scales
-    )
+    params = Int4GemmParams(act_scale=aq.params.scale, act_zero_point=aq.params.zero_point,
+                            weight_scales=wq.params.scales)
     return gemm_int4_packed(aq.codes.astype(np.uint8), packed, params)
 
 
@@ -298,11 +293,11 @@ def forward_quant(block: Block, x, cfg: BlockConfig | None = None):
     """Configured pass; diagnostics carry per-site MSE and FP divergence."""
     cfg = cfg or block.cfg
     out, amap, site_diags = forward_block(block, x, cfg)
-    fp_out, _ = forward_fp(block, x)
+    fp_out, fp_maps = forward_fp(block, x)
     diagnostics = {
         "sites": site_diags,
         "cosine": cosine_similarity(out, fp_out),
-        "locality_fp": attention_locality(forward_fp(block, x)[1][0]),
+        "locality_fp": attention_locality(fp_maps[0]),
         "locality_q": attention_locality(amap),
     }
     return out, diagnostics

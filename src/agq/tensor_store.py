@@ -93,7 +93,12 @@ def save_store(store: dict[str, np.ndarray], path) -> None:
 
 
 def load_store(path) -> dict[str, np.ndarray]:
-    """Read a store written by :func:`save_store`; bit-exact round trip."""
+    """Read a store written by :func:`save_store`; bit-exact round trip.
+
+    Everything :func:`save_store` would refuse to write (bad names, unknown
+    dtypes, oversized or non-finite tensors) and every malformed byte string
+    raises a :class:`StoreError`.
+    """
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != MAGIC:
@@ -113,12 +118,18 @@ def load_store(path) -> dict[str, np.ndarray]:
             off += 2
             if len(blob) < off + name_len:
                 raise TruncatedPayloadError("name truncated")
-            name = blob[off : off + name_len].decode("utf-8")
+            raw_name = blob[off : off + name_len]
             off += name_len
             dtype_code, rows, cols = struct.unpack_from("<BII", blob, off)
             off += 9
         except struct.error as e:
             raise TruncatedPayloadError("tensor header truncated") from e
+        if not 1 <= name_len <= 256:
+            raise StoreError(f"tensor name length {name_len} outside 1..256 bytes")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise StoreError(f"tensor name {raw_name!r} is not UTF-8") from e
         dtype = _DTYPE_CODES.get(dtype_code)
         if dtype is None:
             raise StoreError(f"unknown dtype code {dtype_code}")
@@ -131,5 +142,10 @@ def load_store(path) -> dict[str, np.ndarray]:
         off += nbytes
         if name in store:
             raise StoreError(f"duplicate tensor name {name!r}")
-        store[name] = np.frombuffer(payload, dtype=dtype).reshape(rows, cols).copy()
+        t = np.frombuffer(payload, dtype=dtype).reshape(rows, cols).copy()
+        if dtype is np.float32 and not np.all(np.isfinite(t)):
+            raise StoreError(f"tensor {name!r} contains NaN or Inf")
+        store[name] = t
+    if off != len(blob):
+        raise StoreError(f"{len(blob) - off} trailing bytes after the last tensor")
     return store

@@ -38,6 +38,16 @@ class TripParams:
             raise QuantError("channel exponents must lie in 0..cap")
 
     @property
+    def scale(self) -> float:
+        """The shared layer-wise scale, as on :class:`AffineParams`."""
+        return self.base.scale
+
+    @property
+    def zero_point(self) -> int:
+        """The shared zero point, as on :class:`AffineParams`."""
+        return self.base.zero_point
+
+    @property
     def steps(self) -> np.ndarray:
         """Effective per-channel step sizes 2^alpha_c * s."""
         return np.exp2(self.alphas.astype(np.float64)) * self.base.scale

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -208,9 +209,69 @@ class TestBench:
             assert {"p10_ns", "p90_ns", "input_checksum"} <= set(row)
 
 
-def test_threads_env_fallback(runner, tmp_path, monkeypatch):
-    monkeypatch.setenv("AGQ_THREADS", "2")
-    cfg = write_config(tmp_path / "cfg.json", quantization={"mode": "fp32"},
-                       thresholds={"min_cosine": 1.0})
-    r = runner.invoke(main, ["eval", "--config", cfg])
-    assert r.exit_code == 0, r.output
+
+def raw_store(path, name: bytes, x):
+    """A one-tensor float32 store written byte by byte, so it can hold what
+    save_store refuses to write."""
+    x = np.ascontiguousarray(x, dtype=np.float32)
+    path.write_bytes(b"AGQT" + struct.pack("<II", 1, 1) + struct.pack("<H", len(name))
+                     + name + struct.pack("<BII", 0, *x.shape) + x.tobytes())
+    return str(path)
+
+
+def nan_store(tmp_path):
+    x = np.zeros((4, 64), dtype=np.float32)
+    x[1, 2] = np.nan
+    return raw_store(tmp_path / "nan.agqt", b"input", x)
+
+
+def good_store(tmp_path, width=64):
+    path = tmp_path / "good.agqt"
+    save_store({"input": np.ones((4, width), dtype=np.float32)}, path)
+    return str(path)
+
+
+# (id, function of tmp_path returning the argument list, exit code)
+EXIT_CASES = [
+    ("heads-do-not-divide", lambda p: ["eval", "--config", write_config(
+        p / "c.json", block={"d_model": 64, "n_heads": 5})], 1),
+    ("prune-m-exceeds-blocks", lambda p: ["eval", "--config", write_config(
+        p / "c.json", block={"n_blocks": 2}, prune={"beta": 0.3, "m": 3})], 1),
+    ("start-layer-past-end", lambda p: ["eval", "--config", write_config(
+        p / "c.json", block={"n_blocks": 2},
+        prune={"beta": 0.3, "m": 1, "start_layer": 5})], 1),
+    ("seed-not-an-int", lambda p: ["eval", "--config", write_config(p / "c.json"),
+                                   "--seed", "x"], 1),
+    ("unknown-group-option", lambda p: ["--threads", "2", "eval", "--config",
+                                        write_config(p / "c.json")], 1),
+    ("missing-command", lambda p: [], 1),
+    ("report-dir-missing", lambda p: ["eval", "--config", write_config(
+        p / "c.json", output={"report": str(p / "no" / "r.json")})], 2),
+    ("csv-dir-missing", lambda p: ["analyze", "--config", write_config(
+        p / "c.json", output={"csv": str(p / "no" / "c.csv")}),
+        "--in", good_store(p), "--input", "input"], 2),
+    ("nan-store-eval", lambda p: ["eval", "--config", write_config(p / "c.json"),
+                                  "--in", nan_store(p)], 2),
+    ("nan-store-analyze", lambda p: ["analyze", "--config", write_config(p / "c.json"),
+                                     "--in", nan_store(p), "--input", "input"], 2),
+    ("nan-store-quantize", lambda p: ["quantize", "--config", write_config(p / "c.json"),
+                                      "--in", nan_store(p), "--out", str(p / "o.agqt")], 2),
+    ("name-not-utf8", lambda p: ["eval", "--config", write_config(p / "c.json"), "--in",
+                                 raw_store(p / "u.agqt", b"\xff\xfe", np.ones((4, 64)))], 2),
+    ("input-width-mismatch", lambda p: ["analyze", "--config", write_config(p / "c.json"),
+                                        "--in", good_store(p, width=32),
+                                        "--input", "input"], 3),
+    ("threshold-missed", lambda p: ["eval", "--config", write_config(
+        p / "c.json", quantization={"mode": "w4a8"},
+        thresholds={"min_cosine": 0.9999})], 4),
+]
+
+
+@pytest.mark.parametrize("make_args,code", [c[1:] for c in EXIT_CASES],
+                         ids=[c[0] for c in EXIT_CASES])
+def test_exit_code_table(runner, tmp_path, make_args, code):
+    r = runner.invoke(main, make_args(tmp_path))
+    assert r.exit_code == code, r.output
+    assert isinstance(r.exception, SystemExit)  # not an escaped exception
+    assert len(r.stderr.splitlines()) == 1, r.stderr
+    assert "error: " in r.stderr and "Traceback" not in r.stderr

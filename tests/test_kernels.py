@@ -14,7 +14,6 @@ from agq.kernels import (
     gemm_int4_raw,
     gemm_int_affine,
     gemm_log2_attnv,
-    lane_accumulate,
     lane_multiply,
     pack_int4,
     pack_weights_for_gemm,
@@ -36,14 +35,6 @@ class TestGemmF32:
         w = rng.standard_normal((11, 5)).astype(np.float32)
         expect = (a.astype(np.float64) @ w.astype(np.float64)).astype(np.float32)
         np.testing.assert_array_equal(gemm_f32(a, w), expect)
-
-    def test_thread_invariance(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((33, 16)).astype(np.float32)
-        w = rng.standard_normal((16, 9)).astype(np.float32)
-        base = gemm_f32(a, w)
-        for threads in (1, 2, 4, 7):
-            np.testing.assert_array_equal(gemm_f32(a, w, threads=threads), base)
 
     def test_dim_mismatch(self):
         with pytest.raises(KernelError):
@@ -146,7 +137,7 @@ class TestLaneAccumulator:
         acc = LaneAccumulator()
         prod = lane_multiply(0xFF, 15)  # 225 per byte, worst case
         for _ in range(MAX_LANE_ADDITIONS):
-            lane_accumulate(acc, prod)
+            acc.add(prod)
         assert acc.sublanes == (225 * 256, 225 * 256)
 
     def test_budget_exceeded(self):
@@ -222,22 +213,6 @@ class TestGemmInt4:
         a_hat = (aq.codes.astype(np.float64) - aq.params.zero_point) * aq.params.scale
         w_hat = wq.codes.astype(np.float64) * wq.params.scales[None, :]
         np.testing.assert_allclose(got, a_hat @ w_hat, rtol=1e-4, atol=1e-4)
-
-    def test_requantize_output(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((4, 16)).astype(np.float32)
-        w = rng.standard_normal((16, 4)).astype(np.float32)
-        aq = quantize_affine(x, fit_affine(x, 4))
-        wq = quantize_weight_symmetric(w, fit_weight_symmetric(w, 4))
-        packed = pack_weights_for_gemm((wq.codes + 8).astype(np.uint8))
-        params = Int4GemmParams(
-            act_scale=aq.params.scale,
-            act_zero_point=aq.params.zero_point,
-            weight_scales=wq.params.scales,
-        )
-        q = gemm_int4_packed(aq.codes, packed, params, requantize_bits=8)
-        assert q.kind == "affine"
-        assert q.codes.max() <= 255
 
 
 class TestGemmLog2AttnV:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from agq.tensor_store import (
     BadMagicError,
     DimensionOverflowError,
+    StoreError,
     TruncatedPayloadError,
     load_store,
     save_store,
@@ -133,3 +134,53 @@ def test_roundtrip_property(tmp_path_factory, layout):
     for name in store:
         np.testing.assert_array_equal(loaded[name], store[name])
         assert loaded[name].dtype == store[name].dtype
+
+
+def _valid_blob():
+    store = {
+        "w": np.arange(6, dtype=np.float32).reshape(2, 3),
+        "codes": np.arange(4, dtype=np.uint8).reshape(4, 1),
+    }
+    blob = b"AGQT" + struct.pack("<II", 1, len(store))
+    for name in sorted(store):
+        t = store[name]
+        blob += struct.pack("<H", len(name)) + name.encode()
+        blob += struct.pack("<BII", int(t.dtype == np.uint8), *t.shape) + t.tobytes()
+    return blob
+
+
+VALID_BLOB = _valid_blob()
+
+
+def test_valid_blob_matches_writer(tmp_path):
+    path = tmp_path / "v.agqt"
+    path.write_bytes(VALID_BLOB)
+    save_store(load_store(path), tmp_path / "again.agqt")
+    assert (tmp_path / "again.agqt").read_bytes() == VALID_BLOB
+
+
+def _flip(flips):
+    blob = bytearray(VALID_BLOB)
+    for pos, mask in flips:
+        blob[pos] ^= mask
+    return bytes(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(0, len(VALID_BLOB) - 1).map(lambda n: VALID_BLOB[:n]),
+        st.lists(st.tuples(st.integers(0, len(VALID_BLOB) - 1), st.integers(1, 255)),
+                 min_size=1, max_size=4).map(_flip),
+        st.binary(min_size=1, max_size=8).map(lambda tail: VALID_BLOB + tail),
+    )
+)
+def test_corrupt_bytes_raise_only_store_error(tmp_path_factory, blob):
+    """Truncated, bit-flipped or extended stores either load or raise a
+    StoreError, never another exception."""
+    path = tmp_path_factory.mktemp("fuzz") / "c.agqt"
+    path.write_bytes(blob)
+    try:
+        load_store(path)
+    except StoreError:
+        pass
