@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -75,9 +76,15 @@ class _Group(click.Group):
             return super().invoke(ctx)
 
 
-def _load_schema() -> dict:
+@functools.cache
+def _validator():
+    """The run-config validator, its schema checked against the metaschema
+    once per process rather than on every load."""
     text = resources.files("agq.schemas").joinpath("run_config.schema.json").read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def load_config(path: str) -> dict:
@@ -93,10 +100,9 @@ def load_config(path: str) -> dict:
         cfg = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ConfigError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
-    try:
-        jsonschema.validate(cfg, _load_schema())
-    except jsonschema.ValidationError as e:
-        raise ConfigError(f"schema: {e.message}") from e
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"schema: {error.message}")
     try:
         _block_config(cfg)
         _schedule(cfg)

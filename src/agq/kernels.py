@@ -6,9 +6,18 @@ byte-lane-packed 4-bit multiplier (two weight nibbles per byte, two isolated
 8-bit products per 16-bit multiply, dual 16-bit sub-lane accumulation), and a
 shift-based GEMM for log2-quantized attention probabilities.
 
+The integer paths run as float64 BLAS matmuls of integer codes. That is
+exact while every partial sum is an integer below 2^53 in magnitude:
+``check_exact`` bounds it from the code ranges in the quantization params
+(not from the data) and raises ``KernelError`` beyond it.
+
 The packed path ships two implementations: a scalar per-element model that is
-the semantic reference, and a vectorized numpy variant that must be
-bit-identical to it (the default, since it is orders of magnitude faster).
+the semantic reference, and the default, which must be bit-identical to it.
+The default models the packed 32-bit register word itself: under the
+256-addition budget, accumulating spread lane products without carries is
+one GEMM of the activations against the widened word ``w_lo + 2^16 * w_hi``
+per 256-wide group (each word stays below 2^32), whose low and high 16 bits
+are the two sub-lanes.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from .quantizers import QuantTensor, fit_affine, quantize_affine
 from .tensor_store import as_tensor2d
 
 MAX_LANE_ADDITIONS = 256  # 256 * 225 = 57600 < 2^16 keeps sub-lanes isolated
-MAX_INNER_DIM = 2**23  # int accumulation guard for the affine path
+EXACT_F64_LIMIT = 2**53  # every integer of smaller magnitude is a float64
 
 
 class KernelError(Exception):
@@ -32,6 +41,24 @@ class KernelError(Exception):
 
 class AccumulatorBudgetError(KernelError):
     """More than 256 additions on one lane accumulator."""
+
+
+def check_exact(k: int, max_a: int, max_b: int, terms: int = 1) -> None:
+    """Raise ``KernelError`` unless a float64 GEMM is exact: inner dimension
+    ``k``, operand magnitudes at most ``max_a`` and ``max_b``, and ``terms``
+    sums of that size (the product plus zero-point corrections) added up.
+    Every partial sum is then an integer below 2^53, in any summation order.
+    """
+    if terms * k * max_a * max_b >= EXACT_F64_LIMIT:
+        raise KernelError(
+            f"float64 accumulation not exact: {terms} x k={k} x {max_a} x {max_b} "
+            f"reaches 2^53"
+        )
+
+
+def _max_abs(rng) -> int:
+    """Largest code magnitude of a ``CodeRange``."""
+    return max(-rng.lo, rng.hi)
 
 
 def gemm_f32(a, w) -> np.ndarray:
@@ -60,31 +87,22 @@ def gemm_int_affine(aq: QuantTensor, wq: QuantTensor) -> np.ndarray:
     """
     if aq.kind not in ("affine", "trip"):
         raise KernelError(f"activation side must be affine/trip codes, got {aq.kind}")
-    s_a, zp_a = aq.params.scale, aq.params.zero_point
-    a = aq.codes.astype(np.int64)
+    if wq.kind not in ("weight", "affine"):
+        raise KernelError(f"unsupported weight-side kind {wq.kind}")
     if aq.cols != wq.rows:
         raise KernelError(f"inner dims differ: {aq.cols} vs {wq.rows}")
-    if aq.cols > MAX_INNER_DIM:
-        raise KernelError(f"inner dim {aq.cols} exceeds accumulator guard")
-
+    k = aq.cols
+    # up to three zero-point corrections, each no larger than the product
+    check_exact(k, _max_abs(aq.params.range), _max_abs(wq.params.range), terms=4)
+    s_a, zp_a = aq.params.scale, aq.params.zero_point
+    a = aq.codes.astype(np.float64)
+    b = wq.codes.astype(np.float64)
+    raw = a @ b - zp_a * b.sum(axis=0)[None, :]
     if wq.kind == "weight":
-        w = wq.codes.astype(np.int64)
-        raw = a @ w - zp_a * w.sum(axis=0)[None, :]
-        return (raw.astype(np.float64) * (s_a * wq.params.scales[None, :])).astype(
-            np.float32
-        )
-    if wq.kind == "affine":
-        b = wq.codes.astype(np.int64)
-        s_b, zp_b = wq.params.scale, wq.params.zero_point
-        k = aq.cols
-        raw = (
-            a @ b
-            - zp_a * b.sum(axis=0)[None, :]
-            - zp_b * a.sum(axis=1)[:, None]
-            + k * zp_a * zp_b
-        )
-        return (raw.astype(np.float64) * (s_a * s_b)).astype(np.float32)
-    raise KernelError(f"unsupported weight-side kind {wq.kind}")
+        return (raw * (s_a * wq.params.scales[None, :])).astype(np.float32)
+    s_b, zp_b = wq.params.scale, wq.params.zero_point
+    raw += k * zp_a * zp_b - zp_b * a.sum(axis=1)[:, None]
+    return (raw * (s_a * s_b)).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +230,11 @@ def gemm_int4_raw(a_codes, packed: PackedInt4Matrix, impl: str = "vector") -> np
     group_bounds = list(range(0, k, MAX_LANE_ADDITIONS)) + [k]
 
     if impl == "vector":
-        cells = packed.data.astype(np.uint32)
-        widened = (cells & 0x0F) | ((cells >> 4) << 8)  # (pairs, k)
-        a32 = a.astype(np.uint32)
+        # register word per cell: low nibble at bit 0, high nibble at bit 16
+        widened = (packed.data & 0x0F) + 65536.0 * (packed.data >> 4)  # (pairs, k)
+        a64 = a.astype(np.float64)
         for lo, hi in zip(group_bounds, group_bounds[1:]):
-            prod = widened[None, :, lo:hi] * a32[:, None, lo:hi]  # 16-bit values
-            spread = (prod & 0xFF) | ((prod >> 8) << 16)
-            acc = spread.sum(axis=2, dtype=np.uint32)  # lane-isolated by budget
+            acc = (a64[:, lo:hi] @ widened[:, lo:hi].T).astype(np.int64)
             out[:, 0::2] += acc & 0xFFFF
             out[:, 1::2] += acc >> 16
     elif impl == "scalar":
@@ -246,11 +262,13 @@ def gemm_int4_packed(a_codes, packed: PackedInt4Matrix, params: Int4GemmParams):
     raw = gemm_int4_raw(a, packed)
     k = a.shape[1]
     zp_a, zp_w = params.act_zero_point, params.weight_zero_point
-    w = unpack_int4(packed).astype(np.int64)  # (rows, k)
+    # weight row sums from the nibble planes, in row order 2p, 2p + 1
+    planes = np.stack([packed.data & 0x0F, packed.data >> 4], axis=1)  # (pairs, 2, k)
+    w_sums = planes.sum(axis=2, dtype=np.int64).ravel()[: packed.rows]
     corrected = (
         raw
-        - zp_a * w.sum(axis=1)[None, :]
-        - zp_w * a.astype(np.int64).sum(axis=1)[:, None]
+        - zp_a * w_sums[None, :]
+        - zp_w * a.sum(axis=1, dtype=np.int64)[:, None]
         + k * zp_a * zp_w
     )
     return (
@@ -263,16 +281,14 @@ def gemm_int4_packed(a_codes, packed: PackedInt4Matrix, params: Int4GemmParams):
 # Log2 attention-value GEMM
 # ---------------------------------------------------------------------------
 
-MAX_LOG2_EXP = 31  # 2^exp must leave int64 headroom for the accumulation
-
-
 def gemm_log2_attnv(probs_q: QuantTensor, vq: QuantTensor) -> np.ndarray:
     """Shift-semantics GEMM for log2-quantized probabilities against an
     affine-quantized value matrix.
 
     Each probability dequantizes to sign * max_abs * 2^-code; the products
     are accumulated as integer v_code * 2^(Ks - code) with Ks the max code,
-    then scaled once by max_abs * s_v * 2^-Ks. Exact in integer arithmetic.
+    then scaled once by max_abs * s_v * 2^-Ks. Exact while k * 2^Ks * 255
+    stays below 2^53 (any k for 4-bit log2, Ks = 7).
     """
     if probs_q.kind != "log2":
         raise KernelError(f"expected log2 probabilities, got {probs_q.kind}")
@@ -281,14 +297,12 @@ def gemm_log2_attnv(probs_q: QuantTensor, vq: QuantTensor) -> np.ndarray:
     if probs_q.cols != vq.rows:
         raise KernelError(f"inner dims differ: {probs_q.cols} vs {vq.rows}")
     ks = probs_q.params.code_hi
-    if ks > MAX_LOG2_EXP:
-        raise KernelError(f"log2 width too large for integer accumulation (Ks={ks})")
-    shifts = np.left_shift(np.int64(1), ks - probs_q.codes.astype(np.int64))
-    lhs = probs_q.signs.astype(np.int64) * shifts
-    rhs = vq.codes.astype(np.int64) - vq.params.zero_point
+    check_exact(probs_q.cols, 2**ks, _max_abs(vq.params.range))
+    lhs = np.ldexp(probs_q.signs.astype(np.float64), ks - probs_q.codes)
+    rhs = vq.codes.astype(np.float64) - vq.params.zero_point
     acc = lhs @ rhs
     scale = probs_q.params.max_abs * vq.params.scale * 2.0**-ks
-    return (acc.astype(np.float64) * scale).astype(np.float32)
+    return (acc * scale).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

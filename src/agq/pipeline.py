@@ -243,8 +243,19 @@ def _attnv_matmul(probs: np.ndarray, vh: np.ndarray, sc: SiteConfig,
     return gemm_log2_attnv(probs_q, vq)
 
 
+def _finite(x: np.ndarray, stage: str) -> np.ndarray:
+    """Pass ``x`` on, or raise if a stage overflowed float32 into Inf/NaN."""
+    if not np.isfinite(x).all():
+        raise PipelineError(f"non-finite activations after {stage}")
+    return x
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow is reported by _finite
 def forward_block(block: Block, x, cfg: BlockConfig | None = None):
-    """One decoder block pass; returns (output, AttentionMap, diagnostics)."""
+    """One decoder block pass; returns (output, AttentionMap, diagnostics).
+
+    Raises ``PipelineError`` naming the stage whose output is not finite.
+    """
     cfg = cfg or block.cfg
     x = as_tensor2d(x)
     t, d = x.shape
@@ -254,31 +265,31 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None):
     dh, nh = cfg.d_head, cfg.n_heads
 
     lt = cfg.site("linear_transform")
-    q = _site_matmul(x, block.weights["wq"], lt, block.weight_q["wq"], diagnostics,
-                     "linear_transform")
-    k = _site_matmul(x, block.weights["wk"], lt, block.weight_q["wk"], diagnostics,
-                     "linear_transform")
-    v = _site_matmul(x, block.weights["wv"], lt, block.weight_q["wv"], diagnostics,
-                     "linear_transform")
+    q, k, v = (
+        _finite(_site_matmul(x, block.weights[w], lt, block.weight_q[w], diagnostics,
+                             "linear_transform"), "linear_transform")
+        for w in ("wq", "wk", "wv")
+    )
 
     probs = np.empty((nh, t, t), dtype=np.float32)
     ctx = np.empty((t, d), dtype=np.float32)
     for h in range(nh):
         sl = slice(h * dh, (h + 1) * dh)
         scores = _qk_matmul(q[:, sl], k[:, sl], cfg.site("qk")) / np.float32(np.sqrt(dh))
-        probs[h] = _softmax_causal(scores)
+        probs[h] = _softmax_causal(_finite(scores, "qk"))
         ctx[:, sl] = _attnv_matmul(probs[h], v[:, sl], cfg.site("attn_v"), diagnostics)
 
-    proj = _site_matmul(ctx, block.weights["wo"], cfg.site("projection"),
-                        block.weight_q["wo"], diagnostics, "projection")
-    h1 = x + proj
+    proj = _site_matmul(_finite(ctx, "attn_v"), block.weights["wo"],
+                        cfg.site("projection"), block.weight_q["wo"], diagnostics,
+                        "projection")
+    h1 = _finite(x + proj, "projection")
     u = _layernorm(h1)
     a1 = _site_matmul(u, block.weights["w1"], cfg.site("fc1"),
                       block.weight_q["w1"], diagnostics, "fc1")
-    g = _silu(a1)
+    g = _silu(_finite(a1, "fc1"))
     m2 = _site_matmul(g, block.weights["w2"], cfg.site("fc2"),
                       block.weight_q["w2"], diagnostics, "fc2")
-    out = h1 + m2
+    out = _finite(h1 + m2, "fc2")
     return out, AttentionMap(probs=probs), diagnostics
 
 
@@ -319,7 +330,10 @@ def forward_stack(blocks: list[Block], x, cfg: BlockConfig | None = None,
     kept_global = list(range(t0))
     info = {"keeps": [], "kept_fractions": [], "maps": [], "sites": []}
     for i, block in enumerate(blocks):
-        x, amap, diags = forward_block(block, x, cfg or block.cfg)
+        try:
+            x, amap, diags = forward_block(block, x, cfg or block.cfg)
+        except PipelineError as e:
+            raise PipelineError(f"block {i}: {e}") from e
         info["maps"].append(amap)
         info["sites"].extend(diags)
         if forced_keeps is not None and i in forced_keeps:

@@ -38,6 +38,11 @@ class TripParams:
             raise QuantError("channel exponents must lie in 0..cap")
 
     @property
+    def range(self) -> CodeRange:
+        """The activation code range, as on :class:`AffineParams`."""
+        return self.base.range
+
+    @property
     def scale(self) -> float:
         """The shared layer-wise scale, as on :class:`AffineParams`."""
         return self.base.scale

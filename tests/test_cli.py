@@ -1,9 +1,12 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from agq.cli import main
 from agq.pruning import make_schedule
@@ -225,6 +228,15 @@ def nan_store(tmp_path):
     return raw_store(tmp_path / "nan.agqt", b"input", x)
 
 
+def overflow_store(tmp_path):
+    """Finite float32 values whose products overflow float32 in the first site."""
+    x = np.full((4, 64), 3e38, dtype=np.float32)
+    x[1::2] *= -1
+    path = tmp_path / "big.agqt"
+    save_store({"input": x}, path)
+    return str(path)
+
+
 def good_store(tmp_path, width=64):
     path = tmp_path / "good.agqt"
     save_store({"input": np.ones((4, width), dtype=np.float32)}, path)
@@ -258,6 +270,10 @@ EXIT_CASES = [
                                       "--in", nan_store(p), "--out", str(p / "o.agqt")], 2),
     ("name-not-utf8", lambda p: ["eval", "--config", write_config(p / "c.json"), "--in",
                                  raw_store(p / "u.agqt", b"\xff\xfe", np.ones((4, 64)))], 2),
+    ("overflow-store-eval", lambda p: ["eval", "--config", write_config(p / "c.json"),
+                                       "--in", overflow_store(p)], 3),
+    ("overflow-store-analyze", lambda p: ["analyze", "--config", write_config(p / "c.json"),
+                                          "--in", overflow_store(p), "--input", "input"], 3),
     ("input-width-mismatch", lambda p: ["analyze", "--config", write_config(p / "c.json"),
                                         "--in", good_store(p, width=32),
                                         "--input", "input"], 3),
@@ -275,3 +291,61 @@ def test_exit_code_table(runner, tmp_path, make_args, code):
     assert isinstance(r.exception, SystemExit)  # not an escaped exception
     assert len(r.stderr.splitlines()) == 1, r.stderr
     assert "error: " in r.stderr and "Traceback" not in r.stderr
+
+
+# A fuzzed run: a small config (valid or not) and a store of finite values,
+# tiny to near float32 max, whose width may not match d_model.
+fuzz_configs = st.fixed_dictionaries(
+    {"seed": st.integers(0, 3)},
+    optional={
+        "sequence_length": st.integers(1, 16),
+        "block": st.fixed_dictionaries({}, optional={
+            "d_model": st.sampled_from([4, 8, 12]),
+            "n_heads": st.integers(1, 4),
+            "d_ff": st.integers(1, 16),
+            "n_blocks": st.integers(1, 2),
+        }),
+        "quantization": st.fixed_dictionaries({}, optional={
+            "mode": st.sampled_from(["fp32", "w4a8", "w4a4"]),
+            "act_quantizer": st.sampled_from(["affine", "trip"]),
+            "trip_cap": st.integers(0, 6),
+        }),
+        "prune": st.fixed_dictionaries(
+            {"beta": st.floats(0, 0.99), "m": st.integers(1, 3)},
+            optional={"start_layer": st.integers(0, 2)}),
+        "analysis": st.fixed_dictionaries({"k_sigma": st.floats(0.1, 10)}),
+        "thresholds": st.fixed_dictionaries({"min_cosine": st.floats(-1, 1)}),
+    },
+)
+fuzz_values = st.one_of(
+    st.floats(-4, 4, width=32),
+    st.sampled_from([0.0, 1e-38, 1e-45, 3e38, -3e38, 3.4028235e38]),
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=fuzz_configs, command=st.sampled_from(["eval", "analyze", "quantize"]),
+       t=st.integers(1, 16), width=st.sampled_from([None, None, None, 4, 8]),
+       values=st.lists(fuzz_values, min_size=1, max_size=4), seed=st.integers(0, 3))
+def test_cli_fuzz_exit_contract(runner, tmp_path, cfg, command, t, width, values, seed):
+    """Any small config and finite store ends with an exit code of 0-4 and at
+    most one stderr line: no traceback, no numpy warning. A ``None`` width is
+    the config's d_model."""
+    width = width or cfg.get("block", {}).get("d_model", 64)
+    rng = np.random.default_rng(seed)
+    x = rng.choice(np.array(values, dtype=np.float32), size=(t, width))
+    store = tmp_path / "fuzz.agqt"
+    save_store({"input": x}, store)
+    args = [command, "--config", write_config(tmp_path / "fuzz.json", **cfg),
+            "--in", str(store)]
+    args += {"analyze": ["--input", "input"], "quantize": ["--out", str(tmp_path / "o.agqt")],
+             "eval": []}[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        r = runner.invoke(main, args)
+    assert r.exit_code in (0, 1, 2, 3, 4), r.output
+    assert r.exception is None or isinstance(r.exception, SystemExit), repr(r.exception)
+    assert len(r.stderr.splitlines()) <= 1, r.stderr
+    assert "Traceback" not in r.stderr

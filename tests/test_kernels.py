@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
-from helpers import naive_int_gemm
+from helpers import int64_gemm_int_affine, int64_gemm_log2_attnv, naive_int_gemm
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agq.kernels import (
+    EXACT_F64_LIMIT,
     MAX_LANE_ADDITIONS,
     AccumulatorBudgetError,
     Int4GemmParams,
     KernelError,
     LaneAccumulator,
     bench_gemm,
+    check_exact,
     gemm_f32,
     gemm_int4_packed,
     gemm_int4_raw,
@@ -20,12 +24,26 @@ from agq.kernels import (
     unpack_int4,
 )
 from agq.quantizers import (
+    AffineParams,
+    CodeRange,
+    QuantTensor,
     fit_affine,
     fit_weight_symmetric,
     quantize_affine,
     quantize_log2,
     quantize_weight_symmetric,
 )
+from agq.trip import fit_trip, fold_trip_into_weights, quantize_trip
+
+# Inputs for the kernel properties: shape, seed and an amplitude that spans
+# tiny to near-float32-max values (the codes, not the values, bound the sums).
+shapes = st.tuples(st.integers(1, 9), st.integers(1, 300), st.integers(1, 9))
+amplitudes = st.sampled_from([1e-30, 1e-3, 1.0, 1e3, 1e30, 3e38])
+
+
+def _normal(rng, shape, amplitude):
+    """Normal values clipped to |x| <= amplitude, so 3e38 stays finite in float32."""
+    return (np.clip(rng.standard_normal(shape), -4, 4) * (amplitude / 4)).astype(np.float32)
 
 
 class TestGemmF32:
@@ -74,6 +92,52 @@ class TestGemmIntAffine:
         wq = quantize_weight_symmetric(w, fit_weight_symmetric(w, 4))
         with pytest.raises(KernelError):
             gemm_int_affine(aq, wq)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes, st.integers(0, 2**32 - 1), amplitudes,
+           st.sampled_from(["affine", "trip"]), st.sampled_from([4, 8]))
+    def test_weight_side_equals_int64_oracle(self, shape, seed, amp, quantizer, bits):
+        m, k, n = shape
+        rng = np.random.default_rng(seed)
+        a = _normal(rng, (m, k), amp)
+        w = _normal(rng, (k, n), 1.0)
+        if quantizer == "trip":
+            aq = quantize_trip(a, fit_trip(a, bits, 3))
+            w = fold_trip_into_weights(w, aq.params)
+        else:
+            aq = quantize_affine(a, fit_affine(a, bits))
+        wq = quantize_weight_symmetric(w, fit_weight_symmetric(w, 4))
+        with np.errstate(over="ignore"):  # sums near 3e38 are Inf on both sides
+            got, expect = gemm_int_affine(aq, wq), int64_gemm_int_affine(aq, wq)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, expect)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes, st.integers(0, 2**32 - 1), amplitudes, amplitudes)
+    def test_affine_affine_equals_int64_oracle(self, shape, seed, amp_a, amp_b):
+        m, k, n = shape
+        rng = np.random.default_rng(seed)
+        a = _normal(rng, (m, k), amp_a)
+        b = _normal(rng, (k, n), amp_b)
+        aq = quantize_affine(a, fit_affine(a, 8))
+        bq = quantize_affine(b, fit_affine(b, 8))
+        with np.errstate(over="ignore"):  # 3e38 x 3e38 is Inf on both sides
+            got, expect = gemm_int_affine(aq, bq), int64_gemm_int_affine(aq, bq)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, expect)
+
+    def test_extreme_codes_equal_int64_oracle(self):
+        # every product and correction at its largest: codes 0/255, zp 0/255
+        k = 1000
+        rng8 = CodeRange(8, signed=False)
+        a = np.tile(np.array([[0, 255], [255, 0]], dtype=np.int32), (1, k // 2))
+        for zp_a in (0, 255):
+            aq = QuantTensor(a, AffineParams(rng8, 1.0, zp_a), "affine")
+            for zp_b in (0, 255):
+                bq = QuantTensor(np.full((k, 3), 255 - zp_b, dtype=np.int32),
+                                 AffineParams(rng8, 1.0, zp_b), "affine")
+                np.testing.assert_array_equal(gemm_int_affine(aq, bq),
+                                              int64_gemm_int_affine(aq, bq))
 
 
 class TestPacking:
@@ -184,6 +248,20 @@ class TestGemmInt4:
             gemm_int4_raw(a, p, impl="scalar"), gemm_int4_raw(a, p, impl="vector")
         )
 
+    @pytest.mark.parametrize("k", [MAX_LANE_ADDITIONS, MAX_LANE_ADDITIONS + 1,
+                                   3 * MAX_LANE_ADDITIONS + 17])
+    def test_worst_case_at_lane_budget(self, k):
+        # all-15 codes: every sub-lane reaches 256 * 225 = 57600 per group
+        a = np.full((2, k), 15, dtype=np.uint8)
+        w = np.full((3, k), 15, dtype=np.uint8)
+        p = pack_int4(w)
+        expect = naive_int_gemm(a, w)
+        assert expect[0, 0] == 225 * k
+        vector = gemm_int4_raw(a, p)
+        assert vector.dtype == np.int64
+        np.testing.assert_array_equal(vector, expect)
+        np.testing.assert_array_equal(gemm_int4_raw(a, p, impl="scalar"), expect)
+
     def test_all_codes_at_zero_point_gives_zero(self):
         k, n = 20, 6
         a = np.full((3, k), 8, dtype=np.uint8)
@@ -252,6 +330,65 @@ class TestGemmLog2AttnV:
         vq = quantize_affine(v, fit_affine(v, 8))
         with pytest.raises(KernelError):
             gemm_log2_attnv(vq, vq)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes, st.integers(0, 2**32 - 1), amplitudes, st.integers(2, 6))
+    def test_equals_int64_oracle(self, shape, seed, amp, bits):
+        m, k, n = shape
+        rng = np.random.default_rng(seed)
+        logits = rng.standard_normal((m, k)) * 4
+        probs = np.exp(logits) * rng.choice([-1.0, 0.0, 1.0], size=(m, k))
+        pq = quantize_log2(probs.astype(np.float32), bits)
+        v = _normal(rng, (k, n), amp)
+        vq = quantize_affine(v, fit_affine(v, 8))
+        with np.errstate(over="ignore"):  # 3e30 x 3e38 is Inf on both sides
+            got, expect = gemm_log2_attnv(pq, vq), int64_gemm_log2_attnv(pq, vq)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, expect)
+
+    # 6-bit log2 codes reach Ks = 31: exact in float64 while k * 2^31 * 255 < 2^53
+    K_EXACT_6BIT = (EXACT_F64_LIMIT - 1) // (2**31 * 255)
+
+    def _six_bit_worst_case(self, k):
+        probs = np.ones((2, k), dtype=np.float32)
+        probs[1, 1::2] = -1.0  # cancelling signs at full magnitude
+        pq = quantize_log2(probs, 6)
+        assert pq.params.code_hi == 31 and not pq.codes.any()
+        codes = np.full((k, 2), 255, dtype=np.int32)
+        codes[::3, 1] = 0
+        vq = QuantTensor(codes, AffineParams(CodeRange(8, signed=False), 0.5, 0), "affine")
+        return pq, vq
+
+    def test_six_bit_just_below_bound_matches_int64(self):
+        k = self.K_EXACT_6BIT
+        assert k * 2**31 * 255 < EXACT_F64_LIMIT <= (k + 1) * 2**31 * 255
+        pq, vq = self._six_bit_worst_case(k)
+        got = gemm_log2_attnv(pq, vq)
+        np.testing.assert_array_equal(got, int64_gemm_log2_attnv(pq, vq))
+        assert got[0, 0] == np.float32(k * 255 * 0.5)
+
+    @pytest.mark.parametrize("bits", [7, 8])
+    def test_wider_log2_raises_at_any_k(self, bits):
+        # Ks = 63 or 127: even k = 1 leaves no float64 headroom
+        pq = quantize_log2(np.ones((1, 1), dtype=np.float32), bits)
+        vq = quantize_affine(np.ones((1, 2), dtype=np.float32),
+                             fit_affine(np.ones((1, 2), dtype=np.float32), 8))
+        with pytest.raises(KernelError):
+            gemm_log2_attnv(pq, vq)
+
+    def test_six_bit_past_bound_raises(self):
+        pq, vq = self._six_bit_worst_case(self.K_EXACT_6BIT + 1)
+        with pytest.raises(KernelError, match="2\\^53"):
+            gemm_log2_attnv(pq, vq)
+
+
+class TestCheckExact:
+    def test_boundary(self):
+        check_exact(2**20, 2**16, 2**16, terms=1)  # 2^52
+        with pytest.raises(KernelError):
+            check_exact(2**21, 2**16, 2**16, terms=1)  # 2^53
+        with pytest.raises(KernelError):
+            check_exact(2**19, 2**16, 2**16, terms=4)
 
 
 class TestBench:
