@@ -21,9 +21,13 @@ for mode in ("w4a8", "w4a4"):
     block = agq.init_block(cfg)
     out, diags = agq.forward_quant(block, x)
     print(f"{mode}: cosine vs FP32 = {diags['cosine']:.4f}")
-    for entry in diags["sites"][:4]:
-        print(f"  {entry['site']:>16s}  A{entry['act_bits']}  mse {entry['mse']:.3g}")
-    print("  ...")
+    # attn_v records one entry per head; print their mean, one line per site
+    by_site = {}
+    for entry in diags["sites"]:
+        by_site.setdefault((entry["site"], entry["act_bits"]), []).append(entry["mse"])
+    for (site, bits), mses in by_site.items():
+        heads = f"  (mean of {len(mses)} heads)" if len(mses) > 1 else ""
+        print(f"  {site:>16s}  A{bits}  mse {np.mean(mses):.3g}{heads}")
 
 # --- outlier analysis on an injected fixture --------------------------------
 x_out = agq.make_outlier_input(t=32, d=64, outlier_channels=(3, 4, 5),

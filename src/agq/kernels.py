@@ -28,7 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantizers import QuantTensor, fit_affine, quantize_affine
+from .quantizers import (
+    QuantTensor,
+    fit_affine,
+    fit_weight_symmetric,
+    quantize_affine,
+    quantize_weight_symmetric,
+)
 from .tensor_store import as_tensor2d
 
 MAX_LANE_ADDITIONS = 256  # 256 * 225 = 57600 < 2^16 keeps sub-lanes isolated
@@ -327,14 +333,10 @@ def bench_gemm(m: int, k: int, n: int, kernel: str, repeats: int, seed: int = 0)
     if kernel == "f32":
         run = lambda: gemm_f32(a, w)
     elif kernel == "int8":
-        from .quantizers import fit_weight_symmetric, quantize_weight_symmetric
-
         aq = quantize_affine(a, fit_affine(a, 8))
         wq = quantize_weight_symmetric(w, fit_weight_symmetric(w, 4))
         run = lambda: gemm_int_affine(aq, wq)
     else:
-        from .quantizers import fit_weight_symmetric, quantize_weight_symmetric
-
         aq = quantize_affine(a, fit_affine(a, 4))
         wq = quantize_weight_symmetric(w, fit_weight_symmetric(w, 4))
         packed = pack_weights_for_gemm((wq.codes + 8).astype(np.uint8))

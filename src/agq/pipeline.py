@@ -1,11 +1,13 @@
 """Toy causal decoder block wiring quantizers, refinement, pruning, kernels.
 
-One block = causal self-attention (QKV linear transform, scaled QK, softmax,
-AttnV, output projection, residual) followed by layernorm, an MLP with a
-sigmoid-gated linear unit, and a second residual. Matmul sites are
-individually configurable: FP32 reference, 8-bit affine/refined activations
-against 4-bit weights, 4-bit activations through the packed lane GEMM, and
-log2-quantized softmax probabilities through the shift GEMM. Nonlinear
+One block = causal self-attention (one fused QKV linear transform, scaled QK,
+softmax, AttnV, output projection, residual) followed by layernorm, an MLP
+with a sigmoid-gated linear unit, and a second residual. The four weight
+sites (linear_transform = [wq | wk | wv], projection, fc1, fc2) each hold one
+weight matrix, so each site input is quantized once per block. Matmul sites
+are individually configurable: FP32 reference, 8-bit affine/refined
+activations against 4-bit weights, 4-bit activations through the packed lane
+GEMM, and log2-quantized softmax probabilities through the shift GEMM. Nonlinear
 operators (softmax, layernorm, the gate) always stay FP32.
 """
 
@@ -55,20 +57,15 @@ class PipelineError(Exception):
 
 @dataclass(frozen=True)
 class SiteConfig:
-    act_bits: int = 32  # 4, 8, or 32 (32 = FP passthrough)
-    weight_bits: int = 32  # 4 or 32
+    act_bits: int = 32  # 4, 8, or 32 (32 = FP passthrough; else 4-bit weights)
     act_quantizer: str = "affine"  # "affine" | "trip" | "log2"
     trip_cap: int = 3
 
     def __post_init__(self):
         if self.act_bits not in (4, 8, 32):
             raise PipelineError(f"act_bits must be 4, 8 or 32, got {self.act_bits}")
-        if self.weight_bits not in (4, 32):
-            raise PipelineError(f"weight_bits must be 4 or 32, got {self.weight_bits}")
         if self.act_quantizer not in ("affine", "trip", "log2"):
             raise PipelineError(f"unknown activation quantizer {self.act_quantizer!r}")
-        if self.act_bits <= 8 and self.weight_bits != 4:
-            raise PipelineError("quantized sites use 4-bit weights throughout")
 
 
 @dataclass(frozen=True)
@@ -115,12 +112,11 @@ def preset_sites(mode: str, act_quantizer: str = "trip", trip_cap: int = 3):
         return {}
     if mode not in ("w4a8", "w4a4"):
         raise PipelineError(f"unknown preset {mode!r}")
-    a8 = SiteConfig(act_bits=8, weight_bits=4, act_quantizer=act_quantizer,
-                    trip_cap=trip_cap)
+    a8 = SiteConfig(act_bits=8, act_quantizer=act_quantizer, trip_cap=trip_cap)
     sites = {
         "linear_transform": a8,
-        "qk": SiteConfig(act_bits=8, weight_bits=4, act_quantizer="affine"),
-        "attn_v": SiteConfig(act_bits=4, weight_bits=4, act_quantizer="log2"),
+        "qk": SiteConfig(act_bits=8, act_quantizer="affine"),
+        "attn_v": SiteConfig(act_bits=4, act_quantizer="log2"),
         "projection": a8,
         "fc1": a8,
         "fc2": a8,
@@ -135,26 +131,22 @@ def preset_sites(mode: str, act_quantizer: str = "trip", trip_cap: int = 3):
 @dataclass
 class Block:
     cfg: BlockConfig
-    weights: dict[str, np.ndarray]
-    weight_q: dict[str, QuantTensor]  # plain per-channel 4-bit codes per weight
-
-
-_WEIGHT_NAMES = ("wq", "wk", "wv", "wo", "w1", "w2")
+    weights: dict[str, np.ndarray]  # keyed by weight site; linear_transform = [wq|wk|wv]
+    weight_q: dict[str, QuantTensor]  # plain per-channel 4-bit codes per weight site
 
 
 def init_block(cfg: BlockConfig) -> Block:
-    """Deterministic scaled-normal weights plus precomputed 4-bit codes."""
+    """Deterministic scaled-normal weights plus precomputed 4-bit codes.
+
+    Draws wq, wk, wv, wo, w1, w2 in that order; the first three are stored
+    as the one fused (d, 3d) linear-transform weight.
+    """
     rng = np.random.default_rng(cfg.seed)
     d, f = cfg.d_model, cfg.d_ff
-    shapes = {
-        "wq": (d, d), "wk": (d, d), "wv": (d, d),
-        "wo": (d, d), "w1": (d, f), "w2": (f, d),
-    }
     scale = 1.0 / np.sqrt(d)
-    weights = {
-        name: (rng.standard_normal(shape) * scale).astype(np.float32)
-        for name, shape in shapes.items()
-    }
+    draw = lambda shape: (rng.standard_normal(shape) * scale).astype(np.float32)
+    weights = {"linear_transform": np.hstack([draw((d, d)) for _ in range(3)])}
+    weights.update(projection=draw((d, d)), fc1=draw((d, f)), fc2=draw((f, d)))
     weight_q = {
         name: quantize_weight_symmetric(w, fit_weight_symmetric(w, 4))
         for name, w in weights.items()
@@ -180,7 +172,7 @@ def _silu(x: np.ndarray) -> np.ndarray:
 
 def _softmax_causal(scores: np.ndarray) -> np.ndarray:
     t = scores.shape[0]
-    masked = scores.astype(np.float64).copy()
+    masked = scores.astype(np.float64)
     masked[np.triu_indices(t, k=1)] = -np.inf
     masked -= masked.max(axis=1, keepdims=True)
     e = np.exp(masked)
@@ -200,9 +192,10 @@ def _act_mse(x: np.ndarray, q) -> float:
     return float(np.mean((x.astype(np.float64) - dequant) ** 2))
 
 
-def _site_matmul(x: np.ndarray, w: np.ndarray, sc: SiteConfig, wq: QuantTensor,
-                 diagnostics: list, name: str) -> np.ndarray:
-    """Run one weight-side matmul at the site's configured precision."""
+def _site_matmul(block: Block, cfg: BlockConfig, name: str, x: np.ndarray,
+                 diagnostics: list) -> np.ndarray:
+    """Run weight site ``name`` on ``x`` at the site's configured precision."""
+    sc, w, wq = cfg.site(name), block.weights[name], block.weight_q[name]
     if sc.act_bits == 32:
         return gemm_f32(x, w)
     aq = _quantize_act(x, sc)
@@ -223,10 +216,9 @@ def _qk_matmul(qh: np.ndarray, kh: np.ndarray, sc: SiteConfig) -> np.ndarray:
     """Q @ K^T, either FP32 or as an 8-bit affine-affine integer product."""
     if sc.act_bits == 32:
         return gemm_f32(qh, kh.T)
+    kt = kh.T
     q_q = quantize_affine(qh, fit_affine(qh, sc.act_bits))
-    k_q = quantize_affine(kh, fit_affine(kh, sc.act_bits))
-    k_t = QuantTensor(codes=k_q.codes.T.copy(), params=k_q.params, kind="affine")
-    return gemm_int_affine(q_q, k_t)
+    return gemm_int_affine(q_q, quantize_affine(kt, fit_affine(kt, sc.act_bits)))
 
 
 def _attnv_matmul(probs: np.ndarray, vh: np.ndarray, sc: SiteConfig,
@@ -264,12 +256,8 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None):
     diagnostics: list[dict] = []
     dh, nh = cfg.d_head, cfg.n_heads
 
-    lt = cfg.site("linear_transform")
-    q, k, v = (
-        _finite(_site_matmul(x, block.weights[w], lt, block.weight_q[w], diagnostics,
-                             "linear_transform"), "linear_transform")
-        for w in ("wq", "wk", "wv")
-    )
+    qkv = _site_matmul(block, cfg, "linear_transform", x, diagnostics)
+    q, k, v = np.hsplit(_finite(qkv, "linear_transform"), 3)
 
     probs = np.empty((nh, t, t), dtype=np.float32)
     ctx = np.empty((t, d), dtype=np.float32)
@@ -279,16 +267,10 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None):
         probs[h] = _softmax_causal(_finite(scores, "qk"))
         ctx[:, sl] = _attnv_matmul(probs[h], v[:, sl], cfg.site("attn_v"), diagnostics)
 
-    proj = _site_matmul(_finite(ctx, "attn_v"), block.weights["wo"],
-                        cfg.site("projection"), block.weight_q["wo"], diagnostics,
-                        "projection")
+    proj = _site_matmul(block, cfg, "projection", _finite(ctx, "attn_v"), diagnostics)
     h1 = _finite(x + proj, "projection")
-    u = _layernorm(h1)
-    a1 = _site_matmul(u, block.weights["w1"], cfg.site("fc1"),
-                      block.weight_q["w1"], diagnostics, "fc1")
-    g = _silu(_finite(a1, "fc1"))
-    m2 = _site_matmul(g, block.weights["w2"], cfg.site("fc2"),
-                      block.weight_q["w2"], diagnostics, "fc2")
+    a1 = _site_matmul(block, cfg, "fc1", _layernorm(h1), diagnostics)
+    m2 = _site_matmul(block, cfg, "fc2", _silu(_finite(a1, "fc1")), diagnostics)
     out = _finite(h1 + m2, "fc2")
     return out, AttentionMap(probs=probs), diagnostics
 
@@ -445,8 +427,9 @@ def make_stripe_input(block: Block, t: int = 16, outlier_channels=(3, 4, 5),
     d = block.cfg.d_model
     g = rng.standard_normal(d).astype(np.float32)
     x = g[None, :] + noise * rng.standard_normal((t, d)).astype(np.float32)
-    q_shared = g @ block.weights["wq"]
-    anchor = q_shared @ np.linalg.pinv(block.weights["wk"])
+    wq, wk, _ = np.hsplit(block.weights["linear_transform"], 3)
+    q_shared = g @ wq
+    anchor = q_shared @ np.linalg.pinv(wk)
     x[0] = g + anchor_gain * anchor.astype(np.float32)
     if outlier_tokens is None:
         outlier_tokens = range(t // 2, t)

@@ -67,13 +67,15 @@ def int64_gemm_log2_attnv(probs_q, vq):
 
 def naive_block_forward(weights, x, n_heads):
     """Independent FP32 decoder-block reference written against the same
-    weight dict, using explicit loops and a separate softmax/layernorm."""
+    weight dict, using explicit loops and a separate softmax/layernorm.
+    ``linear_transform`` is read as its three column blocks wq, wk, wv."""
     x = np.asarray(x, dtype=np.float64)
     t, d = x.shape
     dh = d // n_heads
-    q = x @ weights["wq"].astype(np.float64)
-    k = x @ weights["wk"].astype(np.float64)
-    v = x @ weights["wv"].astype(np.float64)
+    w_lt = weights["linear_transform"].astype(np.float64)
+    q = x @ w_lt[:, :d]
+    k = x @ w_lt[:, d:2 * d]
+    v = x @ w_lt[:, 2 * d:]
     ctx = np.zeros((t, d))
     for h in range(n_heads):
         sl = slice(h * dh, (h + 1) * dh)
@@ -85,13 +87,13 @@ def naive_block_forward(weights, x, n_heads):
             probs = e / e.sum()
             for j in range(i + 1):
                 ctx[i, sl] += probs[j] * v[j, sl]
-    h1 = x + ctx @ weights["wo"].astype(np.float64)
+    h1 = x + ctx @ weights["projection"].astype(np.float64)
     mu = h1.mean(axis=1, keepdims=True)
     var = h1.var(axis=1, keepdims=True)
     u = (h1 - mu) / np.sqrt(var + 1e-5)
-    a1 = u @ weights["w1"].astype(np.float64)
+    a1 = u @ weights["fc1"].astype(np.float64)
     g = a1 / (1.0 + np.exp(-a1))
-    return h1 + g @ weights["w2"].astype(np.float64)
+    return h1 + g @ weights["fc2"].astype(np.float64)
 
 
 def prune_benefit_trial(seed):

@@ -126,6 +126,34 @@ class TestGemmIntAffine:
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, expect)
 
+    @settings(max_examples=60, deadline=None)
+    @given(shapes, st.integers(0, 2**32 - 1), amplitudes,
+           st.sampled_from(["affine", "trip"]))
+    def test_fused_columns_equal_per_third_products(self, shape, seed, amp, quantizer):
+        # the fused QKV site: x @ [wq | wk | wv] must equal the three products
+        # bit for bit, since folding, weight quantization and the zero-point
+        # column sums are each independent per column
+        m, k, n = shape
+        rng = np.random.default_rng(seed)
+        a = _normal(rng, (m, k), amp)
+        w = _normal(rng, (k, 3 * n), 1.0)
+        if quantizer == "trip":
+            aq = quantize_trip(a, fit_trip(a, 8, 3))
+        else:
+            aq = quantize_affine(a, fit_affine(a, 8))
+
+        def int_product(w):
+            if quantizer == "trip":
+                w = fold_trip_into_weights(w, aq.params)
+            return gemm_int_affine(aq, quantize_weight_symmetric(w, fit_weight_symmetric(w, 4)))
+
+        thirds = np.hsplit(w, 3)
+        with np.errstate(over="ignore"):  # sums near 3e38 are Inf on both sides
+            np.testing.assert_array_equal(
+                int_product(w), np.hstack([int_product(wt) for wt in thirds]))
+            np.testing.assert_array_equal(
+                gemm_f32(a, w), np.hstack([gemm_f32(a, wt) for wt in thirds]))
+
     def test_extreme_codes_equal_int64_oracle(self):
         # every product and correction at its largest: codes 0/255, zp 0/255
         k = 1000

@@ -36,14 +36,14 @@ class TestConfig:
     def test_4bit_restricted_to_post_attention(self):
         with pytest.raises(PipelineError):
             BlockConfig(sites={
-                "linear_transform": SiteConfig(act_bits=4, weight_bits=4)
+                "linear_transform": SiteConfig(act_bits=4)
             })
-        BlockConfig(sites={"fc1": SiteConfig(act_bits=4, weight_bits=4)})
+        BlockConfig(sites={"fc1": SiteConfig(act_bits=4)})
 
     def test_softmax_site_must_be_log2(self):
         with pytest.raises(PipelineError):
             BlockConfig(sites={
-                "attn_v": SiteConfig(act_bits=4, weight_bits=4, act_quantizer="affine")
+                "attn_v": SiteConfig(act_bits=4, act_quantizer="affine")
             })
 
     def test_presets(self):
@@ -60,6 +60,20 @@ class TestConfig:
 
 
 class TestInit:
+    def test_keys_are_weight_sites(self):
+        cfg = BlockConfig(d_model=8, n_heads=2, d_ff=12, seed=5)
+        b = init_block(cfg)
+        sites = {"linear_transform", "projection", "fc1", "fc2"}
+        assert set(b.weights) == set(b.weight_q) == sites
+        # wq, wk, wv are the first three (d, d) draws, fused column-wise
+        rng = np.random.default_rng(5)
+        draws = [(rng.standard_normal((8, 8)) * (1.0 / np.sqrt(8))).astype(np.float32)
+                 for _ in range(3)]
+        np.testing.assert_array_equal(b.weights["linear_transform"], np.hstack(draws))
+        assert b.weights["projection"].shape == (8, 8)
+        assert b.weights["fc1"].shape == (8, 12)
+        assert b.weights["fc2"].shape == (12, 8)
+
     def test_determinism(self):
         b1 = init_block(BlockConfig(seed=7))
         b2 = init_block(BlockConfig(seed=7))
@@ -78,7 +92,8 @@ class TestInit:
 
     def test_stack_seeds_differ(self):
         blocks = init_stack(BlockConfig(seed=0), 3)
-        assert not np.array_equal(blocks[0].weights["wq"], blocks[1].weights["wq"])
+        assert not np.array_equal(blocks[0].weights["linear_transform"],
+                                  blocks[1].weights["linear_transform"])
 
 
 class TestForwardFP:
@@ -191,6 +206,17 @@ class TestForwardStack:
         # nested kept sets across the cascade
         expect = 1.0 - np.mean(info["kept_fractions"])
         assert info["sparsity"] == pytest.approx(expect, abs=1e-12)
+
+    def test_one_linear_transform_record_per_block(self):
+        cfg = BlockConfig(sites=preset_sites("w4a8"), seed=3)
+        blocks = init_stack(cfg, 3)
+        x = np.random.default_rng(3).standard_normal((10, 64)).astype(np.float32)
+        _, info = forward_stack(blocks, x)
+        sites = [r["site"] for r in info["sites"]]
+        assert sites.count("linear_transform") == 3
+        assert sites.count("attn_v") == 3 * cfg.n_heads
+        for name in ("projection", "fc1", "fc2"):
+            assert sites.count(name) == 3
 
     def test_forced_keeps_replay(self):
         blocks = init_stack(BlockConfig(seed=2), 3)
