@@ -103,12 +103,15 @@ def gemm_int_affine(aq: QuantTensor, wq: QuantTensor) -> np.ndarray:
     s_a, zp_a = aq.params.scale, aq.params.zero_point
     a = aq.codes.astype(np.float64)
     b = wq.codes.astype(np.float64)
-    raw = a @ b - zp_a * b.sum(axis=0)[None, :]
+    raw = a @ b
+    raw -= zp_a * b.sum(axis=0)
     if wq.kind == "weight":
-        return (raw * (s_a * wq.params.scales[None, :])).astype(np.float32)
+        raw *= s_a * wq.params.scales
+        return raw.astype(np.float32)
     s_b, zp_b = wq.params.scale, wq.params.zero_point
-    raw += k * zp_a * zp_b - zp_b * a.sum(axis=1)[:, None]
-    return (raw * (s_a * s_b)).astype(np.float32)
+    raw += (k * zp_a * zp_b - zp_b * a.sum(axis=1))[:, None]
+    raw *= s_a * s_b
+    return raw.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------

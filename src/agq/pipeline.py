@@ -66,6 +66,8 @@ class SiteConfig:
             raise PipelineError(f"act_bits must be 4, 8 or 32, got {self.act_bits}")
         if self.act_quantizer not in ("affine", "trip", "log2"):
             raise PipelineError(f"unknown activation quantizer {self.act_quantizer!r}")
+        if not 0 <= self.trip_cap <= 6:
+            raise PipelineError(f"trip_cap must be in 0..6, got {self.trip_cap}")
 
 
 @dataclass(frozen=True)
@@ -170,13 +172,15 @@ def _silu(x: np.ndarray) -> np.ndarray:
     return (x64 / (1.0 + np.exp(-x64))).astype(np.float32)
 
 
-def _softmax_causal(scores: np.ndarray) -> np.ndarray:
-    t = scores.shape[0]
-    masked = scores.astype(np.float64)
-    masked[np.triu_indices(t, k=1)] = -np.inf
-    masked -= masked.max(axis=1, keepdims=True)
-    e = np.exp(masked)
-    return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
+def _softmax_causal(scores: np.ndarray, past: np.ndarray) -> np.ndarray:
+    """Row softmax over the ``past`` entries (the lower triangle, diagonal
+    included); the future entries are exactly 0 and never reach ``exp``."""
+    row_max = scores.max(axis=1, keepdims=True, where=past, initial=-np.inf)
+    e = np.zeros(scores.shape)
+    np.subtract(scores, row_max, out=e, where=past, dtype=np.float64)
+    np.exp(e, out=e, where=past)
+    e /= e.sum(axis=1, keepdims=True)
+    return e.astype(np.float32)
 
 
 def _quantize_act(x: np.ndarray, sc: SiteConfig):
@@ -185,11 +189,12 @@ def _quantize_act(x: np.ndarray, sc: SiteConfig):
     return quantize_affine(x, fit_affine(x, sc.act_bits))
 
 
-def _act_mse(x: np.ndarray, q) -> float:
-    if q is None:
-        return 0.0
-    dequant = dequantize_trip(q) if q.kind == "trip" else dequantize_affine(q)
-    return float(np.mean((x.astype(np.float64) - dequant) ** 2))
+def _mse(x: np.ndarray, dequant: np.ndarray) -> float:
+    """Mean squared quantization error, in float64."""
+    d = x.astype(np.float64)
+    d -= dequant
+    np.square(d, out=d)
+    return float(d.mean())
 
 
 def _site_matmul(block: Block, cfg: BlockConfig, name: str, x: np.ndarray,
@@ -199,7 +204,8 @@ def _site_matmul(block: Block, cfg: BlockConfig, name: str, x: np.ndarray,
     if sc.act_bits == 32:
         return gemm_f32(x, w)
     aq = _quantize_act(x, sc)
-    diagnostics.append({"site": name, "act_bits": sc.act_bits, "mse": _act_mse(x, aq)})
+    dequant = dequantize_trip(aq) if aq.kind == "trip" else dequantize_affine(aq)
+    diagnostics.append({"site": name, "act_bits": sc.act_bits, "mse": _mse(x, dequant)})
     if aq.kind == "trip":
         folded = fold_trip_into_weights(w, aq.params)
         wq = quantize_weight_symmetric(folded, fit_weight_symmetric(folded, 4))
@@ -229,7 +235,7 @@ def _attnv_matmul(probs: np.ndarray, vh: np.ndarray, sc: SiteConfig,
     diagnostics.append({
         "site": "attn_v",
         "act_bits": sc.act_bits,
-        "mse": float(np.mean((probs.astype(np.float64) - dequantize_log2(probs_q)) ** 2)),
+        "mse": _mse(probs, dequantize_log2(probs_q)),
     })
     vq = quantize_affine(vh, fit_affine(vh, 8))
     return gemm_log2_attnv(probs_q, vq)
@@ -261,10 +267,12 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None):
 
     probs = np.empty((nh, t, t), dtype=np.float32)
     ctx = np.empty((t, d), dtype=np.float32)
+    past = np.tri(t, dtype=bool)  # T changes between blocks when pruning
     for h in range(nh):
         sl = slice(h * dh, (h + 1) * dh)
-        scores = _qk_matmul(q[:, sl], k[:, sl], cfg.site("qk")) / np.float32(np.sqrt(dh))
-        probs[h] = _softmax_causal(_finite(scores, "qk"))
+        scores = _qk_matmul(q[:, sl], k[:, sl], cfg.site("qk"))
+        scores /= np.float32(np.sqrt(dh))
+        probs[h] = _softmax_causal(_finite(scores, "qk"), past)
         ctx[:, sl] = _attnv_matmul(probs[h], v[:, sl], cfg.site("attn_v"), diagnostics)
 
     proj = _site_matmul(block, cfg, "projection", _finite(ctx, "attn_v"), diagnostics)

@@ -61,6 +61,8 @@ class Log2Params:
     max_abs: float
 
     def __post_init__(self):
+        if not 2 <= self.bits <= 8:
+            raise QuantError(f"bits must be in 2..8, got {self.bits}")
         if self.max_abs < 0:
             raise QuantError("max_abs must be non-negative")
 
@@ -85,8 +87,8 @@ class QuantTensor:
         return self.codes.shape[1]
 
 
-def _round(x: np.ndarray) -> np.ndarray:
-    return np.rint(x)
+def _round(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.rint(x, out=out)
 
 
 def fit_affine(x, bits: int) -> AffineParams:
@@ -129,11 +131,15 @@ def quantize_log2(x, bits: int) -> QuantTensor:
     if p.max_abs == 0.0:
         codes = np.zeros_like(x, dtype=np.int32)
         return QuantTensor(codes=codes, params=p, kind="log2", signs=signs)
-    ratio = np.abs(x.astype(np.float64)) / p.max_abs
-    with np.errstate(divide="ignore"):
-        exponents = -np.log2(ratio)
-    codes = np.clip(_round(exponents), 0, p.code_hi).astype(np.int32)
-    codes[signs == 0] = p.code_hi
+    nonzero = signs != 0
+    e = x.astype(np.float64)  # one buffer: |x| / max_abs -> -log2 -> code
+    np.abs(e, out=e)
+    e /= p.max_abs
+    np.log2(e, out=e, where=nonzero)  # zeros take code_hi below, never log2(0)
+    np.negative(e, out=e)
+    np.clip(_round(e, out=e), 0, p.code_hi, out=e)
+    codes = e.astype(np.int32)
+    codes[~nonzero] = p.code_hi
     return QuantTensor(codes=codes, params=p, kind="log2", signs=signs)
 
 
@@ -141,7 +147,8 @@ def dequantize_log2(q: QuantTensor) -> np.ndarray:
     if q.kind != "log2":
         raise KindMismatchError(f"expected log2 tensor, got {q.kind}")
     p = q.params
-    out = q.signs.astype(np.float64) * p.max_abs * np.exp2(-q.codes.astype(np.float64))
+    out = q.signs * p.max_abs
+    np.ldexp(out, -q.codes, out=out)  # times 2^-code, exact: a power of two
     return out.astype(np.float32)
 
 

@@ -85,13 +85,21 @@ def fit_trip(x, bits: int, cap: int) -> TripParams:
     zp = int(np.clip(_round(np.float64(-lo) / coarse), rng.lo, rng.hi))
     base = AffineParams(range=rng, scale=float(scale), zero_point=zp)
 
-    cols = x.astype(np.float64)
+    # x / (2^a * s) is exactly (x / s) * 2^-a, so divide by s once; codes are
+    # kept shifted by -zp, and one buffer holds them, the residual and its square
+    base_steps = x.astype(np.float64)
+    base_steps /= scale
+    r = np.empty_like(base_steps)
     alphas = np.zeros(x.shape[1], dtype=np.int64)
     best = np.full(x.shape[1], np.inf)
     for a in range(cap + 1):
         step = 2**a * scale
-        codes = np.clip(_round(cols / step) + zp, rng.lo, rng.hi)
-        err = np.linalg.norm(cols - (codes - zp) * step, axis=0)
+        np.multiply(base_steps, 2.0**-a, out=r)
+        np.clip(_round(r, out=r), rng.lo - zp, rng.hi - zp, out=r)
+        r *= step
+        np.subtract(x, r, out=r)
+        np.square(r, out=r)
+        err = np.sqrt(np.add.reduce(r, axis=0))  # what np.linalg.norm(axis=0) computes
         better = err < best  # strict: ties keep the smaller exponent
         alphas[better] = a
         best[better] = err[better]

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 
 import agq
+from agq.quantizers import SCALE_EPS
+from agq.tensor_store import as_tensor2d
 
 # Seeds frozen after an oracle scan: on these, the pruned quantized run
 # diverges less from its FP reference than the unpruned one does, and
@@ -31,6 +33,63 @@ def naive_trip_argmin(x, bits, cap):
         alphas.append(int(np.argmin(errs)))  # argmin takes the first minimum
         errors.append(errs)
     return np.array(alphas), errors, s, zp
+
+
+def ref_softmax_causal(scores):
+    """The ``-inf``/``triu_indices`` formulation of the causal row softmax:
+    future entries are set to ``-inf`` and go through ``exp`` to 0."""
+    t = scores.shape[0]
+    masked = scores.astype(np.float64)
+    masked[np.triu_indices(t, k=1)] = -np.inf
+    masked -= masked.max(axis=1, keepdims=True)
+    e = np.exp(masked)
+    return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
+
+
+def ref_quantize_log2(x, bits):
+    """The out-of-place formulation of ``quantize_log2``: ``-log2`` of every
+    ratio, zeros included (``-inf`` with the divide warning silenced)."""
+    x = as_tensor2d(x)
+    p = agq.Log2Params(bits=bits, max_abs=float(np.abs(x).max()))
+    signs = np.sign(x).astype(np.int8)
+    if p.max_abs == 0.0:
+        codes = np.zeros_like(x, dtype=np.int32)
+        return agq.QuantTensor(codes=codes, params=p, kind="log2", signs=signs)
+    ratio = np.abs(x.astype(np.float64)) / p.max_abs
+    with np.errstate(divide="ignore"):
+        exponents = -np.log2(ratio)
+    codes = np.clip(np.rint(exponents), 0, p.code_hi).astype(np.int32)
+    codes[signs == 0] = p.code_hi
+    return agq.QuantTensor(codes=codes, params=p, kind="log2", signs=signs)
+
+
+def ref_dequantize_log2(q):
+    """The ``exp2``-of-float-codes formulation of ``dequantize_log2``."""
+    p = q.params
+    out = q.signs.astype(np.float64) * p.max_abs * np.exp2(-q.codes.astype(np.float64))
+    return out.astype(np.float32)
+
+
+def ref_fit_trip(x, bits, cap):
+    """The ``np.linalg.norm`` formulation of ``fit_trip``: every exponent
+    divides by its own step and shifts codes by the zero point and back."""
+    x = as_tensor2d(x)
+    rng = agq.CodeRange(bits, signed=False)
+    lo, hi = float(x.min()), float(x.max())
+    scale = max(hi - lo, SCALE_EPS) / ((2**bits - 1) * 2**cap)
+    zp = int(np.clip(np.rint(np.float64(-lo) / (2**cap * scale)), rng.lo, rng.hi))
+    base = agq.AffineParams(range=rng, scale=float(scale), zero_point=zp)
+    cols = x.astype(np.float64)
+    alphas = np.zeros(x.shape[1], dtype=np.int64)
+    best = np.full(x.shape[1], np.inf)
+    for a in range(cap + 1):
+        step = 2**a * scale
+        codes = np.clip(np.rint(cols / step) + zp, rng.lo, rng.hi)
+        err = np.linalg.norm(cols - (codes - zp) * step, axis=0)
+        better = err < best  # strict: ties keep the smaller exponent
+        alphas[better] = a
+        best[better] = err[better]
+    return agq.TripParams(base=base, alphas=alphas, cap=cap)
 
 
 def naive_int_gemm(a_codes, w_codes_rows_by_k):

@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
-from helpers import locality_trial, naive_block_forward, prune_benefit_trial
+from helpers import (
+    locality_trial,
+    naive_block_forward,
+    prune_benefit_trial,
+    ref_softmax_causal,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import agq
 from agq.pipeline import (
@@ -8,6 +15,7 @@ from agq.pipeline import (
     BlockConfig,
     PipelineError,
     SiteConfig,
+    _softmax_causal,
     analyze_outliers,
     attention_locality,
     cosine_similarity,
@@ -57,6 +65,31 @@ class TestConfig:
         assert w4a4["fc2"].act_bits == 8
         with pytest.raises(PipelineError):
             preset_sites("w8a8")
+
+    @pytest.mark.parametrize("cap", [-1, 200])
+    def test_trip_cap_outside_0_to_6_rejected(self, cap):
+        with pytest.raises(PipelineError, match="trip_cap must be in 0..6"):
+            SiteConfig(act_bits=8, act_quantizer="trip", trip_cap=cap)
+        with pytest.raises(PipelineError, match="trip_cap must be in 0..6"):
+            preset_sites("w4a8", trip_cap=cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-30, 1e-3, 1.0, 30.0, 1e3, 1e30, 3e38]), st.booleans())
+def test_softmax_equals_minus_inf_oracle(t, seed, amp, ties):
+    """The masked in-place softmax equals the -inf/triu_indices formulation
+    bit for bit; ``ties`` draws scores from {-amp, 0, amp}, so most rows
+    have several equal maxima."""
+    rng = np.random.default_rng(seed)
+    if ties:
+        scores = rng.integers(-1, 2, (t, t)) * np.float32(amp)
+    else:
+        scores = np.clip(rng.standard_normal((t, t)), -4, 4) * (amp / 4)
+    scores = scores.astype(np.float32)
+    probs = _softmax_causal(scores, np.tri(t, dtype=bool))
+    assert probs.dtype == np.float32
+    assert probs.tobytes() == ref_softmax_causal(scores).tobytes()
 
 
 class TestInit:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import ref_dequantize_log2, ref_quantize_log2
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,6 +8,7 @@ from agq.quantizers import (
     AffineParams,
     CodeRange,
     KindMismatchError,
+    Log2Params,
     QuantError,
     dequantize_affine,
     dequantize_log2,
@@ -149,6 +151,49 @@ class TestLog2:
         q = quantize_affine(t2d([1.0]), fit_affine(t2d([0.0, 1.0]), 8))
         with pytest.raises(KindMismatchError):
             dequantize_log2(q)
+
+    @pytest.mark.parametrize("bits", [0, 1, 9, 16, -1])
+    def test_bits_outside_2_to_8_rejected(self, bits):
+        with pytest.raises(QuantError, match="bits must be in 2..8"):
+            Log2Params(bits=bits, max_abs=1.0)
+        with pytest.raises(QuantError, match="bits must be in 2..8"):
+            quantize_log2(t2d([1.0, 0.5]), bits)
+
+
+# Magnitudes from the smallest float32 subnormal to near float32 max.
+log2_amplitudes = st.sampled_from([1.4e-45, 1e-40, 1e-30, 1e-3, 1.0, 1e3, 3e38])
+
+
+def _rounding_boundaries(max_abs, bits):
+    """The float32 values nearest max_abs * 2^-(k + 1/2), where the code
+    rounds from k to k + 1, and their neighbours on both sides."""
+    mid = np.float32(max_abs) * 2.0 ** -(np.arange(2 ** (bits - 1)) + 0.5)
+    mid = mid.astype(np.float32)
+    return np.concatenate([np.nextafter(mid, np.float32(0)), mid,
+                           np.nextafter(mid, np.float32(np.inf))])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.tuples(st.integers(1, 9), st.integers(1, 300)), st.integers(0, 2**32 - 1),
+       log2_amplitudes, st.integers(2, 8), st.sampled_from([0.0, 0.3, 1.0]),
+       st.booleans())
+def test_log2_equals_out_of_place_oracle(shape, seed, amp, bits, zero_frac, boundaries):
+    """Codes, signs, max_abs and dequantized values equal the out-of-place
+    formulation bit for bit: negatives, +0.0 and -0.0, subnormals, all zeros,
+    and values at the rounding boundaries between two codes."""
+    rng = np.random.default_rng(seed)
+    x = (np.clip(rng.standard_normal(shape), -4, 4) * (amp / 4)).astype(np.float32)
+    if boundaries:
+        x.flat[0] = amp
+        b = _rounding_boundaries(amp, bits)[: x.size - 1]
+        x.flat[1 : 1 + b.size] = b * rng.choice([-1, 1], b.size)
+    zeros = rng.random(shape) < zero_frac
+    x[zeros] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zeros]
+    q, ref = quantize_log2(x, bits), ref_quantize_log2(x, bits)
+    assert q.params == ref.params
+    assert q.codes.dtype == ref.codes.dtype and q.codes.tobytes() == ref.codes.tobytes()
+    assert q.signs.dtype == ref.signs.dtype and q.signs.tobytes() == ref.signs.tobytes()
+    assert dequantize_log2(q).tobytes() == ref_dequantize_log2(ref).tobytes()
 
 
 @settings(max_examples=100, deadline=None)

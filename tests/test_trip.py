@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
-from helpers import naive_trip_argmin
+from helpers import naive_trip_argmin, ref_fit_trip
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agq.quantizers import QuantError, fit_affine, quantize_affine
 from agq.trip import (
@@ -158,3 +160,23 @@ class TestFolding:
             fold_trip_into_weights(np.zeros((5, 2), dtype=np.float32), p)
         with pytest.raises(QuantError):
             quantize_trip(np.zeros((3, 5), dtype=np.float32), p)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.tuples(st.integers(1, 40), st.integers(1, 40)), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-30, 1e-3, 1.0, 1e3, 1e30, 3e38]), st.integers(2, 8),
+       st.integers(0, 6), st.booleans())
+def test_fit_equals_norm_loop_oracle(shape, seed, amp, bits, cap, on_grid):
+    """The whole TripParams (scale, zero point, exponents) equals the
+    np.linalg.norm formulation bit for bit, outlier channels and exact ties
+    (values on a coarse grid) included."""
+    rng = np.random.default_rng(seed)
+    x = np.clip(rng.standard_normal(shape) + rng.uniform(-2, 2), -4, 4) / 4
+    if on_grid:
+        x = np.rint(x * 4) / 4
+    gains = 2.0 ** -rng.integers(0, 8, shape[1])  # per-channel magnitudes, <= 1
+    x = (x * gains * amp).astype(np.float32)
+    p, ref = fit_trip(x, bits, cap), ref_fit_trip(x, bits, cap)
+    assert (p.cap, p.base) == (ref.cap, ref.base)
+    assert p.alphas.dtype == ref.alphas.dtype
+    np.testing.assert_array_equal(p.alphas, ref.alphas)
