@@ -35,16 +35,22 @@ from .pruning import (
 )
 from .quantizers import (
     QuantTensor,
+    _fit_affine,
+    _fit_weight_symmetric,
+    _quantize_affine,
+    _quantize_log2,
+    _quantize_weight_symmetric,
     dequantize_affine,
     dequantize_log2,
-    fit_affine,
-    fit_weight_symmetric,
-    quantize_affine,
-    quantize_log2,
-    quantize_weight_symmetric,
 )
 from .tensor_store import as_tensor2d, slice_rows
-from .trip import dequantize_trip, fit_trip, fold_trip_into_weights, quantize_trip
+from .trip import (
+    MAX_TRIP_CAP,
+    _fit_trip,
+    _fold_trip_into_weights,
+    _quantize_trip,
+    dequantize_trip,
+)
 
 SITES = ("linear_transform", "qk", "attn_v", "projection", "fc1", "fc2")
 # Sites whose inputs come after the self-attention product and may run 4-bit.
@@ -66,8 +72,8 @@ class SiteConfig:
             raise PipelineError(f"act_bits must be 4, 8 or 32, got {self.act_bits}")
         if self.act_quantizer not in ("affine", "trip", "log2"):
             raise PipelineError(f"unknown activation quantizer {self.act_quantizer!r}")
-        if not 0 <= self.trip_cap <= 6:
-            raise PipelineError(f"trip_cap must be in 0..6, got {self.trip_cap}")
+        if not 0 <= self.trip_cap <= MAX_TRIP_CAP:
+            raise PipelineError(f"trip_cap must be in 0..{MAX_TRIP_CAP}, got {self.trip_cap}")
 
 
 @dataclass(frozen=True)
@@ -150,7 +156,7 @@ def init_block(cfg: BlockConfig) -> Block:
     weights = {"linear_transform": np.hstack([draw((d, d)) for _ in range(3)])}
     weights.update(projection=draw((d, d)), fc1=draw((d, f)), fc2=draw((f, d)))
     weight_q = {
-        name: quantize_weight_symmetric(w, fit_weight_symmetric(w, 4))
+        name: _quantize_weight_symmetric(w, _fit_weight_symmetric(w, 4))
         for name, w in weights.items()
     }
     return Block(cfg=cfg, weights=weights, weight_q=weight_q)
@@ -185,8 +191,8 @@ def _softmax_causal(scores: np.ndarray, past: np.ndarray) -> np.ndarray:
 
 def _quantize_act(x: np.ndarray, sc: SiteConfig):
     if sc.act_quantizer == "trip":
-        return quantize_trip(x, fit_trip(x, sc.act_bits, sc.trip_cap))
-    return quantize_affine(x, fit_affine(x, sc.act_bits))
+        return _quantize_trip(x, _fit_trip(x, sc.act_bits, sc.trip_cap))
+    return _quantize_affine(x, _fit_affine(x, sc.act_bits))
 
 
 def _mse(x: np.ndarray, dequant: np.ndarray) -> float:
@@ -207,8 +213,8 @@ def _site_matmul(block: Block, cfg: BlockConfig, name: str, x: np.ndarray,
     dequant = dequantize_trip(aq) if aq.kind == "trip" else dequantize_affine(aq)
     diagnostics.append({"site": name, "act_bits": sc.act_bits, "mse": _mse(x, dequant)})
     if aq.kind == "trip":
-        folded = fold_trip_into_weights(w, aq.params)
-        wq = quantize_weight_symmetric(folded, fit_weight_symmetric(folded, 4))
+        folded = _fold_trip_into_weights(w, aq.params)
+        wq = _quantize_weight_symmetric(folded, _fit_weight_symmetric(folded, 4))
     if sc.act_bits == 8:
         return gemm_int_affine(aq, wq)
     # 4-bit activations: packed lane GEMM on unsigned nibbles
@@ -223,21 +229,21 @@ def _qk_matmul(qh: np.ndarray, kh: np.ndarray, sc: SiteConfig) -> np.ndarray:
     if sc.act_bits == 32:
         return gemm_f32(qh, kh.T)
     kt = kh.T
-    q_q = quantize_affine(qh, fit_affine(qh, sc.act_bits))
-    return gemm_int_affine(q_q, quantize_affine(kt, fit_affine(kt, sc.act_bits)))
+    q_q = _quantize_affine(qh, _fit_affine(qh, sc.act_bits))
+    return gemm_int_affine(q_q, _quantize_affine(kt, _fit_affine(kt, sc.act_bits)))
 
 
 def _attnv_matmul(probs: np.ndarray, vh: np.ndarray, sc: SiteConfig,
                   diagnostics: list) -> np.ndarray:
     if sc.act_bits == 32:
         return gemm_f32(probs, vh)
-    probs_q = quantize_log2(probs, sc.act_bits)
+    probs_q = _quantize_log2(probs, sc.act_bits)
     diagnostics.append({
         "site": "attn_v",
         "act_bits": sc.act_bits,
         "mse": _mse(probs, dequantize_log2(probs_q)),
     })
-    vq = quantize_affine(vh, fit_affine(vh, 8))
+    vq = _quantize_affine(vh, _fit_affine(vh, 8))
     return gemm_log2_attnv(probs_q, vq)
 
 
@@ -255,7 +261,7 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None):
     Raises ``PipelineError`` naming the stage whose output is not finite.
     """
     cfg = cfg or block.cfg
-    x = as_tensor2d(x)
+    x = as_tensor2d(x)  # the one input check; _finite checks each stage
     t, d = x.shape
     if d != cfg.d_model:
         raise PipelineError(f"input width {d} != d_model {cfg.d_model}")

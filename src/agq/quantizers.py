@@ -2,7 +2,8 @@
 
 Activations use unsigned code ranges with a zero point; weights use signed
 symmetric ranges per output channel. All rounding is round-half-to-even
-(``np.rint``) so ties are deterministic across platforms.
+(``np.rint``) so ties are deterministic across platforms. Public functions
+check their input with ``as_tensor2d``; the pipeline calls the private cores.
 """
 
 from __future__ import annotations
@@ -91,22 +92,34 @@ def _round(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.rint(x, out=out)
 
 
+def _clip(x: np.ndarray, lo, hi) -> np.ndarray:
+    """In-place ``np.clip``, equal to it for NaN-free ``x``."""
+    np.maximum(x, lo, out=x)
+    return np.minimum(x, hi, out=x)
+
+
 def fit_affine(x, bits: int) -> AffineParams:
+    return _fit_affine(as_tensor2d(x), bits)
+
+
+def _fit_affine(x: np.ndarray, bits: int) -> AffineParams:
     """Layer-wise unsigned affine parameters from the min/max of ``x``."""
-    x = as_tensor2d(x)
     if x.size == 0:
         raise QuantError("cannot fit quantizer on empty tensor")
     rng = CodeRange(bits, signed=False)
     lo, hi = float(x.min()), float(x.max())
     scale = max(hi - lo, SCALE_EPS) / (2**bits - 1)
-    zp = int(np.clip(_round(np.float64(-lo) / scale), rng.lo, rng.hi))
+    zp = int(min(max(np.rint(-lo / scale), rng.lo), rng.hi))
     return AffineParams(range=rng, scale=float(scale), zero_point=zp)
 
 
 def quantize_affine(x, p: AffineParams) -> QuantTensor:
-    x = as_tensor2d(x)
+    return _quantize_affine(as_tensor2d(x), p)
+
+
+def _quantize_affine(x: np.ndarray, p: AffineParams) -> QuantTensor:
     codes = _round(x.astype(np.float64) / p.scale) + p.zero_point
-    codes = np.clip(codes, p.range.lo, p.range.hi).astype(np.int32)
+    codes = _clip(codes, p.range.lo, p.range.hi).astype(np.int32)
     return QuantTensor(codes=codes, params=p, kind="affine")
 
 
@@ -118,28 +131,32 @@ def dequantize_affine(q: QuantTensor) -> np.ndarray:
 
 
 def quantize_log2(x, bits: int) -> QuantTensor:
+    return _quantize_log2(as_tensor2d(x), bits)
+
+
+def _quantize_log2(x: np.ndarray, bits: int) -> QuantTensor:
     """Quantize magnitudes to negated power-of-two exponents of max(|x|).
 
     Exact zeros get the max code with sign 0 so they dequantize to exactly 0.
     An all-zero tensor yields max_abs = 0 and all-zero codes (not an error).
     """
-    x = as_tensor2d(x)
     if x.size == 0:
         raise QuantError("cannot fit quantizer on empty tensor")
-    p = Log2Params(bits=bits, max_abs=float(np.abs(x).max()))
-    signs = np.sign(x).astype(np.int8)
+    # 0.0 first: zeros of either sign leave max_abs = +0.0
+    p = Log2Params(bits=bits, max_abs=float(max(0.0, x.max(), -x.min())))
+    signs = np.subtract(x > 0, x < 0, dtype=np.int8)
     if p.max_abs == 0.0:
         codes = np.zeros_like(x, dtype=np.int32)
         return QuantTensor(codes=codes, params=p, kind="log2", signs=signs)
-    nonzero = signs != 0
     e = x.astype(np.float64)  # one buffer: |x| / max_abs -> -log2 -> code
     np.abs(e, out=e)
     e /= p.max_abs
-    np.log2(e, out=e, where=nonzero)  # zeros take code_hi below, never log2(0)
+    # ratios up to 2^-code_hi all take code_hi: flooring there gives exact
+    # zeros code_hi without a mask or log2(0)
+    np.maximum(e, 2.0**-p.code_hi, out=e)
+    np.log2(e, out=e)
     np.negative(e, out=e)
-    np.clip(_round(e, out=e), 0, p.code_hi, out=e)
-    codes = e.astype(np.int32)
-    codes[~nonzero] = p.code_hi
+    codes = _clip(_round(e, out=e), 0, p.code_hi).astype(np.int32)
     return QuantTensor(codes=codes, params=p, kind="log2", signs=signs)
 
 
@@ -165,8 +182,11 @@ class ChannelSymmetricParams:
 
 
 def fit_weight_symmetric(w, bits: int = 4) -> ChannelSymmetricParams:
+    return _fit_weight_symmetric(as_tensor2d(w), bits)
+
+
+def _fit_weight_symmetric(w: np.ndarray, bits: int) -> ChannelSymmetricParams:
     """Per-output-column symmetric scales: step = max|w_col| / hi."""
-    w = as_tensor2d(w)
     if w.size == 0:
         raise QuantError("cannot fit quantizer on empty tensor")
     rng = CodeRange(bits, signed=True)
@@ -176,9 +196,12 @@ def fit_weight_symmetric(w, bits: int = 4) -> ChannelSymmetricParams:
 
 
 def quantize_weight_symmetric(w, p: ChannelSymmetricParams) -> QuantTensor:
-    w = as_tensor2d(w)
+    return _quantize_weight_symmetric(as_tensor2d(w), p)
+
+
+def _quantize_weight_symmetric(w: np.ndarray, p: ChannelSymmetricParams) -> QuantTensor:
     codes = _round(w.astype(np.float64) / p.scales[None, :])
-    codes = np.clip(codes, p.range.lo, p.range.hi).astype(np.int32)
+    codes = _clip(codes, p.range.lo, p.range.hi).astype(np.int32)
     return QuantTensor(codes=codes, params=p, kind="weight")
 
 

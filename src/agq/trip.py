@@ -4,7 +4,8 @@ All channels share one scale and zero point; each channel c additionally gets
 an integer exponent alpha_c in {0..K} so its effective step is 2^alpha_c * s.
 The exponents are chosen per channel by exhaustively minimizing the L2
 round-trip reconstruction error, and can be folded into the weight matrix so
-the integer GEMM stays layer-wise scaled.
+the integer GEMM stays layer-wise scaled. Input is validated as in
+``quantizers``.
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ from .quantizers import (
     KindMismatchError,
     QuantError,
     QuantTensor,
+    _clip,
     _round,
 )
 from .tensor_store import as_tensor2d
+
+MAX_TRIP_CAP = 6  # largest channel exponent, as in the run-config schema
 
 
 @dataclass(frozen=True)
@@ -32,8 +36,8 @@ class TripParams:
     cap: int
 
     def __post_init__(self):
-        if self.cap < 0:
-            raise QuantError("cap must be >= 0")
+        if not 0 <= self.cap <= MAX_TRIP_CAP:
+            raise QuantError(f"cap must be in 0..{MAX_TRIP_CAP}, got {self.cap}")
         if np.any(self.alphas < 0) or np.any(self.alphas > self.cap):
             raise QuantError("channel exponents must lie in 0..cap")
 
@@ -58,13 +62,11 @@ class TripParams:
         return np.exp2(self.alphas.astype(np.float64)) * self.base.scale
 
 
-def _roundtrip_err(col: np.ndarray, step: float, zp: int, lo: int, hi: int) -> float:
-    codes = np.clip(_round(col / step) + zp, lo, hi)
-    recon = (codes - zp) * step
-    return float(np.linalg.norm(col - recon))
-
-
 def fit_trip(x, bits: int, cap: int) -> TripParams:
+    return _fit_trip(as_tensor2d(x), bits, cap)
+
+
+def _fit_trip(x: np.ndarray, bits: int, cap: int) -> TripParams:
     """Fit the shared scale/zero-point plus per-channel exponents.
 
     The shared base scale is anchored at the coarsest refinement: the full
@@ -73,16 +75,14 @@ def fit_trip(x, bits: int, cap: int) -> TripParams:
     finer steps for inlier channels. Ties in the per-channel argmin break
     toward the smaller exponent.
     """
-    x = as_tensor2d(x)
     if x.size == 0:
         raise QuantError("cannot fit quantizer on empty tensor")
-    if cap < 0:
-        raise QuantError("cap must be >= 0")
+    if not 0 <= cap <= MAX_TRIP_CAP:
+        raise QuantError(f"cap must be in 0..{MAX_TRIP_CAP}, got {cap}")
     rng = CodeRange(bits, signed=False)
     lo, hi = float(x.min()), float(x.max())
     scale = max(hi - lo, SCALE_EPS) / ((2**bits - 1) * 2**cap)
-    coarse = 2**cap * scale
-    zp = int(np.clip(_round(np.float64(-lo) / coarse), rng.lo, rng.hi))
+    zp = int(min(max(np.rint(-lo / (2**cap * scale)), rng.lo), rng.hi))
     base = AffineParams(range=rng, scale=float(scale), zero_point=zp)
 
     # x / (2^a * s) is exactly (x / s) * 2^-a, so divide by s once; codes are
@@ -95,7 +95,7 @@ def fit_trip(x, bits: int, cap: int) -> TripParams:
     for a in range(cap + 1):
         step = 2**a * scale
         np.multiply(base_steps, 2.0**-a, out=r)
-        np.clip(_round(r, out=r), rng.lo - zp, rng.hi - zp, out=r)
+        _clip(_round(r, out=r), rng.lo - zp, rng.hi - zp)
         r *= step
         np.subtract(x, r, out=r)
         np.square(r, out=r)
@@ -107,14 +107,17 @@ def fit_trip(x, bits: int, cap: int) -> TripParams:
 
 
 def quantize_trip(x, p: TripParams) -> QuantTensor:
-    x = as_tensor2d(x)
+    return _quantize_trip(as_tensor2d(x), p)
+
+
+def _quantize_trip(x: np.ndarray, p: TripParams) -> QuantTensor:
     if x.shape[1] != len(p.alphas):
         raise QuantError(
             f"channel count {x.shape[1]} != exponent count {len(p.alphas)}"
         )
     rng = p.base.range
     codes = _round(x.astype(np.float64) / p.steps[None, :]) + p.base.zero_point
-    codes = np.clip(codes, rng.lo, rng.hi).astype(np.int32)
+    codes = _clip(codes, rng.lo, rng.hi).astype(np.int32)
     return QuantTensor(codes=codes, params=p, kind="trip")
 
 
@@ -127,11 +130,14 @@ def dequantize_trip(q: QuantTensor) -> np.ndarray:
 
 
 def fold_trip_into_weights(w, p: TripParams) -> np.ndarray:
+    return _fold_trip_into_weights(as_tensor2d(w), p)
+
+
+def _fold_trip_into_weights(w: np.ndarray, p: TripParams) -> np.ndarray:
     """Scale weight row c by 2^alpha_c so the per-channel factors vanish
     from the activation path: ((codes - zp) @ folded_w) * s equals
     dequantize_trip(q) @ w in exact arithmetic.
     """
-    w = as_tensor2d(w)
     if w.shape[0] != len(p.alphas):
         raise QuantError(
             f"weight rows {w.shape[0]} != exponent count {len(p.alphas)}"

@@ -66,7 +66,7 @@ class TestConfig:
         with pytest.raises(PipelineError):
             preset_sites("w8a8")
 
-    @pytest.mark.parametrize("cap", [-1, 200])
+    @pytest.mark.parametrize("cap", [-1, 7, 200])
     def test_trip_cap_outside_0_to_6_rejected(self, cap):
         with pytest.raises(PipelineError, match="trip_cap must be in 0..6"):
             SiteConfig(act_bits=8, act_quantizer="trip", trip_cap=cap)

@@ -125,10 +125,12 @@ class TestLog2:
         np.testing.assert_array_equal(q.codes, [[0, 0]])
 
     def test_all_zero_tensor(self):
-        q = quantize_log2(np.zeros((2, 2), dtype=np.float32), 4)
-        assert q.params.max_abs == 0.0
-        np.testing.assert_array_equal(q.codes, 0)
-        np.testing.assert_array_equal(dequantize_log2(q), 0.0)
+        for zero in (0.0, -0.0):  # max_abs is +0.0 whatever the zeros' sign
+            q = quantize_log2(np.full((2, 2), zero, dtype=np.float32), 4)
+            assert q.params.max_abs == 0.0 and not np.signbit(q.params.max_abs)
+            np.testing.assert_array_equal(q.codes, 0)
+            np.testing.assert_array_equal(q.signs, 0)
+            assert not np.signbit(dequantize_log2(q)).any()
 
     def test_identity_at_max(self):
         q = quantize_log2(t2d([0.8, 0.2]), 4)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from agq.quantizers import QuantError, fit_affine, quantize_affine
 from agq.trip import (
+    TripParams,
     dequantize_trip,
     fit_trip,
     fold_trip_into_weights,
@@ -117,6 +118,19 @@ def test_dominance_over_plain_quantizer():
     _, errors, _, _ = naive_trip_argmin(x, 8, cap)
     for c, errs in enumerate(errors):
         assert errs[p.alphas[c]] <= errs[cap] + 1e-12
+
+
+@pytest.mark.parametrize("cap", [-1, 7, 200])
+def test_cap_outside_0_to_6_rejected(cap):
+    """Exponents past the schema's 6 are refused where they are made; a cap
+    of 200 used to fit, and folding its exponents overflowed float32."""
+    x = np.ones((8, 4), dtype=np.float32)
+    x[:, 0] = 1e6
+    with pytest.raises(QuantError, match="cap must be in 0..6"):
+        fit_trip(x, 8, cap)
+    base = fit_affine(x, 8)
+    with pytest.raises(QuantError, match="cap must be in 0..6"):
+        TripParams(base=base, alphas=np.zeros(4, dtype=np.int64), cap=cap)
 
 
 class TestFolding:

@@ -1,0 +1,114 @@
+"""Where input is validated: once at each public entry point.
+
+The public quantizers and TRIP functions check their tensor argument with
+``as_tensor2d``; the forward pass checks its input once per call and then
+trusts its own stages, which ``forward_block`` checks for overflow.
+"""
+
+import dataclasses
+import sys
+
+import numpy as np
+import pytest
+
+import agq
+from agq.pipeline import BlockConfig, forward_stack, init_stack, preset_sites
+
+GOOD = np.random.default_rng(0).uniform(-2.0, 2.0, size=(6, 5)).astype(np.float32)
+GOOD[:, 1] *= 40.0  # one outlier channel, so TRIP picks distinct exponents
+
+# name -> call taking the tensor under test; fitted params come from GOOD
+WRAPPED = {
+    "fit_affine": lambda x: agq.fit_affine(x, 8),
+    "quantize_affine": lambda x: agq.quantize_affine(x, agq.fit_affine(GOOD, 8)),
+    "quantize_log2": lambda x: agq.quantize_log2(x, 4),
+    "fit_weight_symmetric": lambda x: agq.fit_weight_symmetric(x, 4),
+    "quantize_weight_symmetric": lambda x: agq.quantize_weight_symmetric(
+        x, agq.fit_weight_symmetric(GOOD, 4)),
+    "fit_trip": lambda x: agq.fit_trip(x, 8, 3),
+    "quantize_trip": lambda x: agq.quantize_trip(x, agq.fit_trip(GOOD, 8, 3)),
+    # a (5, 6) weight against the 5 exponents fitted on GOOD
+    "fold_trip_into_weights": lambda w: agq.fold_trip_into_weights(
+        w.T, agq.fit_trip(GOOD, 8, 3)),
+}
+
+
+def _canon(value):
+    """A comparable form of a result: arrays by dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if dataclasses.is_dataclass(value):
+        return tuple(_canon(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return value
+
+
+def _bad_inputs():
+    nan, inf = GOOD.copy(), GOOD.copy()
+    nan[2, 3] = np.nan
+    inf[4, 0] = np.inf
+    return {"nan": nan, "inf": inf, "1-D": GOOD.ravel(), "3-D": GOOD[None]}
+
+
+@pytest.mark.parametrize("bad", sorted(_bad_inputs()))
+@pytest.mark.parametrize("name", sorted(WRAPPED))
+def test_public_functions_reject_bad_tensors(name, bad):
+    with pytest.raises(ValueError):
+        WRAPPED[name](_bad_inputs()[bad])
+
+
+@pytest.mark.parametrize("name", sorted(WRAPPED))
+def test_views_and_float64_match_contiguous_float32(name):
+    wide = np.repeat(GOOD, 2, axis=1)
+    view = wide[:, ::2]
+    assert not view.flags.c_contiguous and np.array_equal(view, GOOD)
+    want = _canon(WRAPPED[name](GOOD))
+    assert _canon(WRAPPED[name](view)) == want
+    assert _canon(WRAPPED[name](GOOD.astype(np.float64))) == want
+
+
+@pytest.mark.parametrize("bad", sorted(_bad_inputs()))
+def test_forward_entry_rejects_bad_tensors(bad):
+    """The forward pass's one input check: nothing past it re-validates."""
+    cfg = BlockConfig(d_model=GOOD.shape[1], n_heads=1, sites=preset_sites("w4a8"))
+    blocks = init_stack(cfg, 2)
+    x = _bad_inputs()[bad]
+    with pytest.raises(ValueError):
+        agq.forward_block(blocks[0], x)
+    with pytest.raises(ValueError):
+        forward_stack(blocks, x)
+
+
+def _counting(monkeypatch, module, name):
+    """Count calls through ``module.name`` in every agq module bound to it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "agq" or mod_name.startswith("agq."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("act_quantizer", ["trip", "affine"])
+def test_forward_stack_validates_once_per_call_and_block(monkeypatch, act_quantizer):
+    """Counts, never times: the input is checked at forward_stack and
+    forward_block entry only, while every integer kernel call still goes
+    through the public kernel names that outside wrappers replace."""
+    n_blocks = 4
+    cfg = BlockConfig(sites=preset_sites("w4a8", act_quantizer=act_quantizer))
+    blocks = init_stack(cfg, n_blocks)
+    x = np.random.default_rng(1).standard_normal((16, cfg.d_model)).astype(np.float32)
+    checks = _counting(monkeypatch, agq.tensor_store, "as_tensor2d")
+    affine = _counting(monkeypatch, agq.kernels, "gemm_int_affine")
+    attnv = _counting(monkeypatch, agq.kernels, "gemm_log2_attnv")
+    forward_stack(blocks, x)
+    assert len(checks) <= 1 + n_blocks
+    # per block: linear_transform, projection, fc1, fc2 and one qk per head
+    assert len(affine) == n_blocks * (4 + cfg.n_heads)
+    assert len(attnv) == n_blocks * cfg.n_heads
