@@ -42,7 +42,7 @@ cfg = agq.BlockConfig(sites=agq.preset_sites("w4a8", act_quantizer="affine"),
 block = agq.init_block(cfg)
 stripe = agq.make_stripe_input(block, t=16, seed=seed + 1000)
 _, fp_maps = agq.forward_fp(block, stripe)
-_, q_map, _ = agq.forward_block(block, stripe, cfg)
+_, q_map = agq.forward_block(block, stripe, cfg)
 print(f"\nstart-token-stripe fixture, locality index "
       f"(mass on the two previous positions):")
 print(f"  FP32:      {agq.attention_locality(fp_maps[0]):.4f}")

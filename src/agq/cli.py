@@ -200,7 +200,7 @@ def analyze(config_path, in_path, input_name):
     report_out = pipeline.analyze_outliers(x, k_sigma)
     block = pipeline.init_block(_block_config(cfg))
     _, fp_maps = pipeline.forward_fp(block, x)
-    _, q_map, _ = pipeline.forward_block(block, x)
+    _, q_map = pipeline.forward_block(block, x)
     report = {
         "outliers": {
             "k_sigma": k_sigma,
@@ -249,13 +249,16 @@ def eval_cmd(config_path, in_path, seed):
     fp_cfg = replace(block_cfg, sites={})
     fp_out, fp_info = pipeline.forward_stack(blocks, x, fp_cfg)
     records = []
-    q_out, q_info = pipeline.forward_stack(blocks, x, block_cfg)
-    records.append(_eval_record("no_prune", q_out, q_info, fp_out, fp_info))
+    q_sites = []
+    q_out, q_info = pipeline.forward_stack(blocks, x, block_cfg, trace=q_sites)
+    records.append(_eval_record("no_prune", q_out, q_info, q_sites, fp_out, fp_info))
     if schedule is not None:
-        qp_out, qp_info = pipeline.forward_stack(blocks, x, block_cfg, schedule=schedule)
+        qp_sites = []
+        qp_out, qp_info = pipeline.forward_stack(blocks, x, block_cfg, schedule=schedule,
+                                                 trace=qp_sites)
         keeps = {i: qp_info["keeps"][i] for i in schedule.prune_layers}
         fpp_out, fpp_info = pipeline.forward_stack(blocks, x, fp_cfg, forced_keeps=keeps)
-        rec = _eval_record("prune", qp_out, qp_info, fpp_out, fpp_info)
+        rec = _eval_record("prune", qp_out, qp_info, qp_sites, fpp_out, fpp_info)
         rec["schedule"] = {
             "beta": schedule.final_ratio,
             "m": len(schedule.prune_layers),
@@ -273,14 +276,14 @@ def eval_cmd(config_path, in_path, seed):
                     f"cosine {rec['cosine']:.6f} < {min_cosine} ({rec['name']})")
 
 
-def _eval_record(name, q_out, q_info, fp_out, fp_info) -> dict:
+def _eval_record(name, q_out, q_info, q_sites, fp_out, fp_info) -> dict:
     return {
         "name": name,
         "cosine": pipeline.cosine_similarity(q_out, fp_out),
         "sparsity": q_info["sparsity"],
         "locality_fp": pipeline.attention_locality(fp_info["maps"][-1]),
         "locality_q": pipeline.attention_locality(q_info["maps"][-1]),
-        "sites": q_info["sites"],
+        "sites": q_sites,
     }
 
 

@@ -8,7 +8,9 @@ weight matrix, so each site input is quantized once per block. Matmul sites
 are individually configurable: FP32 reference, 8-bit affine/refined
 activations against 4-bit weights, 4-bit activations through the packed lane
 GEMM, and log2-quantized softmax probabilities through the shift GEMM. Nonlinear
-operators (softmax, layernorm, the gate) always stay FP32.
+operators (softmax, layernorm, the gate) always stay FP32. Q, K and V are each
+quantized once per block, each head with its own fit. Per-site MSE records are
+made only for a caller that passes a ``trace`` list.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .quantizers import (
     _fit_affine,
     _fit_weight_symmetric,
     _quantize_affine,
+    _quantize_heads,
     _quantize_log2,
     _quantize_weight_symmetric,
     dequantize_affine,
@@ -204,14 +207,15 @@ def _mse(x: np.ndarray, dequant: np.ndarray) -> float:
 
 
 def _site_matmul(block: Block, cfg: BlockConfig, name: str, x: np.ndarray,
-                 diagnostics: list) -> np.ndarray:
+                 trace: list | None) -> np.ndarray:
     """Run weight site ``name`` on ``x`` at the site's configured precision."""
     sc, w, wq = cfg.site(name), block.weights[name], block.weight_q[name]
     if sc.act_bits == 32:
         return gemm_f32(x, w)
     aq = _quantize_act(x, sc)
-    dequant = dequantize_trip(aq) if aq.kind == "trip" else dequantize_affine(aq)
-    diagnostics.append({"site": name, "act_bits": sc.act_bits, "mse": _mse(x, dequant)})
+    if trace is not None:
+        dequant = dequantize_trip(aq) if aq.kind == "trip" else dequantize_affine(aq)
+        trace.append({"site": name, "act_bits": sc.act_bits, "mse": _mse(x, dequant)})
     if aq.kind == "trip":
         folded = _fold_trip_into_weights(w, aq.params)
         wq = _quantize_weight_symmetric(folded, _fit_weight_symmetric(folded, 4))
@@ -224,29 +228,6 @@ def _site_matmul(block: Block, cfg: BlockConfig, name: str, x: np.ndarray,
     return gemm_int4_packed(aq.codes.astype(np.uint8), packed, params)
 
 
-def _qk_matmul(qh: np.ndarray, kh: np.ndarray, sc: SiteConfig) -> np.ndarray:
-    """Q @ K^T, either FP32 or as an 8-bit affine-affine integer product."""
-    if sc.act_bits == 32:
-        return gemm_f32(qh, kh.T)
-    kt = kh.T
-    q_q = _quantize_affine(qh, _fit_affine(qh, sc.act_bits))
-    return gemm_int_affine(q_q, _quantize_affine(kt, _fit_affine(kt, sc.act_bits)))
-
-
-def _attnv_matmul(probs: np.ndarray, vh: np.ndarray, sc: SiteConfig,
-                  diagnostics: list) -> np.ndarray:
-    if sc.act_bits == 32:
-        return gemm_f32(probs, vh)
-    probs_q = _quantize_log2(probs, sc.act_bits)
-    diagnostics.append({
-        "site": "attn_v",
-        "act_bits": sc.act_bits,
-        "mse": _mse(probs, dequantize_log2(probs_q)),
-    })
-    vq = _quantize_affine(vh, _fit_affine(vh, 8))
-    return gemm_log2_attnv(probs_q, vq)
-
-
 def _finite(x: np.ndarray, stage: str) -> np.ndarray:
     """Pass ``x`` on, or raise if a stage overflowed float32 into Inf/NaN."""
     if not np.isfinite(x).all():
@@ -255,9 +236,12 @@ def _finite(x: np.ndarray, stage: str) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported by _finite
-def forward_block(block: Block, x, cfg: BlockConfig | None = None):
-    """One decoder block pass; returns (output, AttentionMap, diagnostics).
+def forward_block(block: Block, x, cfg: BlockConfig | None = None,
+                  trace: list | None = None):
+    """One decoder block pass; returns (output, AttentionMap).
 
+    Each quantized site appends a ``{"site", "act_bits", "mse"}`` record
+    (attn_v one per head) to ``trace``, if given, in pass order.
     Raises ``PipelineError`` naming the stage whose output is not finite.
     """
     cfg = cfg or block.cfg
@@ -265,44 +249,61 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None):
     t, d = x.shape
     if d != cfg.d_model:
         raise PipelineError(f"input width {d} != d_model {cfg.d_model}")
-    diagnostics: list[dict] = []
     dh, nh = cfg.d_head, cfg.n_heads
+    qk_sc, av_sc = cfg.site("qk"), cfg.site("attn_v")
 
-    qkv = _site_matmul(block, cfg, "linear_transform", x, diagnostics)
+    qkv = _site_matmul(block, cfg, "linear_transform", x, trace)
     q, k, v = np.hsplit(_finite(qkv, "linear_transform"), 3)
+    if qk_sc.act_bits < 32:
+        q_heads = _quantize_heads(q, nh, qk_sc.act_bits)
+        k_heads = _quantize_heads(k, nh, qk_sc.act_bits)
+    if av_sc.act_bits < 32:
+        v_heads = _quantize_heads(v, nh, 8)
 
     probs = np.empty((nh, t, t), dtype=np.float32)
     ctx = np.empty((t, d), dtype=np.float32)
     past = np.tri(t, dtype=bool)  # T changes between blocks when pruning
     for h in range(nh):
         sl = slice(h * dh, (h + 1) * dh)
-        scores = _qk_matmul(q[:, sl], k[:, sl], cfg.site("qk"))
+        if qk_sc.act_bits == 32:
+            scores = gemm_f32(q[:, sl], k[:, sl].T)
+        else:
+            kt = replace(k_heads[h], codes=k_heads[h].codes.T)
+            scores = gemm_int_affine(q_heads[h], kt)
         scores /= np.float32(np.sqrt(dh))
         probs[h] = _softmax_causal(_finite(scores, "qk"), past)
-        ctx[:, sl] = _attnv_matmul(probs[h], v[:, sl], cfg.site("attn_v"), diagnostics)
+        if av_sc.act_bits == 32:
+            ctx[:, sl] = gemm_f32(probs[h], v[:, sl])
+            continue
+        probs_q = _quantize_log2(probs[h], av_sc.act_bits)
+        if trace is not None:
+            trace.append({"site": "attn_v", "act_bits": av_sc.act_bits,
+                          "mse": _mse(probs[h], dequantize_log2(probs_q))})
+        ctx[:, sl] = gemm_log2_attnv(probs_q, v_heads[h])
 
-    proj = _site_matmul(block, cfg, "projection", _finite(ctx, "attn_v"), diagnostics)
+    proj = _site_matmul(block, cfg, "projection", _finite(ctx, "attn_v"), trace)
     h1 = _finite(x + proj, "projection")
-    a1 = _site_matmul(block, cfg, "fc1", _layernorm(h1), diagnostics)
-    m2 = _site_matmul(block, cfg, "fc2", _silu(_finite(a1, "fc1")), diagnostics)
+    a1 = _site_matmul(block, cfg, "fc1", _layernorm(h1), trace)
+    m2 = _site_matmul(block, cfg, "fc2", _silu(_finite(a1, "fc1")), trace)
     out = _finite(h1 + m2, "fc2")
-    return out, AttentionMap(probs=probs), diagnostics
+    return out, AttentionMap(probs=probs)
 
 
 def forward_fp(block: Block, x):
     """FP32 reference pass: every site forced to the FP32 kernel."""
     fp_cfg = replace(block.cfg, sites={})
-    out, amap, _ = forward_block(block, x, fp_cfg)
+    out, amap = forward_block(block, x, fp_cfg)
     return out, [amap]
 
 
 def forward_quant(block: Block, x, cfg: BlockConfig | None = None):
     """Configured pass; diagnostics carry per-site MSE and FP divergence."""
     cfg = cfg or block.cfg
-    out, amap, site_diags = forward_block(block, x, cfg)
+    sites = []
+    out, amap = forward_block(block, x, cfg, trace=sites)
     fp_out, fp_maps = forward_fp(block, x)
     diagnostics = {
-        "sites": site_diags,
+        "sites": sites,
         "cosine": cosine_similarity(out, fp_out),
         "locality_fp": attention_locality(fp_maps[0]),
         "locality_q": attention_locality(amap),
@@ -312,26 +313,26 @@ def forward_quant(block: Block, x, cfg: BlockConfig | None = None):
 
 def forward_stack(blocks: list[Block], x, cfg: BlockConfig | None = None,
                   schedule: PruneSchedule | None = None,
-                  forced_keeps: dict[int, list[int]] | None = None):
+                  forced_keeps: dict[int, list[int]] | None = None,
+                  trace: list | None = None):
     """Run a block stack, pruning at schedule layers from each layer's own
     attention map (re-scored at every prune layer).
 
     ``forced_keeps`` replays a previous run's kept indices, which lets an
     FP reference see exactly the tokens a quantized pruned run saw. Returns
-    (output, info) with per-layer kept indices, kept fractions, sparsity,
-    attention maps, and per-site diagnostics.
+    (output, info) with per-layer kept indices, kept fractions, sparsity and
+    attention maps; ``trace`` gets every block's site records.
     """
     x = as_tensor2d(x)
     t0 = x.shape[0]
     kept_global = list(range(t0))
-    info = {"keeps": [], "kept_fractions": [], "maps": [], "sites": []}
+    info = {"keeps": [], "kept_fractions": [], "maps": []}
     for i, block in enumerate(blocks):
         try:
-            x, amap, diags = forward_block(block, x, cfg or block.cfg)
+            x, amap = forward_block(block, x, cfg or block.cfg, trace=trace)
         except PipelineError as e:
             raise PipelineError(f"block {i}: {e}") from e
         info["maps"].append(amap)
-        info["sites"].extend(diags)
         if forced_keeps is not None and i in forced_keeps:
             local = forced_keeps[i]
             x = slice_rows(x, local)

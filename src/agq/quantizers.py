@@ -123,6 +123,24 @@ def _quantize_affine(x: np.ndarray, p: AffineParams) -> QuantTensor:
     return QuantTensor(codes=codes, params=p, kind="affine")
 
 
+def _quantize_heads(x: np.ndarray, n_heads: int, bits: int) -> list[QuantTensor]:
+    """Head h of ``x``'s equal column blocks as ``_quantize_affine(x_h,
+    _fit_affine(x_h, bits))``, all heads in one rint and clip; each head's
+    codes are a view of one (T, n_heads, d_head) array."""
+    if x.size == 0:
+        raise QuantError("cannot fit quantizer on empty tensor")
+    rng = CodeRange(bits, signed=False)
+    heads = x.reshape(x.shape[0], n_heads, -1)
+    lo = heads.min(axis=(0, 2)).astype(np.float64)
+    scale = np.maximum(heads.max(axis=(0, 2)) - lo, SCALE_EPS) / (2**bits - 1)
+    zp = _clip(np.rint(-lo / scale), rng.lo, rng.hi)
+    codes = _round(heads.astype(np.float64) / scale[:, None]) + zp[:, None]
+    codes = _clip(codes, rng.lo, rng.hi).astype(np.int32)
+    return [QuantTensor(codes=codes[:, h], kind="affine",
+                        params=AffineParams(range=rng, scale=float(s), zero_point=int(z)))
+            for h, (s, z) in enumerate(zip(scale, zp))]
+
+
 def dequantize_affine(q: QuantTensor) -> np.ndarray:
     if q.kind != "affine":
         raise KindMismatchError(f"expected affine tensor, got {q.kind}")

@@ -90,8 +90,7 @@ def _fit_trip(x: np.ndarray, bits: int, cap: int) -> TripParams:
     base_steps = x.astype(np.float64)
     base_steps /= scale
     r = np.empty_like(base_steps)
-    alphas = np.zeros(x.shape[1], dtype=np.int64)
-    best = np.full(x.shape[1], np.inf)
+    err = np.empty((cap + 1, x.shape[1]))  # row a: channel errors at exponent a
     for a in range(cap + 1):
         step = 2**a * scale
         np.multiply(base_steps, 2.0**-a, out=r)
@@ -99,10 +98,9 @@ def _fit_trip(x: np.ndarray, bits: int, cap: int) -> TripParams:
         r *= step
         np.subtract(x, r, out=r)
         np.square(r, out=r)
-        err = np.sqrt(np.add.reduce(r, axis=0))  # what np.linalg.norm(axis=0) computes
-        better = err < best  # strict: ties keep the smaller exponent
-        alphas[better] = a
-        best[better] = err[better]
+        np.add.reduce(r, axis=0, out=err[a])
+    np.sqrt(err, out=err)  # what np.linalg.norm(axis=0) computes
+    alphas = err.argmin(axis=0).astype(np.int64)  # first minimum: ties keep the smaller exponent
     return TripParams(base=base, alphas=alphas, cap=cap)
 
 

@@ -1,5 +1,6 @@
 """Shared oracles and fixtures for the test suite."""
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -45,6 +46,38 @@ def ref_softmax_causal(scores):
     e = np.exp(masked)
     return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
 
+
+
+def ref_forward_block(block, x, cfg):
+    """``forward_block`` with a per-head attention loop: each head fits and
+    quantizes its own q, k^T and v slices through the public quantizers. The
+    weight sites, softmax, layernorm and gate are the pipeline's own."""
+    from agq.pipeline import _layernorm, _silu, _site_matmul
+
+    site = functools.partial(_site_matmul, block, cfg, trace=None)
+    t, d = x.shape
+    dh, qk, av = cfg.d_head, cfg.site("qk"), cfg.site("attn_v")
+    q, k, v = np.hsplit(site("linear_transform", x), 3)
+    probs = np.empty((cfg.n_heads, t, t), dtype=np.float32)
+    ctx = np.empty((t, d), dtype=np.float32)
+    for h in range(cfg.n_heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        qh, kt, vh = q[:, sl], k[:, sl].T, v[:, sl]
+        if qk.act_bits == 32:
+            scores = agq.gemm_f32(qh, kt)
+        else:
+            scores = agq.gemm_int_affine(
+                agq.quantize_affine(qh, agq.fit_affine(qh, qk.act_bits)),
+                agq.quantize_affine(kt, agq.fit_affine(kt, qk.act_bits)))
+        scores /= np.float32(np.sqrt(dh))
+        probs[h] = ref_softmax_causal(scores)
+        if av.act_bits == 32:
+            ctx[:, sl] = agq.gemm_f32(probs[h], vh)
+        else:
+            ctx[:, sl] = agq.gemm_log2_attnv(agq.quantize_log2(probs[h], av.act_bits),
+                                             agq.quantize_affine(vh, agq.fit_affine(vh, 8)))
+    h1 = x + site("projection", ctx)
+    return h1 + site("fc2", _silu(site("fc1", _layernorm(h1)))), probs
 
 def ref_quantize_log2(x, bits):
     """The out-of-place formulation of ``quantize_log2``: ``-log2`` of every
@@ -190,5 +223,5 @@ def locality_trial(seed):
     block = agq.init_block(cfg)
     x = agq.make_stripe_input(block, t=16, seed=seed + 1000)
     _, fp_maps = agq.forward_fp(block, x)
-    _, q_map, _ = agq.forward_block(block, x, cfg)
+    _, q_map = agq.forward_block(block, x, cfg)
     return agq.attention_locality(fp_maps[0]), agq.attention_locality(q_map)

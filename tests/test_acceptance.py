@@ -179,7 +179,7 @@ def test_10_pipeline_passthrough_and_monotonicity():
         b = agq.init_block(cfg8)
         x = np.random.default_rng(seed + 100).standard_normal((16, 64)).astype(np.float32)
         fp_out, _ = agq.forward_fp(b, x)
-        pt_out, _, _ = agq.forward_block(b, x, fp_cfg)
+        pt_out, _ = agq.forward_block(b, x, fp_cfg)
         if not np.array_equal(pt_out, fp_out):
             ok = False
         _, d8 = agq.forward_quant(b, x, cfg8)

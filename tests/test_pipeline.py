@@ -4,9 +4,10 @@ from helpers import (
     locality_trial,
     naive_block_forward,
     prune_benefit_trial,
+    ref_forward_block,
     ref_softmax_causal,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import agq
@@ -29,6 +30,7 @@ from agq.pipeline import (
     preset_sites,
 )
 from agq.pruning import AttentionMap
+from agq.quantizers import _fit_affine, _quantize_affine, _quantize_heads
 
 
 class TestConfig:
@@ -90,6 +92,61 @@ def test_softmax_equals_minus_inf_oracle(t, seed, amp, ties):
     probs = _softmax_causal(scores, np.tri(t, dtype=bool))
     assert probs.dtype == np.float32
     assert probs.tobytes() == ref_softmax_causal(scores).tobytes()
+
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=st.integers(1, 40), n_heads=st.sampled_from([1, 2, 4, 8]), d_head=st.integers(1, 6),
+       bits=st.sampled_from([4, 8]), seed=st.integers(0, 2**32 - 1),
+       const_head=st.booleans(), outliers=st.booleans())
+@example(t=1, n_heads=8, d_head=3, bits=8, seed=0, const_head=True, outliers=True)
+@example(t=5, n_heads=4, d_head=2, bits=8, seed=1, const_head=True, outliers=False)
+def test_quantize_heads_equals_per_head_affine(t, n_heads, d_head, bits, seed,
+                                               const_head, outliers):
+    """One pass over all heads of the K block of a fused QKV output (an
+    ``np.hsplit`` view) equals fitting and quantizing each head on its own,
+    and a head's transposed codes equal quantizing K^T. ``const_head`` makes
+    one head constant (the ``SCALE_EPS`` fit); ``outliers`` plants +-1e30."""
+    rng = np.random.default_rng(seed)
+    d = n_heads * d_head
+    qkv = rng.standard_normal((t, 3 * d)).astype(np.float32)
+    if const_head:
+        lo = d + d_head * int(rng.integers(n_heads))
+        qkv[:, lo:lo + d_head] = np.float32(rng.standard_normal())
+    if outliers:
+        qkv[rng.integers(t, size=2), d + rng.integers(d, size=2)] = [1e30, -1e30]
+    _, k, _ = np.hsplit(qkv, 3)
+    assert t == 1 or not k.flags.c_contiguous
+    heads = _quantize_heads(k, n_heads, bits)
+    assert len(heads) == n_heads
+    for h, got in enumerate(heads):
+        kh = k[:, h * d_head:(h + 1) * d_head]
+        want = _quantize_affine(kh, _fit_affine(kh, bits))
+        assert got.kind == want.kind == "affine"
+        assert got.params == want.params
+        assert got.codes.dtype == want.codes.dtype
+        np.testing.assert_array_equal(got.codes, want.codes)
+        want_t = _quantize_affine(kh.T, _fit_affine(kh.T, bits))
+        assert want_t.params == got.params
+        np.testing.assert_array_equal(got.codes.T, want_t.codes)
+
+
+
+@pytest.mark.parametrize("mode", ["fp32", "w4a8", "w4a4"])
+@pytest.mark.parametrize("act_quantizer", ["trip", "affine"])
+@pytest.mark.parametrize("t,d_model,n_heads", [(1, 16, 8), (7, 24, 1), (33, 64, 4)])
+def test_forward_block_equals_per_head_reference(mode, act_quantizer, t, d_model, n_heads):
+    """Quantizing q, k and v once per block gives the bytes of a loop that
+    quantizes every head's slices on its own."""
+    cfg = BlockConfig(d_model=d_model, n_heads=n_heads, d_ff=32, seed=t,
+                      sites=preset_sites(mode, act_quantizer=act_quantizer))
+    x = np.random.default_rng(t).standard_normal((t, d_model)).astype(np.float32)
+    x[:, 1] *= 20.0
+    block = init_block(cfg)
+    out, amap = forward_block(block, x)
+    ref_out, ref_probs = ref_forward_block(block, x, cfg)
+    assert out.tobytes() == ref_out.tobytes()
+    assert amap.probs.tobytes() == ref_probs.tobytes()
 
 
 class TestInit:
@@ -244,8 +301,9 @@ class TestForwardStack:
         cfg = BlockConfig(sites=preset_sites("w4a8"), seed=3)
         blocks = init_stack(cfg, 3)
         x = np.random.default_rng(3).standard_normal((10, 64)).astype(np.float32)
-        _, info = forward_stack(blocks, x)
-        sites = [r["site"] for r in info["sites"]]
+        records = []
+        forward_stack(blocks, x, trace=records)
+        sites = [r["site"] for r in records]
         assert sites.count("linear_transform") == 3
         assert sites.count("attn_v") == 3 * cfg.n_heads
         for name in ("projection", "fc1", "fc2"):

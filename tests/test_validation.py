@@ -2,7 +2,9 @@
 
 The public quantizers and TRIP functions check their tensor argument with
 ``as_tensor2d``; the forward pass checks its input once per call and then
-trusts its own stages, which ``forward_block`` checks for overflow.
+trusts its own stages, which ``forward_block`` checks for overflow. The
+same call counts show that a forward pass computes its per-site diagnostics
+only for a caller that passes a ``trace`` list.
 """
 
 import dataclasses
@@ -112,3 +114,61 @@ def test_forward_stack_validates_once_per_call_and_block(monkeypatch, act_quanti
     # per block: linear_transform, projection, fc1, fc2 and one qk per head
     assert len(affine) == n_blocks * (4 + cfg.n_heads)
     assert len(attnv) == n_blocks * cfg.n_heads
+
+
+@pytest.mark.parametrize("act_quantizer", ["trip", "affine"])
+def test_diagnostics_run_only_for_a_trace(monkeypatch, act_quantizer):
+    """Counts, never times: a bare forward pass runs no dequantizer and
+    quantizes q, k and v once per block each; a ``trace`` list turns the
+    per-site dequantizations on (4 weight sites and one attn_v per head)."""
+    n_blocks = 4
+    cfg = BlockConfig(sites=preset_sites("w4a8", act_quantizer=act_quantizer))
+    blocks = init_stack(cfg, n_blocks)
+    x = np.random.default_rng(1).standard_normal((16, cfg.d_model)).astype(np.float32)
+    calls = {name: _counting(monkeypatch, module, name) for module, name in (
+        (agq.trip, "dequantize_trip"), (agq.quantizers, "dequantize_log2"),
+        (agq.quantizers, "dequantize_affine"), (agq.quantizers, "_quantize_heads"))}
+    forward_stack(blocks, x)
+    assert {name: len(c) for name, c in calls.items()} == {
+        "dequantize_trip": 0, "dequantize_log2": 0, "dequantize_affine": 0,
+        "_quantize_heads": 3 * n_blocks}
+    for c in calls.values():
+        c.clear()
+    forward_stack(blocks, x, trace=[])
+    weight_sites = 4 * n_blocks
+    assert {name: len(c) for name, c in calls.items()} == {
+        "dequantize_trip": weight_sites if act_quantizer == "trip" else 0,
+        "dequantize_log2": cfg.n_heads * n_blocks,
+        "dequantize_affine": weight_sites if act_quantizer == "affine" else 0,
+        "_quantize_heads": 3 * n_blocks}
+
+
+@pytest.mark.parametrize("mode", ["fp32", "w4a8", "w4a4"])
+@pytest.mark.parametrize("act_quantizer", ["trip", "affine"])
+def test_trace_records_without_changing_the_pass(mode, act_quantizer):
+    """With ``trace=[]`` each quantized block appends its 4 weight-site
+    records and one attn_v record per head, in pass order; the output,
+    attention maps and kept indices equal the bare pass's."""
+    n_blocks = 3
+    cfg = BlockConfig(sites=preset_sites(mode, act_quantizer=act_quantizer))
+    blocks = init_stack(cfg, n_blocks)
+    x = np.random.default_rng(2).standard_normal((12, cfg.d_model)).astype(np.float32)
+    schedule = agq.make_schedule(n_blocks, 1, 0.5, 1)
+    records = []
+    out, info = forward_stack(blocks, x, schedule=schedule, trace=records)
+    bare_out, bare_info = forward_stack(blocks, x, schedule=schedule)
+    assert out.tobytes() == bare_out.tobytes()
+    assert info["keeps"] == bare_info["keeps"]
+    assert [m.probs.tobytes() for m in info["maps"]] == [
+        m.probs.tobytes() for m in bare_info["maps"]]
+    assert "sites" not in info
+    sites = cfg.sites
+    per_block = [(name, sites[name].act_bits) for name in (
+        ["linear_transform"] + ["attn_v"] * cfg.n_heads + ["projection", "fc1", "fc2"])
+    ] if sites else []
+    assert [(r["site"], r["act_bits"]) for r in records] == per_block * n_blocks
+    assert all(r["mse"] >= 0.0 for r in records)
+    one = []
+    block_out, _ = agq.forward_block(blocks[0], x, trace=one)
+    assert one == records[:len(per_block)]
+    assert block_out.tobytes() == agq.forward_block(blocks[0], x)[0].tobytes()
