@@ -229,7 +229,9 @@ def eval_cmd(config_path, in_path, seed):
     """Run FP and quantized passes; exit 0 iff configured thresholds pass.
 
     The input hidden states come from the store tensor named "input" when a
-    store is given, otherwise from the seeded generator.
+    store is given, otherwise from the seeded generator. Passes: FP32,
+    quantized, quantized-pruned, FP32 with its keeps; the last two resume
+    after the first prune layer.
     """
     cfg = load_config(config_path)
     if seed is not None:
@@ -247,17 +249,17 @@ def eval_cmd(config_path, in_path, seed):
     blocks = pipeline.init_stack(block_cfg, _n_blocks(cfg))
     schedule = _schedule(cfg)
     fp_cfg = replace(block_cfg, sites={})
-    fp_out, fp_info = pipeline.forward_stack(blocks, x, fp_cfg)
-    records = []
+    split = schedule.prune_layers[0] + 1 if schedule else len(blocks)
+    (fp_out, fp_info), fp_state, _ = _unpruned_pass(blocks, x, fp_cfg, split)
     q_sites = []
-    q_out, q_info = pipeline.forward_stack(blocks, x, block_cfg, trace=q_sites)
-    records.append(_eval_record("no_prune", q_out, q_info, q_sites, fp_out, fp_info))
+    (q_out, q_info), q_state, qp_sites = _unpruned_pass(blocks, x, block_cfg, split, q_sites)
+    records = [_eval_record("no_prune", q_out, q_info, q_sites, fp_out, fp_info)]
     if schedule is not None:
-        qp_sites = []
         qp_out, qp_info = pipeline.forward_stack(blocks, x, block_cfg, schedule=schedule,
-                                                 trace=qp_sites)
+                                                 trace=qp_sites, resume=q_state)
         keeps = {i: qp_info["keeps"][i] for i in schedule.prune_layers}
-        fpp_out, fpp_info = pipeline.forward_stack(blocks, x, fp_cfg, forced_keeps=keeps)
+        fpp_out, fpp_info = pipeline.forward_stack(blocks, x, fp_cfg, forced_keeps=keeps,
+                                                   resume=fp_state)
         rec = _eval_record("prune", qp_out, qp_info, qp_sites, fpp_out, fpp_info)
         rec["schedule"] = {
             "beta": schedule.final_ratio,
@@ -274,6 +276,12 @@ def eval_cmd(config_path, in_path, seed):
             if rec["cosine"] < min_cosine:
                 raise ThresholdError(
                     f"cosine {rec['cosine']:.6f} < {min_cosine} ({rec['name']})")
+
+
+def _unpruned_pass(blocks, x, run_cfg, split, trace=None):
+    out, info = pipeline.forward_stack(blocks[:split], x, run_cfg, trace=trace)
+    state, records = (out, info["maps"]), list(trace or ())
+    return pipeline.forward_stack(blocks, x, run_cfg, trace=trace, resume=state), state, records
 
 
 def _eval_record(name, q_out, q_info, q_sites, fp_out, fp_info) -> dict:

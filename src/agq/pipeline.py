@@ -314,7 +314,7 @@ def forward_quant(block: Block, x, cfg: BlockConfig | None = None):
 def forward_stack(blocks: list[Block], x, cfg: BlockConfig | None = None,
                   schedule: PruneSchedule | None = None,
                   forced_keeps: dict[int, list[int]] | None = None,
-                  trace: list | None = None):
+                  trace: list | None = None, resume: tuple | None = None):
     """Run a block stack, pruning at schedule layers from each layer's own
     attention map (re-scored at every prune layer).
 
@@ -322,14 +322,26 @@ def forward_stack(blocks: list[Block], x, cfg: BlockConfig | None = None,
     FP reference see exactly the tokens a quantized pruned run saw. Returns
     (output, info) with per-layer kept indices, kept fractions, sparsity and
     attention maps; ``trace`` gets every block's site records.
+
+    ``resume=(hidden, maps)`` skips blocks ``0..len(maps)-1``, run unpruned
+    on ``x`` with output ``hidden``, but prunes after the last; indices stay global.
     """
     x = as_tensor2d(x)
     t0 = x.shape[0]
+    done = []
+    if resume is not None:
+        x, done = as_tensor2d(resume[0]), list(resume[1])
+        last = len(done) - 1
+        layers = set(forced_keeps or ()).union(schedule.prune_layers if schedule else ())
+        if (not 0 <= last < len(blocks) or min(layers, default=last) < last
+                or x.shape != (t0, (cfg or blocks[last].cfg).d_model)):
+            raise PipelineError(f"cannot resume after block {last}")
     kept_global = list(range(t0))
     info = {"keeps": [], "kept_fractions": [], "maps": []}
     for i, block in enumerate(blocks):
         try:
-            x, amap = forward_block(block, x, cfg or block.cfg, trace=trace)
+            x, amap = ((x, done[i]) if i < len(done) else
+                       forward_block(block, x, cfg or block.cfg, trace=trace))
         except PipelineError as e:
             raise PipelineError(f"block {i}: {e}") from e
         info["maps"].append(amap)
@@ -392,9 +404,6 @@ def analyze_outliers(x, k_sigma: float) -> OutlierReport:
     )
 
 
-LOCALITY_WINDOW = 2
-
-
 def attention_locality(m: AttentionMap) -> float:
     """Mean probability mass on the two immediately previous positions.
 
@@ -405,10 +414,13 @@ def attention_locality(m: AttentionMap) -> float:
     t = m.tokens
     if t < 2:
         return 1.0
+    # in row order, as np.sum rounds otherwise
+    rows = np.arange(1, t)
+    near = np.ascontiguousarray(m.probs[:, rows, rows - 1].T)
+    near[1:] += m.probs[:, rows[1:], rows[1:] - 2].T
     total = 0.0
-    for i in range(1, t):
-        lo = max(0, i - LOCALITY_WINDOW)
-        total += float(m.probs[:, i, lo:i].sum(axis=1).mean())
+    for mean in near.mean(axis=1).tolist():
+        total += mean
     return total / (t - 1)
 
 

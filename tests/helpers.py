@@ -79,6 +79,71 @@ def ref_forward_block(block, x, cfg):
     h1 = x + site("projection", ctx)
     return h1 + site("fc2", _silu(site("fc1", _layernorm(h1)))), probs
 
+def ref_attention_locality(m):
+    """The per-row loop formulation of ``attention_locality``: each row's
+    window is summed per head, averaged over heads and added as a float."""
+    agq.pruning.validate_map(m)
+    t = m.tokens
+    if t < 2:
+        return 1.0
+    total = 0.0
+    for i in range(1, t):
+        lo = max(0, i - 2)
+        total += float(m.probs[:, i, lo:i].sum(axis=1).mean())
+    return total / (t - 1)
+
+
+def ref_eval_cmd(config_path, in_path, seed):
+    """The four-pass body of ``agq eval``: FP32, quantized, quantized-pruned
+    and forced-keep FP32, each a full ``forward_stack`` from block 0. Install
+    it as ``agq.cli.eval_cmd.callback`` to run it behind the real CLI."""
+    from agq import cli, pipeline, tensor_store
+
+    cfg = cli.load_config(config_path)
+    if seed is not None:
+        cfg["seed"] = seed
+    block_cfg = cli._block_config(cfg)
+    if in_path:
+        x = tensor_store.load_store(in_path).get("input")
+        if x is None:
+            raise tensor_store.StoreError("store has no tensor named 'input'")
+    else:
+        rng = np.random.default_rng(cfg.get("seed", 0) + 1)
+        x = rng.standard_normal((cfg.get("sequence_length", 32), block_cfg.d_model))
+        x = x.astype(np.float32)
+
+    blocks = pipeline.init_stack(block_cfg, cli._n_blocks(cfg))
+    schedule = cli._schedule(cfg)
+    fp_cfg = replace(block_cfg, sites={})
+    fp_out, fp_info = pipeline.forward_stack(blocks, x, fp_cfg)
+    records = []
+    q_sites = []
+    q_out, q_info = pipeline.forward_stack(blocks, x, block_cfg, trace=q_sites)
+    records.append(cli._eval_record("no_prune", q_out, q_info, q_sites, fp_out, fp_info))
+    if schedule is not None:
+        qp_sites = []
+        qp_out, qp_info = pipeline.forward_stack(blocks, x, block_cfg, schedule=schedule,
+                                                 trace=qp_sites)
+        keeps = {i: qp_info["keeps"][i] for i in schedule.prune_layers}
+        fpp_out, fpp_info = pipeline.forward_stack(blocks, x, fp_cfg, forced_keeps=keeps)
+        rec = cli._eval_record("prune", qp_out, qp_info, qp_sites, fpp_out, fpp_info)
+        rec["schedule"] = {
+            "beta": schedule.final_ratio,
+            "m": len(schedule.prune_layers),
+            "gamma": schedule.per_layer_ratio,
+            "prune_layers": list(schedule.prune_layers),
+        }
+        records.append(rec)
+
+    cli._emit({"records": records}, cfg)
+    min_cosine = cfg.get("thresholds", {}).get("min_cosine")
+    if min_cosine is not None:
+        for rec in records:
+            if rec["cosine"] < min_cosine:
+                raise cli.ThresholdError(
+                    f"cosine {rec['cosine']:.6f} < {min_cosine} ({rec['name']})")
+
+
 def ref_quantize_log2(x, bits):
     """The out-of-place formulation of ``quantize_log2``: ``-log2`` of every
     ratio, zeros included (``-inf`` with the divide warning silenced)."""

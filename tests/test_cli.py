@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from helpers import ref_eval_cmd
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from agq.cli import main
+import agq
+from agq.cli import eval_cmd, main
 from agq.pruning import make_schedule
 from agq.tensor_store import load_store, save_store
 
@@ -182,6 +184,86 @@ class TestEval:
         r1 = runner.invoke(main, ["eval", "--config", cfg])
         r2 = runner.invoke(main, ["eval", "--config", cfg])
         assert r1.output == r2.output
+
+
+PRUNE_SETTINGS = [None, {"beta": 0.5, "m": 2}, {"beta": 0.3, "m": 1},
+                  {"beta": 0.6, "m": 3, "start_layer": 1}, {"beta": 0.4, "m": 1, "start_layer": 4}]
+
+
+def _eval_both(runner, monkeypatch, args):
+    """(exit code, stdout, stderr) of ``agq eval`` and of the four-pass
+    reference body run behind the same command."""
+    runs = []
+    for callback in (eval_cmd.callback, ref_eval_cmd):
+        monkeypatch.setattr(eval_cmd, "callback", callback)
+        r = runner.invoke(main, ["eval"] + args)
+        runs.append((r.exit_code, r.stdout, r.stderr))
+    return runs
+
+
+class TestEvalResumesPrunedPasses:
+    """The pruned passes resume from their unpruned twins at the first prune
+    layer; reports, exit codes and stderr lines equal the four full passes'."""
+
+    @pytest.mark.parametrize("prune", PRUNE_SETTINGS, ids=lambda p: str(p and sorted(p.items())))
+    @pytest.mark.parametrize("mode,act_quantizer", [
+        ("fp32", "trip"), ("w4a8", "trip"), ("w4a8", "affine"), ("w4a4", "trip")])
+    def test_report_equals_four_pass_reference(self, runner, monkeypatch, tmp_path,
+                                               mode, act_quantizer, prune):
+        cfg = {"sequence_length": 13, "block": {"n_blocks": 5, "d_model": 32, "n_heads": 2},
+               "quantization": {"mode": mode, "act_quantizer": act_quantizer},
+               "thresholds": {"min_cosine": 0.5}}
+        if prune:
+            cfg["prune"] = prune
+        got, want = _eval_both(runner, monkeypatch, ["--config", write_config(
+            tmp_path / "cfg.json", **cfg)])
+        assert got == want
+        assert got[0] in (0, 4) and got[1]
+
+    def test_store_input_equals_reference(self, runner, monkeypatch, tmp_path):
+        x = np.random.default_rng(4).standard_normal((10, 64)).astype(np.float32)
+        save_store({"input": x}, tmp_path / "in.agqt")
+        cfg = write_config(tmp_path / "cfg.json", block={"n_blocks": 4},
+                           quantization={"mode": "w4a8"}, prune={"beta": 0.5, "m": 2})
+        got, want = _eval_both(runner, monkeypatch, ["--config", cfg,
+                                                     "--in", str(tmp_path / "in.agqt")])
+        assert got == want and got[0] == 0
+
+    # (block, passes that fail there, error type); a pass is (precision, input)
+    # with an input "pruned" once it has fewer rows than the sequence
+    FAILURES = [
+        (1, {("fp", "full")}, agq.PipelineError),
+        (3, {("fp", "full")}, agq.PipelineError),
+        (1, {("q", "full")}, agq.PipelineError),
+        (3, {("q", "full")}, agq.kernels.KernelError),
+        (3, {("q", "pruned")}, agq.PipelineError),
+        (2, {("fp", "pruned")}, agq.PipelineError),
+        (1, {("q", "full"), ("fp", "full")}, agq.PipelineError),
+        (3, {("q", "full"), ("fp", "full")}, agq.PipelineError),
+        (4, {("q", "pruned"), ("fp", "full")}, agq.PipelineError),
+        (4, {("fp", "pruned"), ("q", "pruned")}, agq.kernels.KernelError),
+    ]
+
+    @pytest.mark.parametrize("block,passes,error", FAILURES)
+    def test_first_failing_pass_matches_reference(self, runner, monkeypatch, tmp_path,
+                                                  block, passes, error):
+        t = 13
+        forward_block = agq.pipeline.forward_block
+
+        def failing(blk, x, cfg=None, trace=None):
+            kind = ("fp" if not cfg.sites else "q", "pruned" if len(x) < t else "full")
+            if blk.cfg.seed == block and kind in passes:  # init_stack seeds block i with i
+                raise error(f"injected in {kind[0]} {kind[1]} pass")
+            return forward_block(blk, x, cfg, trace)
+
+        monkeypatch.setattr(agq.pipeline, "forward_block", failing)
+        cfg = write_config(tmp_path / "cfg.json", sequence_length=t,
+                           block={"n_blocks": 5, "d_model": 32, "n_heads": 2},
+                           quantization={"mode": "w4a8"},
+                           prune={"beta": 0.5, "m": 2, "start_layer": 1})
+        got, want = _eval_both(runner, monkeypatch, ["--config", cfg])
+        assert got == want
+        assert got[0] == 3 and "injected" in got[2]
 
 
 class TestBench:

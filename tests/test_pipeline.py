@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from helpers import (
     locality_trial,
     naive_block_forward,
     prune_benefit_trial,
+    ref_attention_locality,
     ref_forward_block,
     ref_softmax_causal,
 )
@@ -319,6 +322,95 @@ class TestForwardStack:
         assert replay["kept_global"] == info["kept_global"]
 
 
+def _assert_same_run(got, want):
+    """Two ``forward_stack`` results agree bit for bit."""
+    (out, info), (want_out, want_info) = got, want
+    assert out.tobytes() == want_out.tobytes()
+    assert [m.probs.tobytes() for m in info["maps"]] == [
+        m.probs.tobytes() for m in want_info["maps"]]
+    for key in ("keeps", "kept_global", "kept_fractions", "sparsity"):
+        assert info[key] == want_info[key], key
+
+
+class TestResume:
+    """``resume=(hidden, maps)`` continues after the blocks that made
+    ``maps``; the result equals the unresumed pass bit for bit."""
+
+    N_BLOCKS = 4
+
+    def _stack(self, mode, act_quantizer):
+        cfg = BlockConfig(d_model=32, n_heads=2, d_ff=48,
+                          sites=preset_sites(mode, act_quantizer=act_quantizer), seed=5)
+        x = np.random.default_rng(5).standard_normal((11, 32)).astype(np.float32)
+        return init_stack(cfg, self.N_BLOCKS), x, cfg
+
+    @pytest.mark.parametrize("start,m", [(1, 2), (3, 1)], ids=["mid", "last-block"])
+    @pytest.mark.parametrize("mode", ["fp32", "w4a8", "w4a4"])
+    @pytest.mark.parametrize("act_quantizer", ["trip", "affine"])
+    def test_resumed_equals_unresumed(self, mode, act_quantizer, start, m):
+        blocks, x, cfg = self._stack(mode, act_quantizer)
+        schedule = agq.make_schedule(self.N_BLOCKS, start, 0.5, m)
+        split = schedule.prune_layers[0] + 1
+        records = []
+        want = forward_stack(blocks, x, schedule=schedule, trace=records)
+        prefix_records = []
+        pre_out, pre_info = forward_stack(blocks[:split], x, trace=prefix_records)
+        state = (pre_out, pre_info["maps"])
+        resumed_records = list(prefix_records)
+        got = forward_stack(blocks, x, schedule=schedule, trace=resumed_records, resume=state)
+        _assert_same_run(got, want)
+        assert resumed_records == records
+        assert got[1]["kept_global"] != list(range(len(x)))  # the resumed pass pruned
+        # the unpruned rest, and forced keeps replayed on an FP32 prefix
+        _assert_same_run(forward_stack(blocks, x, resume=state), forward_stack(blocks, x))
+        keeps = {i: want[1]["keeps"][i] for i in schedule.prune_layers}
+        fp_cfg = replace(cfg, sites={})
+        fp_out, fp_info = forward_stack(blocks[:split], x, fp_cfg)
+        _assert_same_run(
+            forward_stack(blocks, x, fp_cfg, forced_keeps=keeps,
+                          resume=(fp_out, fp_info["maps"])),
+            forward_stack(blocks, x, fp_cfg, forced_keeps=keeps))
+
+    # name -> forward_stack keywords, given the state after blocks 0..2
+    INVALID = {
+        "prune-layer-skipped": lambda out, maps: dict(
+            schedule=agq.make_schedule(4, 1, 0.5, 2), resume=(out, maps)),
+        "forced-keep-skipped": lambda out, maps: dict(
+            forced_keeps={1: [0, 1]}, resume=(out, maps)),
+        "more-maps-than-blocks": lambda out, maps: dict(resume=(out, maps + maps[:2])),
+        "no-maps": lambda out, maps: dict(resume=(out, [])),
+        "too-few-rows": lambda out, maps: dict(resume=(out[:-1], maps)),
+        "wrong-width": lambda out, maps: dict(resume=(np.hstack([out, out]), maps)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INVALID))
+    def test_invalid_state_rejected(self, name):
+        blocks, x, _ = self._stack("w4a8", "affine")
+        out, info = forward_stack(blocks[:3], x)
+        with pytest.raises(PipelineError, match="resume"):
+            forward_stack(blocks, x, **self.INVALID[name](out, info["maps"]))
+
+    def test_decision_layer_may_be_the_last_resumed_block(self):
+        blocks, x, _ = self._stack("w4a8", "affine")
+        schedule = agq.make_schedule(4, 1, 0.5, 2)  # prune layers (1, 3)
+        out, info = forward_stack(blocks[:2], x)
+        _assert_same_run(
+            forward_stack(blocks, x, schedule=schedule, forced_keeps={3: [0]},
+                          resume=(out, info["maps"])),
+            forward_stack(blocks, x, schedule=schedule, forced_keeps={3: [0]}))
+
+    def test_errors_number_blocks_globally(self, monkeypatch):
+        blocks, x, _ = self._stack("w4a8", "affine")
+        out, info = forward_stack(blocks[:2], x)
+
+        def fail(*args, **kwargs):
+            raise PipelineError("stage failed")
+
+        monkeypatch.setattr(agq.pipeline, "forward_block", fail)
+        with pytest.raises(PipelineError, match="^block 2: stage failed$"):
+            forward_stack(blocks, x, resume=(out, info["maps"]))
+
+
 class TestAnalyzeOutliers:
     def test_constant_input_no_outliers(self):
         r = analyze_outliers(np.full((8, 4), 2.5, dtype=np.float32), 3.0)
@@ -373,6 +465,22 @@ class TestAttentionLocality:
 
     def test_single_token(self):
         assert attention_locality(AttentionMap(probs=np.ones((2, 1, 1)))) == 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(t=st.integers(1, 80), heads=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       sparse=st.booleans(), f64=st.booleans())
+def test_locality_equals_row_loop(t, heads, seed, sparse, f64):
+    """The gathered locality equals the per-row loop bit for bit; ``sparse``
+    zeroes most entries, so many rows are near one-hot."""
+    rng = np.random.default_rng(seed)
+    w = rng.exponential(size=(heads, t, t)) * np.tri(t)
+    if sparse:
+        w *= rng.random((heads, t, t)) < 0.2
+        w[:, np.arange(t), np.arange(t)] += 1e-3
+    p = w / w.sum(axis=2, keepdims=True)
+    m = AttentionMap(probs=p if f64 else p.astype(np.float32))
+    assert attention_locality(m) == ref_attention_locality(m)
 
 
 class TestEmpiricalRegressions:

@@ -4,16 +4,20 @@ The public quantizers and TRIP functions check their tensor argument with
 ``as_tensor2d``; the forward pass checks its input once per call and then
 trusts its own stages, which ``forward_block`` checks for overflow. The
 same call counts show that a forward pass computes its per-site diagnostics
-only for a caller that passes a ``trace`` list.
+only for a caller that passes a ``trace`` list, and that ``agq eval`` runs
+each block computation its passes share once.
 """
 
 import dataclasses
+import json
 import sys
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import agq
+from agq.cli import main
 from agq.pipeline import BlockConfig, forward_stack, init_stack, preset_sites
 
 GOOD = np.random.default_rng(0).uniform(-2.0, 2.0, size=(6, 5)).astype(np.float32)
@@ -172,3 +176,27 @@ def test_trace_records_without_changing_the_pass(mode, act_quantizer):
     block_out, _ = agq.forward_block(blocks[0], x, trace=one)
     assert one == records[:len(per_block)]
     assert block_out.tobytes() == agq.forward_block(blocks[0], x)[0].tobytes()
+
+
+@pytest.mark.parametrize("prune,calls", [
+    ({"beta": 0.5, "m": 2}, 8 + 8 + 5 + 5),  # prune layers (2, 7): resume after block 2
+    (None, 8 + 8),
+])
+def test_eval_runs_shared_blocks_once(monkeypatch, tmp_path, prune, calls):
+    """Counts, never times: the FP32 and quantized passes run all 8 blocks;
+    the pruned passes resume at the first prune layer and run blocks 3..7."""
+    cfg = {"seed": 0, "sequence_length": 12,
+           "block": {"d_model": 16, "n_heads": 2, "d_ff": 16, "n_blocks": 8},
+           "quantization": {"mode": "w4a8"}}
+    if prune:
+        cfg["prune"] = prune
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    blocks = _counting(monkeypatch, agq.pipeline, "forward_block")
+    r = CliRunner().invoke(main, ["eval", "--config", str(path)])
+    assert r.exit_code == 0, r.output
+    assert [rec["name"] for rec in json.loads(r.stdout)["records"]] == (
+        ["no_prune", "prune"] if prune else ["no_prune"])
+    if prune:
+        assert json.loads(r.stdout)["records"][1]["schedule"]["prune_layers"] == [2, 7]
+    assert len(blocks) == calls
