@@ -4,8 +4,9 @@ A handful of channels in transformer activations carry values an order of
 magnitude larger than the rest. A single shared scale then wastes most of the
 code range on the quiet channels. The refinement keeps one shared scale but
 lets each channel pick a power-of-two multiplier (a cheap shift), chosen by
-exhaustive L2 search; the multipliers are then folded into the next weight
-matrix so the activation path never sees them.
+exhaustive L2 search. At the next matmul the multipliers stay integer work:
+weight row c's plain 4-bit codes are shifted left by alpha_c, so the
+product needs no re-quantized weights.
 """
 
 import numpy as np
@@ -36,11 +37,21 @@ for c in range(d):
     tag = " <- outlier channel" if c in (2, 5) else ""
     print(f"  channel {c}: refined L2 {e_ref:8.4f}   plain L2 {e_pln:8.4f}{tag}")
 
-# --- folding: the exponents vanish into the weights -----------------------
+# --- shifts: the exponents act on the integer weight codes ---------------
 w = rng.standard_normal((d, 4)).astype(np.float32)
-folded = agq.fold_trip_into_weights(w, params)
-lhs = ((q.codes.astype(np.float64) - params.base.zero_point)
-       @ folded.astype(np.float64)) * params.base.scale
-rhs = refined.astype(np.float64) @ w.astype(np.float64)
+wq = agq.quantize_weight_symmetric(w, agq.fit_weight_symmetric(w, 4))
+shifted = wq.codes.astype(np.int64) << params.alphas[:, None]
+raw = (q.codes.astype(np.int64) - params.zero_point) @ shifted  # exact int64
+lhs = raw * (params.scale * wq.params.scales)
+# dequantize_trip's values before its float32 cast, times the dequantized weights
+w_deq = wq.codes * wq.params.scales
+rhs = ((q.codes - params.zero_point) * params.steps) @ w_deq
 rel = np.abs(lhs - rhs).max() / np.abs(rhs).max()
-print(f"\nfolded-path vs dequantize-path relative gap: {rel:.3g}")
+print(f"\nshifted integer product vs dequantize_trip(q) @ w_deq: relative gap {rel:.3g}")
+
+# the kernel takes the shifted codes with a code range that bounds them
+shift_params = agq.ChannelSymmetricParams(
+    range=agq.CodeRange(4, signed=True, shift=params.cap), scales=wq.params.scales)
+out = agq.gemm_int_affine(q, agq.QuantTensor(shifted, shift_params, "weight"))
+print(f"gemm_int_affine on shifted codes equals it in float32: "
+      f"{np.array_equal(out, lhs.astype(np.float32))}")

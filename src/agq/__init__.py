@@ -1,8 +1,11 @@
 """Activation-guided low-bit quantization toolkit.
 
-Uniform and log2 quantizers, per-channel power-of-two refinement with weight
-folding, attention-importance token pruning, a bit-exact packed INT4 lane
-GEMM, and a toy causal decoder block that ties them together.
+Uniform and log2 quantizers, per-channel power-of-two refinement applied as
+exact integer shifts of prepared 4-bit weight codes (8-bit sites) or repeated
+lane channels (4-bit sites), attention-importance token pruning, a bit-exact
+packed INT4 lane GEMM, and a toy causal decoder block that ties them together.
+``fold_trip_into_weights`` remains as a float reference; no forward pass
+runs it.
 """
 
 from .kernels import (

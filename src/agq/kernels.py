@@ -85,11 +85,13 @@ def gemm_int_affine(aq: QuantTensor, wq: QuantTensor) -> np.ndarray:
     """Integer GEMM with zero-point correction, scaled back to FP32.
 
     ``aq`` carries unsigned activation codes (plain affine, or refined codes
-    whose per-channel factors were already folded into the weights before
-    weight quantization; both expose a scalar scale and zero point). ``wq``
-    is either a signed per-output-channel weight tensor (kind "weight") or a
-    second affine tensor (kind "affine", used for activation-activation
-    products such as Q @ K^T).
+    read at their shared scale and zero point; both expose a scalar scale and
+    zero point). ``wq`` is either a signed per-output-channel weight tensor
+    (kind "weight") or a second affine tensor (kind "affine", used for
+    activation-activation products such as Q @ K^T). For refined codes the
+    pipeline passes weight codes shifted left by each row's exponent, with a
+    ``CodeRange`` shift that bounds them; the exact integer sum, scaled once,
+    is then dequantize_trip(aq) @ w_deq in exact arithmetic.
     """
     if aq.kind not in ("affine", "trip"):
         raise KernelError(f"activation side must be affine/trip codes, got {aq.kind}")

@@ -8,7 +8,10 @@ weight matrix, so each site input is quantized once per block. Matmul sites
 are individually configurable: FP32 reference, 8-bit affine/refined
 activations against 4-bit weights, 4-bit activations through the packed lane
 GEMM, and log2-quantized softmax probabilities through the shift GEMM. Nonlinear
-operators (softmax, layernorm, the gate) always stay FP32. Q, K and V are each
+operators (softmax, layernorm, the gate) always stay FP32. Weight codes are
+quantized and packed once, in ``init_block``; refined activations reach them
+as exact integer shifts (8-bit) or repeated lane channels (4-bit), never as a
+per-call weight re-quantization. Q, K and V are each
 quantized once per block, each head with its own fit. Per-site MSE records are
 made only for a caller that passes a ``trace`` list.
 """
@@ -21,6 +24,7 @@ import numpy as np
 
 from .kernels import (
     Int4GemmParams,
+    PackedInt4Matrix,
     gemm_f32,
     gemm_int4_packed,
     gemm_int_affine,
@@ -36,6 +40,7 @@ from .pruning import (
     validate_map,
 )
 from .quantizers import (
+    ChannelSymmetricParams,
     QuantTensor,
     _fit_affine,
     _fit_weight_symmetric,
@@ -47,13 +52,7 @@ from .quantizers import (
     dequantize_log2,
 )
 from .tensor_store import as_tensor2d, slice_rows
-from .trip import (
-    MAX_TRIP_CAP,
-    _fit_trip,
-    _fold_trip_into_weights,
-    _quantize_trip,
-    dequantize_trip,
-)
+from .trip import MAX_TRIP_CAP, _fit_trip, _quantize_trip, dequantize_trip
 
 SITES = ("linear_transform", "qk", "attn_v", "projection", "fc1", "fc2")
 # Sites whose inputs come after the self-attention product and may run 4-bit.
@@ -143,11 +142,15 @@ def preset_sites(mode: str, act_quantizer: str = "trip", trip_cap: int = 3):
 class Block:
     cfg: BlockConfig
     weights: dict[str, np.ndarray]  # keyed by weight site; linear_transform = [wq|wk|wv]
-    weight_q: dict[str, QuantTensor]  # plain per-channel 4-bit codes per weight site
+    # Plain per-channel 4-bit codes per weight site, made once: TRIP exponents
+    # shift these codes (8-bit sites) or repeat lane channels (4-bit sites).
+    weight_q: dict[str, QuantTensor]
+    packed: dict[str, PackedInt4Matrix]  # weight_q codes + 8 as output-major nibbles
 
 
 def init_block(cfg: BlockConfig) -> Block:
-    """Deterministic scaled-normal weights plus precomputed 4-bit codes.
+    """Deterministic scaled-normal weights plus their 4-bit codes, quantized
+    and packed once here and never per call.
 
     Draws wq, wk, wv, wo, w1, w2 in that order; the first three are stored
     as the one fused (d, 3d) linear-transform weight.
@@ -162,7 +165,9 @@ def init_block(cfg: BlockConfig) -> Block:
         name: _quantize_weight_symmetric(w, _fit_weight_symmetric(w, 4))
         for name, w in weights.items()
     }
-    return Block(cfg=cfg, weights=weights, weight_q=weight_q)
+    packed = {name: pack_weights_for_gemm((wq.codes + 8).astype(np.uint8))
+              for name, wq in weight_q.items()}
+    return Block(cfg=cfg, weights=weights, weight_q=weight_q, packed=packed)
 
 
 def init_stack(cfg: BlockConfig, n_blocks: int) -> list[Block]:
@@ -206,26 +211,43 @@ def _mse(x: np.ndarray, dequant: np.ndarray) -> float:
     return float(d.mean())
 
 
+def _site_product(aq: QuantTensor, wq: QuantTensor, packed: PackedInt4Matrix) -> np.ndarray:
+    """Quantized activations ``aq`` times a site's 4-bit weight codes ``wq``,
+    which ``packed`` holds as nibbles. TRIP exponents act on integers only,
+    exactly: 8-bit codes meet weight row c shifted left by alpha_c, and 4-bit
+    codes stay nibbles in the lane GEMM, with channel c counted
+    2^(alpha_c - min alpha) times and the scale times 2^min alpha."""
+    p = aq.params
+    if p.range.bits == 8:
+        if aq.kind == "trip":
+            shifted = ChannelSymmetricParams(range=replace(wq.params.range, shift=p.cap),
+                                             scales=wq.params.scales)
+            wq = QuantTensor(codes=wq.codes << p.alphas.astype(np.int32)[:, None],
+                             params=shifted, kind="weight")
+        return gemm_int_affine(aq, wq)
+    codes, scale = aq.codes.astype(np.uint8), p.scale
+    if aq.kind == "trip":
+        low = int(p.alphas.min())
+        cols = np.repeat(np.arange(aq.cols), 1 << (p.alphas - low))
+        codes = codes[:, cols]
+        packed = replace(packed, cols=len(cols), data=packed.data[:, cols])
+        scale *= 2.0**low
+    params = Int4GemmParams(act_scale=scale, act_zero_point=p.zero_point,
+                            weight_scales=wq.params.scales)
+    return gemm_int4_packed(codes, packed, params)
+
+
 def _site_matmul(block: Block, cfg: BlockConfig, name: str, x: np.ndarray,
                  trace: list | None) -> np.ndarray:
     """Run weight site ``name`` on ``x`` at the site's configured precision."""
-    sc, w, wq = cfg.site(name), block.weights[name], block.weight_q[name]
+    sc = cfg.site(name)
     if sc.act_bits == 32:
-        return gemm_f32(x, w)
+        return gemm_f32(x, block.weights[name])
     aq = _quantize_act(x, sc)
     if trace is not None:
         dequant = dequantize_trip(aq) if aq.kind == "trip" else dequantize_affine(aq)
         trace.append({"site": name, "act_bits": sc.act_bits, "mse": _mse(x, dequant)})
-    if aq.kind == "trip":
-        folded = _fold_trip_into_weights(w, aq.params)
-        wq = _quantize_weight_symmetric(folded, _fit_weight_symmetric(folded, 4))
-    if sc.act_bits == 8:
-        return gemm_int_affine(aq, wq)
-    # 4-bit activations: packed lane GEMM on unsigned nibbles
-    packed = pack_weights_for_gemm((wq.codes + 8).astype(np.uint8))
-    params = Int4GemmParams(act_scale=aq.params.scale, act_zero_point=aq.params.zero_point,
-                            weight_scales=wq.params.scales)
-    return gemm_int4_packed(aq.codes.astype(np.uint8), packed, params)
+    return _site_product(aq, block.weight_q[name], block.packed[name])
 
 
 def _finite(x: np.ndarray, stage: str) -> np.ndarray:

@@ -29,18 +29,21 @@ class KindMismatchError(QuantError):
 class CodeRange:
     bits: int
     signed: bool
+    shift: int = 0  # codes of ``bits`` bits, each shifted left by 0..shift places
 
     def __post_init__(self):
         if not 2 <= self.bits <= 8:
             raise QuantError(f"bits must be in 2..8, got {self.bits}")
+        if self.shift < 0:
+            raise QuantError(f"shift must be non-negative, got {self.shift}")
 
     @property
     def lo(self) -> int:
-        return -(2 ** (self.bits - 1)) if self.signed else 0
+        return -(2 ** (self.bits - 1)) << self.shift if self.signed else 0
 
     @property
     def hi(self) -> int:
-        return 2 ** (self.bits - 1) - 1 if self.signed else 2**self.bits - 1
+        return (2 ** (self.bits - 1) - 1 if self.signed else 2**self.bits - 1) << self.shift
 
 
 @dataclass(frozen=True)
@@ -195,7 +198,7 @@ class ChannelSymmetricParams:
     scales: np.ndarray  # one positive scale per output column
 
     def __post_init__(self):
-        if np.any(self.scales <= 0):
+        if (self.scales <= 0).any():
             raise QuantError("all channel scales must be positive")
 
 

@@ -3,9 +3,12 @@
 All channels share one scale and zero point; each channel c additionally gets
 an integer exponent alpha_c in {0..K} so its effective step is 2^alpha_c * s.
 The exponents are chosen per channel by exhaustively minimizing the L2
-round-trip reconstruction error, and can be folded into the weight matrix so
-the integer GEMM stays layer-wise scaled. Input is validated as in
-``quantizers``.
+round-trip reconstruction error. The pipeline applies them as exact integer
+work on the plain 4-bit weight codes: an 8-bit site shifts weight row c left
+by alpha_c, and a 4-bit site counts channel c 2^(alpha_c - min alpha) times in
+the lane GEMM. ``fold_trip_into_weights`` scales float weights instead; it is
+a reference for that identity and no longer runs in a forward pass. Input is
+validated as in ``quantizers``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ class TripParams:
     def __post_init__(self):
         if not 0 <= self.cap <= MAX_TRIP_CAP:
             raise QuantError(f"cap must be in 0..{MAX_TRIP_CAP}, got {self.cap}")
-        if np.any(self.alphas < 0) or np.any(self.alphas > self.cap):
+        a = self.alphas
+        if a.size and (a.min() < 0 or a.max() > self.cap):
             raise QuantError("channel exponents must lie in 0..cap")
 
     @property
@@ -135,6 +139,11 @@ def _fold_trip_into_weights(w: np.ndarray, p: TripParams) -> np.ndarray:
     """Scale weight row c by 2^alpha_c so the per-channel factors vanish
     from the activation path: ((codes - zp) @ folded_w) * s equals
     dequantize_trip(q) @ w in exact arithmetic.
+
+    A float reference only: a forward pass never folds, since folded weights
+    would need a 4-bit re-fit and re-quantization on every call. The
+    pipeline shifts the integer weight codes (8-bit sites) or repeats lane
+    channels (4-bit sites) instead.
     """
     if w.shape[0] != len(p.alphas):
         raise QuantError(

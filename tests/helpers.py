@@ -211,6 +211,16 @@ def int64_gemm_int_affine(aq, wq):
     return (raw.astype(np.float64) * (s_a * s_b)).astype(np.float32)
 
 
+def ref_trip_product(aq, wq):
+    """The int64 formulation of a TRIP site's product: sum_c (a_c - zp) *
+    2^alpha_c * w_cj exactly in int64, then one scale to float32."""
+    p = aq.params
+    a = (aq.codes.astype(np.int64) - p.zero_point) << p.alphas.astype(np.int64)[None, :]
+    raw = a @ wq.codes.astype(np.int64)
+    return (raw.astype(np.float64) * (p.scale * wq.params.scales[None, :])).astype(
+        np.float32)
+
+
 def int64_gemm_log2_attnv(probs_q, vq):
     """The int64 formulation of ``gemm_log2_attnv``: sign * 2^(Ks - code)
     times (v_code - zp) accumulated in int64, then one scale to float32."""

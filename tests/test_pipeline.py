@@ -183,10 +183,83 @@ class TestInit:
             recon = q.codes.astype(np.float64) * q.params.scales[None, :]
             assert np.all(np.abs(w - recon) <= q.params.scales[None, :] / 2 + 1e-6)
 
+    def test_packed_unpacks_to_codes_plus_8(self):
+        b = init_block(BlockConfig(d_model=8, n_heads=2, d_ff=12, seed=5))
+        assert set(b.packed) == set(b.weight_q)
+        for name, wq in b.weight_q.items():
+            np.testing.assert_array_equal(agq.unpack_int4(b.packed[name]).T, wq.codes + 8)
+
     def test_stack_seeds_differ(self):
         blocks = init_stack(BlockConfig(seed=0), 3)
         assert not np.array_equal(blocks[0].weights["linear_transform"],
                                   blocks[1].weights["linear_transform"])
+
+
+def _small_stack(sites, t=8, n_blocks=2):
+    cfg = BlockConfig(d_model=16, n_heads=2, d_ff=32, sites=sites, seed=3)
+    x = np.random.default_rng(3).standard_normal((t, 16)).astype(np.float32)
+    x[:, [1, 6]] *= 20.0  # outlier channels: exponents spread over 0..cap
+    return init_stack(cfg, n_blocks), x
+
+
+def _lane_sites(cap):
+    """w4a8 with every post-attention weight site at 4-bit TRIP, cap ``cap``."""
+    sites = preset_sites("w4a8", trip_cap=cap)
+    sites.update(dict.fromkeys(("projection", "fc1", "fc2"), SiteConfig(4, "trip", cap)))
+    return sites
+
+
+@pytest.mark.parametrize("sites,cap", [(preset_sites(mode, trip_cap=cap), cap)
+                                       for mode in ("w4a8", "w4a4") for cap in range(7)]
+                         + [(_lane_sites(6), 6)])
+def test_every_trip_cap_runs_with_true_weight_range(sites, cap, monkeypatch):
+    """Shifted weight codes reach +-8 * 2^cap, past an 8-bit range from cap 5
+    on; the range gemm_int_affine receives still bounds every code."""
+    seen = []
+    kernel = agq.pipeline.gemm_int_affine
+
+    def spy(aq, wq):
+        if wq.kind == "weight":
+            seen.append((aq.kind, wq.params.range, int(wq.codes.min()), int(wq.codes.max())))
+        return kernel(aq, wq)
+
+    monkeypatch.setattr(agq.pipeline, "gemm_int_affine", spy)
+    blocks, x = _small_stack(sites)
+    out, _ = forward_stack(blocks, x)
+    assert np.isfinite(out).all()
+    assert seen and {kind for kind, *_ in seen} == {"trip"}
+    for _, rng, lo, hi in seen:
+        assert (rng.lo, rng.hi) == (-8 * 2**cap, 7 * 2**cap)
+        assert rng.lo <= lo and hi <= rng.hi
+    if cap:  # some channel took an exponent above 0
+        assert max(hi for *_, hi in seen) > 7
+
+
+@pytest.mark.parametrize("sites", [preset_sites("w4a8"), preset_sites("w4a4"),
+                                   preset_sites("w4a4", act_quantizer="affine"),
+                                   _lane_sites(6)])
+def test_forward_does_no_weight_work(sites, monkeypatch):
+    """Weights are fitted, quantized and packed in init_block only; a forward
+    pass never folds, re-fits, re-quantizes or re-packs them."""
+    names = ("_fold_trip_into_weights", "_fit_weight_symmetric",
+             "_quantize_weight_symmetric", "pack_weights_for_gemm")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (agq.kernels, agq.quantizers, agq.trip, agq.pipeline):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    blocks, x = _small_stack(sites)
+    assert calls["_quantize_weight_symmetric"] == calls["pack_weights_for_gemm"] == 8
+    calls.update(dict.fromkeys(names, 0))
+    forward_stack(blocks, x)
+    assert calls == dict.fromkeys(names, 0)
 
 
 class TestForwardFP:

@@ -1,10 +1,23 @@
+import functools
+
 import numpy as np
 import pytest
-from helpers import naive_trip_argmin, ref_fit_trip
-from hypothesis import given, settings
+from helpers import naive_trip_argmin, ref_fit_trip, ref_trip_product
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agq.quantizers import QuantError, fit_affine, quantize_affine
+from agq import kernels
+from agq.kernels import pack_weights_for_gemm
+from agq.pipeline import _site_product
+from agq.quantizers import (
+    AffineParams,
+    ChannelSymmetricParams,
+    CodeRange,
+    QuantError,
+    QuantTensor,
+    fit_affine,
+    quantize_affine,
+)
 from agq.trip import (
     TripParams,
     dequantize_trip,
@@ -194,3 +207,74 @@ def test_fit_equals_norm_loop_oracle(shape, seed, amp, bits, cap, on_grid):
     assert (p.cap, p.base) == (ref.cap, ref.base)
     assert p.alphas.dtype == ref.alphas.dtype
     np.testing.assert_array_equal(p.alphas, ref.alphas)
+
+
+def _trip_site(m, k, n, bits, cap, seed, alphas=None):
+    """Random TRIP activation codes against random 4-bit weight codes, as
+    (aq, wq, packed) for ``_site_product``."""
+    rng = np.random.default_rng(seed)
+    hi = 2**bits - 1
+    base = AffineParams(CodeRange(bits, signed=False), float(rng.uniform(1e-3, 10.0)),
+                        int(rng.integers(0, hi + 1)))
+    if alphas is None:
+        alphas = rng.integers(0, cap + 1, k)
+    aq = QuantTensor(rng.integers(0, hi + 1, (m, k)).astype(np.int32),
+                     TripParams(base=base, alphas=np.asarray(alphas), cap=cap), "trip")
+    w_codes = rng.integers(-8, 8, (k, n)).astype(np.int32)
+    wq = QuantTensor(w_codes, ChannelSymmetricParams(CodeRange(4, signed=True),
+                                                     rng.uniform(1e-3, 1.0, n)), "weight")
+    return aq, wq, pack_weights_for_gemm((w_codes + 8).astype(np.uint8))
+
+
+class TestShiftedProduct:
+    """A TRIP site's product applies each exponent as an exact integer
+    shift (8-bit) or channel repeat (4-bit) of the plain weight codes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 70), st.integers(1, 6), st.sampled_from([4, 8]),
+           st.integers(0, 6), st.integers(0, 2**32 - 1))
+    @example(m=3, k=70, n=5, bits=4, cap=6, seed=0)  # repeated k far past 256
+    def test_equals_int64_oracle(self, m, k, n, bits, cap, seed):
+        aq, wq, packed = _trip_site(m, k, n, bits, cap, seed)
+        got = _site_product(aq, wq, packed)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, ref_trip_product(aq, wq))
+
+    @pytest.mark.parametrize("cap", [4, 6])
+    def test_repeats_split_into_lane_groups(self, cap, monkeypatch):
+        # half the channels at exponent 0 and half at cap: k repeats to
+        # 20 + 20 * 2^cap, more than one 256-addition lane group
+        aq, wq, packed = _trip_site(4, 40, 6, 4, cap, cap, alphas=[0, cap] * 20)
+        inner = []
+        raw = kernels.gemm_int4_raw
+        monkeypatch.setattr(kernels, "gemm_int4_raw",
+                            lambda a, p, **kw: inner.append(p.cols) or raw(a, p, **kw))
+        got = _site_product(aq, wq, packed)
+        assert inner == [20 + 20 * 2**cap] and inner[0] > kernels.MAX_LANE_ADDITIONS
+        np.testing.assert_array_equal(got, ref_trip_product(aq, wq))
+
+    def test_lane_path_equals_scalar_lane_model(self, monkeypatch):
+        aq, wq, packed = _trip_site(2, 5, 3, 4, 2, 9, alphas=[2, 0, 1, 2, 1])
+        vector = _site_product(aq, wq, packed)
+        monkeypatch.setattr(kernels, "gemm_int4_raw",
+                            functools.partial(kernels.gemm_int4_raw, impl="scalar"))
+        scalar = _site_product(aq, wq, packed)
+        np.testing.assert_array_equal(scalar, vector)
+        np.testing.assert_array_equal(scalar, ref_trip_product(aq, wq))
+
+    def test_shifted_range_bounds_every_cap(self):
+        for cap in range(7):
+            rng = CodeRange(4, signed=True, shift=cap)
+            assert (rng.lo, rng.hi) == (-8 * 2**cap, 7 * 2**cap)
+        with pytest.raises(QuantError, match="bits must be in 2..8"):
+            CodeRange(9, signed=True)
+        with pytest.raises(QuantError, match="shift must be non-negative"):
+            CodeRange(4, signed=True, shift=-1)
+
+
+def test_exponent_check_messages_and_empty():
+    base = fit_affine(np.zeros((1, 1), dtype=np.float32), 8)
+    assert TripParams(base=base, alphas=np.zeros(0, dtype=np.int64), cap=0).alphas.size == 0
+    for alphas in ([0, -1], [0, 4]):
+        with pytest.raises(QuantError, match="^channel exponents must lie in 0..cap$"):
+            TripParams(base=base, alphas=np.array(alphas), cap=3)
