@@ -52,6 +52,6 @@ print(f"\nshifted integer product vs dequantize_trip(q) @ w_deq: relative gap {r
 # the kernel takes the shifted codes with a code range that bounds them
 shift_params = agq.ChannelSymmetricParams(
     range=agq.CodeRange(4, signed=True, shift=params.cap), scales=wq.params.scales)
-out = agq.gemm_int_affine(q, agq.QuantTensor(shifted, shift_params, "weight"))
+out = agq.gemm_int_affine(q, agq.QuantTensor(shifted, shift_params))
 print(f"gemm_int_affine on shifted codes equals it in float32: "
       f"{np.array_equal(out, lhs.astype(np.float32))}")

@@ -37,7 +37,8 @@ w = rng.standard_normal((k, n)).astype(np.float32)
 
 aq = agq.quantize_affine(x, agq.fit_affine(x, 4))
 wq = agq.quantize_weight_symmetric(w, agq.fit_weight_symmetric(w, 4))
-packed = agq.pack_weights_for_gemm((wq.codes + 8).astype(np.uint8))
+zp = agq.Int4GemmParams.weight_zero_point  # signed code + 8 -> unsigned nibble
+packed = agq.pack_weights_for_gemm((wq.codes + zp).astype(np.uint8))
 params = agq.Int4GemmParams(
     act_scale=aq.params.scale,
     act_zero_point=aq.params.zero_point,

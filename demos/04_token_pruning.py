@@ -25,8 +25,8 @@ t, heads = 40, 2
 probs = np.tril(rng.uniform(0.05, 1.0, (heads, t, t)))
 probs /= probs.sum(axis=2, keepdims=True)
 amap = agq.AttentionMap(probs=probs)
-scores = agq.score_tokens(amap)
-print(f"\nimportance scores: {[f'{s:.3f}' for s in scores.scores]}")
+scores = agq.score_tokens(amap)  # one float per token
+print(f"\nimportance scores: {[f'{s:.3f}' for s in scores]}")
 
 x = rng.standard_normal((t, 4)).astype(np.float32)
 pruned, kept = agq.prune_step(x, scores, schedule.per_layer_ratio * 3)
@@ -38,8 +38,7 @@ kept_global = list(range(t))
 fractions = []
 for layer in range(n_layers):
     if layer in schedule.prune_layers:
-        sub_scores = agq.TokenImportance(scores.scores[kept_global])
-        x, local = agq.prune_step(x, sub_scores, schedule.per_layer_ratio)
+        x, local = agq.prune_step(x, scores[kept_global], schedule.per_layer_ratio)
         kept_global = [kept_global[i] for i in local]
     fractions.append(len(kept_global) / t)
 

@@ -4,9 +4,13 @@ Runs one toy causal decoder block (attention + gated MLP) in FP32, W4A8
 (8-bit activations everywhere, 4-bit log2 softmax output), and W4A4 (the
 post-attention projection and FC1 inputs additionally at 4-bit through the
 packed lane GEMM), and prints per-site quantization MSE plus the divergence
-of each preset from the FP32 reference. Also shows the two analysis passes:
-per-channel outlier counts and the attention locality index.
+of each preset from the FP32 reference. The FP32 reference is the same
+block with every site at the default FP32 config, and the MSEs come from the
+trace list ``forward_block`` fills when one is passed. Also shows the two
+analysis passes: per-channel outlier counts and the attention locality index.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,11 +23,13 @@ x = rng.standard_normal((16, 64)).astype(np.float32)
 for mode in ("w4a8", "w4a4"):
     cfg = agq.BlockConfig(sites=agq.preset_sites(mode), seed=seed)
     block = agq.init_block(cfg)
-    out, diags = agq.forward_quant(block, x)
-    print(f"{mode}: cosine vs FP32 = {diags['cosine']:.4f}")
+    records = []
+    out, _ = agq.forward_block(block, x, trace=records)
+    fp_out, _ = agq.forward_block(block, x, replace(cfg, sites={}))
+    print(f"{mode}: cosine vs FP32 = {agq.cosine_similarity(out, fp_out):.4f}")
     # attn_v records one entry per head; print their mean, one line per site
     by_site = {}
-    for entry in diags["sites"]:
+    for entry in records:
         by_site.setdefault((entry["site"], entry["act_bits"]), []).append(entry["mse"])
     for (site, bits), mses in by_site.items():
         heads = f"  (mean of {len(mses)} heads)" if len(mses) > 1 else ""
@@ -41,10 +47,10 @@ cfg = agq.BlockConfig(sites=agq.preset_sites("w4a8", act_quantizer="affine"),
                       seed=seed)
 block = agq.init_block(cfg)
 stripe = agq.make_stripe_input(block, t=16, seed=seed + 1000)
-_, fp_maps = agq.forward_fp(block, stripe)
+_, fp_map = agq.forward_block(block, stripe, replace(cfg, sites={}))
 _, q_map = agq.forward_block(block, stripe, cfg)
 print(f"\nstart-token-stripe fixture, locality index "
       f"(mass on the two previous positions):")
-print(f"  FP32:      {agq.attention_locality(fp_maps[0]):.4f}")
+print(f"  FP32:      {agq.attention_locality(fp_map):.4f}")
 print(f"  quantized: {agq.attention_locality(q_map):.4f}  "
       f"(outliers crush the stripe, attention turns local)")

@@ -4,6 +4,8 @@ Uniform and log2 quantizers, per-channel power-of-two refinement applied as
 exact integer shifts of prepared 4-bit weight codes (8-bit sites) or repeated
 lane channels (4-bit sites), attention-importance token pruning, a bit-exact
 packed INT4 lane GEMM, and a toy causal decoder block that ties them together.
+``forward_block`` is the one block pass: with ``replace(cfg, sites={})`` it is
+the FP32 reference, and a ``trace`` list collects per-site MSE records.
 ``fold_trip_into_weights`` remains as a float reference; no forward pass
 runs it.
 """
@@ -36,8 +38,6 @@ from .pipeline import (
     attention_locality,
     cosine_similarity,
     forward_block,
-    forward_fp,
-    forward_quant,
     forward_stack,
     init_block,
     init_stack,
@@ -48,7 +48,6 @@ from .pipeline import (
 from .pruning import (
     AttentionMap,
     PruneSchedule,
-    TokenImportance,
     default_start_layer,
     make_schedule,
     prune_step,

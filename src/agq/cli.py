@@ -94,12 +94,13 @@ def load_config(path: str) -> dict:
     such as a head count that does not divide ``d_model`` or a prune schedule
     that does not fit the block count.
     """
-    with open(path) as f:
-        raw = f.read()
     try:
-        cfg = json.loads(raw)
+        with open(path, encoding="utf-8") as f:
+            cfg = json.loads(f.read(), parse_constant=_finite, parse_float=_finite)
     except json.JSONDecodeError as e:
         raise ConfigError(f"parse error at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except (ValueError, RecursionError) as e:  # not UTF-8, not finite, nested too deep
+        raise ConfigError(f"parse error: {e}") from e
     error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
     if error is not None:
         raise ConfigError(f"schema: {error.message}")
@@ -109,6 +110,14 @@ def load_config(path: str) -> dict:
     except (pipeline.PipelineError, pruning.PruneError) as e:
         raise ConfigError(str(e)) from e
     return cfg
+
+
+def _finite(literal: str) -> float:
+    """A JSON number, or NaN/Infinity, as a float; only finite ones pass."""
+    value = float(literal)
+    if not np.isfinite(value):
+        raise ValueError(f"{literal} is not a finite number")
+    return value
 
 
 def _block_config(cfg: dict) -> pipeline.BlockConfig:
@@ -166,16 +175,17 @@ def quantize(config_path, in_path, out_path):
     store = tensor_store.load_store(in_path)
     out_store: dict[str, np.ndarray] = {}
     sidecar: dict[str, dict] = {}
+    zp = kernels.Int4GemmParams.weight_zero_point
     for name in sorted(store):
         w = store[name]
         if w.dtype != np.float32:
             continue
         wq = quantize_weight_symmetric(w, fit_weight_symmetric(w, 4))
-        out_store[name + ".codes"] = (wq.codes + 8).astype(np.uint8)
+        out_store[name + ".codes"] = (wq.codes + zp).astype(np.uint8)
         sidecar[name] = {
             "kind": "weight_symmetric",
             "bits": 4,
-            "offset": 8,
+            "offset": zp,
             "scales": [float(s) for s in wq.params.scales],
         }
     tensor_store.save_store(out_store, out_path)
@@ -199,7 +209,7 @@ def analyze(config_path, in_path, input_name):
     k_sigma = cfg.get("analysis", {}).get("k_sigma", 3.0)
     report_out = pipeline.analyze_outliers(x, k_sigma)
     block = pipeline.init_block(_block_config(cfg))
-    _, fp_maps = pipeline.forward_fp(block, x)
+    _, fp_map = pipeline.forward_block(block, x, replace(block.cfg, sites={}))
     _, q_map = pipeline.forward_block(block, x)
     report = {
         "outliers": {
@@ -208,7 +218,7 @@ def analyze(config_path, in_path, input_name):
             "counts": report_out.counts.tolist(),
             "ranked_channels": report_out.ranked_channels.tolist(),
         },
-        "locality_fp": pipeline.attention_locality(fp_maps[0]),
+        "locality_fp": pipeline.attention_locality(fp_map),
         "locality_q": pipeline.attention_locality(q_map),
     }
     _emit(report, cfg)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -211,7 +212,7 @@ class Int4GemmParams:
     act_scale: float
     act_zero_point: int
     weight_scales: np.ndarray  # per logical output row of the packed matrix
-    weight_zero_point: int = 8  # signed code + 8 -> unsigned nibble
+    weight_zero_point: ClassVar[int] = 8  # signed code + 8 -> unsigned nibble
 
 
 def pack_weights_for_gemm(weight_nibbles) -> PackedInt4Matrix:
@@ -344,7 +345,8 @@ def bench_gemm(m: int, k: int, n: int, kernel: str, repeats: int, seed: int = 0)
     else:
         aq = quantize_affine(a, fit_affine(a, 4))
         wq = quantize_weight_symmetric(w, fit_weight_symmetric(w, 4))
-        packed = pack_weights_for_gemm((wq.codes + 8).astype(np.uint8))
+        packed = pack_weights_for_gemm(
+            (wq.codes + Int4GemmParams.weight_zero_point).astype(np.uint8))
         params = Int4GemmParams(
             act_scale=aq.params.scale,
             act_zero_point=aq.params.zero_point,

@@ -13,7 +13,8 @@ quantized and packed once, in ``init_block``; refined activations reach them
 as exact integer shifts (8-bit) or repeated lane channels (4-bit), never as a
 per-call weight re-quantization. Q, K and V are each
 quantized once per block, each head with its own fit. Per-site MSE records are
-made only for a caller that passes a ``trace`` list.
+made only for a caller that passes a ``trace`` list. The FP32 reference pass
+is ``forward_block`` with ``replace(cfg, sites={})``.
 """
 
 from __future__ import annotations
@@ -145,7 +146,7 @@ class Block:
     # Plain per-channel 4-bit codes per weight site, made once: TRIP exponents
     # shift these codes (8-bit sites) or repeat lane channels (4-bit sites).
     weight_q: dict[str, QuantTensor]
-    packed: dict[str, PackedInt4Matrix]  # weight_q codes + 8 as output-major nibbles
+    packed: dict[str, PackedInt4Matrix]  # weight_q codes + weight_zero_point, output-major
 
 
 def init_block(cfg: BlockConfig) -> Block:
@@ -165,7 +166,8 @@ def init_block(cfg: BlockConfig) -> Block:
         name: _quantize_weight_symmetric(w, _fit_weight_symmetric(w, 4))
         for name, w in weights.items()
     }
-    packed = {name: pack_weights_for_gemm((wq.codes + 8).astype(np.uint8))
+    zp = Int4GemmParams.weight_zero_point
+    packed = {name: pack_weights_for_gemm((wq.codes + zp).astype(np.uint8))
               for name, wq in weight_q.items()}
     return Block(cfg=cfg, weights=weights, weight_q=weight_q, packed=packed)
 
@@ -222,8 +224,7 @@ def _site_product(aq: QuantTensor, wq: QuantTensor, packed: PackedInt4Matrix) ->
         if aq.kind == "trip":
             shifted = ChannelSymmetricParams(range=replace(wq.params.range, shift=p.cap),
                                              scales=wq.params.scales)
-            wq = QuantTensor(codes=wq.codes << p.alphas.astype(np.int32)[:, None],
-                             params=shifted, kind="weight")
+            wq = QuantTensor(wq.codes << p.alphas.astype(np.int32)[:, None], shifted)
         return gemm_int_affine(aq, wq)
     codes, scale = aq.codes.astype(np.uint8), p.scale
     if aq.kind == "trip":
@@ -311,28 +312,6 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
     return out, AttentionMap(probs=probs)
 
 
-def forward_fp(block: Block, x):
-    """FP32 reference pass: every site forced to the FP32 kernel."""
-    fp_cfg = replace(block.cfg, sites={})
-    out, amap = forward_block(block, x, fp_cfg)
-    return out, [amap]
-
-
-def forward_quant(block: Block, x, cfg: BlockConfig | None = None):
-    """Configured pass; diagnostics carry per-site MSE and FP divergence."""
-    cfg = cfg or block.cfg
-    sites = []
-    out, amap = forward_block(block, x, cfg, trace=sites)
-    fp_out, fp_maps = forward_fp(block, x)
-    diagnostics = {
-        "sites": sites,
-        "cosine": cosine_similarity(out, fp_out),
-        "locality_fp": attention_locality(fp_maps[0]),
-        "locality_q": attention_locality(amap),
-    }
-    return out, diagnostics
-
-
 def forward_stack(blocks: list[Block], x, cfg: BlockConfig | None = None,
                   schedule: PruneSchedule | None = None,
                   forced_keeps: dict[int, list[int]] | None = None,
@@ -373,8 +352,7 @@ def forward_stack(blocks: list[Block], x, cfg: BlockConfig | None = None,
             kept_global = [kept_global[j] for j in local]
             info["keeps"].append(local)
         elif schedule is not None and i in schedule.prune_layers:
-            scores = score_tokens(amap)
-            x, local = prune_step(x, scores, schedule.per_layer_ratio)
+            x, local = prune_step(x, score_tokens(amap), schedule.per_layer_ratio)
             kept_global = [kept_global[j] for j in local]
             info["keeps"].append(local)
         else:

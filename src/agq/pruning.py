@@ -53,15 +53,11 @@ def validate_map(m: AttentionMap) -> None:
         raise PruneError("attention rows do not sum to 1")
 
 
-@dataclass(frozen=True)
-class TokenImportance:
-    scores: np.ndarray  # start-token attentivity per token, in [0, 1]
-
-
-def score_tokens(m: AttentionMap) -> TokenImportance:
-    """Head-mean of each token's attention probability on position 0."""
+def score_tokens(m: AttentionMap) -> np.ndarray:
+    """Head-mean of each token's attention probability on position 0: its
+    start-token attentivity, in [0, 1]."""
     validate_map(m)
-    return TokenImportance(scores=m.probs[:, :, 0].mean(axis=0))
+    return m.probs[:, :, 0].mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -103,15 +99,16 @@ def default_start_layer(n: int) -> int:
     return max(1, n // 4)
 
 
-def prune_step(x, scores: TokenImportance, gamma: float):
-    """Drop the floor(gamma * (T - 1)) least important non-start tokens.
+def prune_step(x, scores, gamma: float):
+    """Drop the floor(gamma * (T - 1)) least important non-start tokens,
+    by one importance score per token.
 
     The start token is never pruned. Ties are broken by dropping the later
     position first. Returns the sliced tensor and the kept indices.
     """
     x = as_tensor2d(x)
     t = x.shape[0]
-    s = np.asarray(scores.scores, dtype=np.float64)
+    s = np.asarray(scores, dtype=np.float64)
     if len(s) != t:
         raise PruneError(f"score length {len(s)} != token count {t}")
     n_drop = math.floor(gamma * (t - 1))

@@ -9,6 +9,7 @@ check their input with ``as_tensor2d``; the pipeline calls the private cores.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,6 +49,7 @@ class CodeRange:
 
 @dataclass(frozen=True)
 class AffineParams:
+    kind: ClassVar[str] = "affine"
     range: CodeRange
     scale: float
     zero_point: int
@@ -61,6 +63,7 @@ class AffineParams:
 
 @dataclass(frozen=True)
 class Log2Params:
+    kind: ClassVar[str] = "log2"
     bits: int
     max_abs: float
 
@@ -78,9 +81,13 @@ class Log2Params:
 @dataclass(frozen=True)
 class QuantTensor:
     codes: np.ndarray  # integer codes, shape (rows, cols)
-    params: object  # AffineParams, Log2Params, or TripParams
-    kind: str  # "affine" | "log2" | "trip"
+    params: object  # AffineParams, Log2Params, TripParams or ChannelSymmetricParams
     signs: np.ndarray | None = field(default=None)  # log2 only: -1/0/+1
+
+    @property
+    def kind(self) -> str:
+        """The params type's kind: "affine", "log2", "trip" or "weight"."""
+        return self.params.kind
 
     @property
     def rows(self) -> int:
@@ -123,7 +130,7 @@ def quantize_affine(x, p: AffineParams) -> QuantTensor:
 def _quantize_affine(x: np.ndarray, p: AffineParams) -> QuantTensor:
     codes = _round(x.astype(np.float64) / p.scale) + p.zero_point
     codes = _clip(codes, p.range.lo, p.range.hi).astype(np.int32)
-    return QuantTensor(codes=codes, params=p, kind="affine")
+    return QuantTensor(codes=codes, params=p)
 
 
 def _quantize_heads(x: np.ndarray, n_heads: int, bits: int) -> list[QuantTensor]:
@@ -139,8 +146,7 @@ def _quantize_heads(x: np.ndarray, n_heads: int, bits: int) -> list[QuantTensor]
     zp = _clip(np.rint(-lo / scale), rng.lo, rng.hi)
     codes = _round(heads.astype(np.float64) / scale[:, None]) + zp[:, None]
     codes = _clip(codes, rng.lo, rng.hi).astype(np.int32)
-    return [QuantTensor(codes=codes[:, h], kind="affine",
-                        params=AffineParams(range=rng, scale=float(s), zero_point=int(z)))
+    return [QuantTensor(codes[:, h], AffineParams(rng, float(s), int(z)))
             for h, (s, z) in enumerate(zip(scale, zp))]
 
 
@@ -168,7 +174,7 @@ def _quantize_log2(x: np.ndarray, bits: int) -> QuantTensor:
     signs = np.subtract(x > 0, x < 0, dtype=np.int8)
     if p.max_abs == 0.0:
         codes = np.zeros_like(x, dtype=np.int32)
-        return QuantTensor(codes=codes, params=p, kind="log2", signs=signs)
+        return QuantTensor(codes=codes, params=p, signs=signs)
     e = x.astype(np.float64)  # one buffer: |x| / max_abs -> -log2 -> code
     np.abs(e, out=e)
     e /= p.max_abs
@@ -178,7 +184,7 @@ def _quantize_log2(x: np.ndarray, bits: int) -> QuantTensor:
     np.log2(e, out=e)
     np.negative(e, out=e)
     codes = _clip(_round(e, out=e), 0, p.code_hi).astype(np.int32)
-    return QuantTensor(codes=codes, params=p, kind="log2", signs=signs)
+    return QuantTensor(codes=codes, params=p, signs=signs)
 
 
 def dequantize_log2(q: QuantTensor) -> np.ndarray:
@@ -194,6 +200,7 @@ def dequantize_log2(q: QuantTensor) -> np.ndarray:
 class ChannelSymmetricParams:
     """Signed symmetric per-output-channel weight quantization."""
 
+    kind: ClassVar[str] = "weight"
     range: CodeRange
     scales: np.ndarray  # one positive scale per output column
 
@@ -223,7 +230,7 @@ def quantize_weight_symmetric(w, p: ChannelSymmetricParams) -> QuantTensor:
 def _quantize_weight_symmetric(w: np.ndarray, p: ChannelSymmetricParams) -> QuantTensor:
     codes = _round(w.astype(np.float64) / p.scales[None, :])
     codes = _clip(codes, p.range.lo, p.range.hi).astype(np.int32)
-    return QuantTensor(codes=codes, params=p, kind="weight")
+    return QuantTensor(codes=codes, params=p)
 
 
 def dequantize_weight_symmetric(q: QuantTensor) -> np.ndarray:

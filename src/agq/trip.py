@@ -14,6 +14,7 @@ validated as in ``quantizers``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,6 +35,7 @@ MAX_TRIP_CAP = 6  # largest channel exponent, as in the run-config schema
 
 @dataclass(frozen=True)
 class TripParams:
+    kind: ClassVar[str] = "trip"
     base: AffineParams
     alphas: np.ndarray  # one exponent per channel, each in 0..cap
     cap: int
@@ -120,7 +122,7 @@ def _quantize_trip(x: np.ndarray, p: TripParams) -> QuantTensor:
     rng = p.base.range
     codes = _round(x.astype(np.float64) / p.steps[None, :]) + p.base.zero_point
     codes = _clip(codes, rng.lo, rng.hi).astype(np.int32)
-    return QuantTensor(codes=codes, params=p, kind="trip")
+    return QuantTensor(codes=codes, params=p)
 
 
 def dequantize_trip(q: QuantTensor) -> np.ndarray:
@@ -132,10 +134,6 @@ def dequantize_trip(q: QuantTensor) -> np.ndarray:
 
 
 def fold_trip_into_weights(w, p: TripParams) -> np.ndarray:
-    return _fold_trip_into_weights(as_tensor2d(w), p)
-
-
-def _fold_trip_into_weights(w: np.ndarray, p: TripParams) -> np.ndarray:
     """Scale weight row c by 2^alpha_c so the per-channel factors vanish
     from the activation path: ((codes - zp) @ folded_w) * s equals
     dequantize_trip(q) @ w in exact arithmetic.
@@ -145,6 +143,7 @@ def _fold_trip_into_weights(w: np.ndarray, p: TripParams) -> np.ndarray:
     pipeline shifts the integer weight codes (8-bit sites) or repeats lane
     channels (4-bit sites) instead.
     """
+    w = as_tensor2d(w)
     if w.shape[0] != len(p.alphas):
         raise QuantError(
             f"weight rows {w.shape[0]} != exponent count {len(p.alphas)}"

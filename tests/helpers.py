@@ -152,13 +152,13 @@ def ref_quantize_log2(x, bits):
     signs = np.sign(x).astype(np.int8)
     if p.max_abs == 0.0:
         codes = np.zeros_like(x, dtype=np.int32)
-        return agq.QuantTensor(codes=codes, params=p, kind="log2", signs=signs)
+        return agq.QuantTensor(codes=codes, params=p, signs=signs)
     ratio = np.abs(x.astype(np.float64)) / p.max_abs
     with np.errstate(divide="ignore"):
         exponents = -np.log2(ratio)
     codes = np.clip(np.rint(exponents), 0, p.code_hi).astype(np.int32)
     codes[signs == 0] = p.code_hi
-    return agq.QuantTensor(codes=codes, params=p, kind="log2", signs=signs)
+    return agq.QuantTensor(codes=codes, params=p, signs=signs)
 
 
 def ref_dequantize_log2(q):
@@ -297,6 +297,6 @@ def locality_trial(seed):
                           seed=seed)
     block = agq.init_block(cfg)
     x = agq.make_stripe_input(block, t=16, seed=seed + 1000)
-    _, fp_maps = agq.forward_fp(block, x)
+    _, fp_map = agq.forward_block(block, x, replace(cfg, sites={}))
     _, q_map = agq.forward_block(block, x, cfg)
-    return agq.attention_locality(fp_maps[0]), agq.attention_locality(q_map)
+    return agq.attention_locality(fp_map), agq.attention_locality(q_map)

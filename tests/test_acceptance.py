@@ -176,15 +176,18 @@ def test_10_pipeline_passthrough_and_monotonicity():
         cfg8 = agq.BlockConfig(sites=agq.preset_sites("w4a8"), seed=seed)
         cfg4 = agq.BlockConfig(sites=agq.preset_sites("w4a4"), seed=seed)
         fp_cfg = agq.BlockConfig(sites={}, seed=seed)
+        pt_cfg = agq.BlockConfig(sites=dict.fromkeys(agq.SITES, agq.SiteConfig(act_bits=32)),
+                                 seed=seed)
         b = agq.init_block(cfg8)
         x = np.random.default_rng(seed + 100).standard_normal((16, 64)).astype(np.float32)
-        fp_out, _ = agq.forward_fp(b, x)
-        pt_out, _ = agq.forward_block(b, x, fp_cfg)
-        if not np.array_equal(pt_out, fp_out):
+        fp_out, _ = agq.forward_block(b, x, fp_cfg)
+        pt_records = []
+        pt_out, _ = agq.forward_block(b, x, pt_cfg, trace=pt_records)
+        if not np.array_equal(pt_out, fp_out) or pt_records:
             ok = False
-        _, d8 = agq.forward_quant(b, x, cfg8)
-        _, d4 = agq.forward_quant(b, x, cfg4)
-        if 1.0 - d4["cosine"] < 1.0 - d8["cosine"]:
+        cos8 = agq.cosine_similarity(agq.forward_block(b, x, cfg8)[0], fp_out)
+        cos4 = agq.cosine_similarity(agq.forward_block(b, x, cfg4)[0], fp_out)
+        if 1.0 - cos4 < 1.0 - cos8:
             ok = False
         lf, lq = locality_trial(seed)
         if lq < lf:

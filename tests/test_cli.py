@@ -325,8 +325,28 @@ def good_store(tmp_path, width=64):
     return str(path)
 
 
+def raw_config(path, data: bytes):
+    path.write_bytes(data)
+    return str(path)
+
+
 # (id, function of tmp_path returning the argument list, exit code)
 EXIT_CASES = [
+    ("config-not-utf8", lambda p: ["eval", "--config", raw_config(
+        p / "c.json", b'{"seed": 0, "output": {"report": "r\xff.json"}}')], 1),
+    ("config-nested-too-deep", lambda p: ["eval", "--config", raw_config(
+        p / "c.json", b"[" * 100000)], 1),
+    ("config-nan-threshold", lambda p: ["eval", "--config", write_config(
+        p / "c.json", thresholds={"min_cosine": float("nan")})], 1),
+    ("config-nan-k-sigma", lambda p: ["analyze", "--config", write_config(
+        p / "c.json", analysis={"k_sigma": float("nan")}),
+        "--in", good_store(p), "--input", "input"], 1),
+    ("config-infinity", lambda p: ["analyze", "--config", write_config(
+        p / "c.json", analysis={"k_sigma": float("inf")}),
+        "--in", good_store(p), "--input", "input"], 1),
+    ("config-number-overflows", lambda p: ["analyze", "--config", raw_config(
+        p / "c.json", b'{"seed": 0, "analysis": {"k_sigma": 1e999}}'),
+        "--in", good_store(p), "--input", "input"], 1),
     ("heads-do-not-divide", lambda p: ["eval", "--config", write_config(
         p / "c.json", block={"d_model": 64, "n_heads": 5})], 1),
     ("prune-m-exceeds-blocks", lambda p: ["eval", "--config", write_config(

@@ -160,10 +160,10 @@ class TestGemmIntAffine:
         rng8 = CodeRange(8, signed=False)
         a = np.tile(np.array([[0, 255], [255, 0]], dtype=np.int32), (1, k // 2))
         for zp_a in (0, 255):
-            aq = QuantTensor(a, AffineParams(rng8, 1.0, zp_a), "affine")
+            aq = QuantTensor(a, AffineParams(rng8, 1.0, zp_a))
             for zp_b in (0, 255):
                 bq = QuantTensor(np.full((k, 3), 255 - zp_b, dtype=np.int32),
-                                 AffineParams(rng8, 1.0, zp_b), "affine")
+                                 AffineParams(rng8, 1.0, zp_b))
                 np.testing.assert_array_equal(gemm_int_affine(aq, bq),
                                               int64_gemm_int_affine(aq, bq))
 
@@ -384,7 +384,7 @@ class TestGemmLog2AttnV:
         assert pq.params.code_hi == 31 and not pq.codes.any()
         codes = np.full((k, 2), 255, dtype=np.int32)
         codes[::3, 1] = 0
-        vq = QuantTensor(codes, AffineParams(CodeRange(8, signed=False), 0.5, 0), "affine")
+        vq = QuantTensor(codes, AffineParams(CodeRange(8, signed=False), 0.5, 0))
         return pq, vq
 
     def test_six_bit_just_below_bound_matches_int64(self):

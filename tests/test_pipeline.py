@@ -24,8 +24,6 @@ from agq.pipeline import (
     attention_locality,
     cosine_similarity,
     forward_block,
-    forward_fp,
-    forward_quant,
     forward_stack,
     init_block,
     init_stack,
@@ -241,7 +239,7 @@ def test_every_trip_cap_runs_with_true_weight_range(sites, cap, monkeypatch):
 def test_forward_does_no_weight_work(sites, monkeypatch):
     """Weights are fitted, quantized and packed in init_block only; a forward
     pass never folds, re-fits, re-quantizes or re-packs them."""
-    names = ("_fold_trip_into_weights", "_fit_weight_symmetric",
+    names = ("fold_trip_into_weights", "_fit_weight_symmetric",
              "_quantize_weight_symmetric", "pack_weights_for_gemm")
     calls = dict.fromkeys(names, 0)
 
@@ -262,23 +260,28 @@ def test_forward_does_no_weight_work(sites, monkeypatch):
     assert calls == dict.fromkeys(names, 0)
 
 
+def fp_pass(b, x):
+    """The FP32 reference pass: every site forced to the FP32 kernel."""
+    return forward_block(b, x, replace(b.cfg, sites={}))
+
+
 class TestForwardFP:
     def test_single_token_map(self):
         b = init_block(BlockConfig(seed=0))
         x = np.random.default_rng(0).standard_normal((1, 64)).astype(np.float32)
-        _, maps = forward_fp(b, x)
-        np.testing.assert_array_equal(maps[0].probs, np.ones((4, 1, 1)))
+        _, amap = fp_pass(b, x)
+        np.testing.assert_array_equal(amap.probs, np.ones((4, 1, 1)))
 
     def test_rows_normalized(self):
         b = init_block(BlockConfig(seed=1))
         x = np.random.default_rng(1).standard_normal((9, 64)).astype(np.float32)
-        _, maps = forward_fp(b, x)
-        np.testing.assert_allclose(maps[0].probs.sum(axis=2), 1.0, atol=1e-5)
+        _, amap = fp_pass(b, x)
+        np.testing.assert_allclose(amap.probs.sum(axis=2), 1.0, atol=1e-5)
 
     def test_matches_naive_reference(self):
         b = init_block(BlockConfig(seed=2))
         x = np.random.default_rng(2).standard_normal((4, 64)).astype(np.float32)
-        out, _ = forward_fp(b, x)
+        out, _ = fp_pass(b, x)
         expect = naive_block_forward(b.weights, x, n_heads=4)
         np.testing.assert_allclose(out, expect, atol=1e-5)
 
@@ -286,35 +289,38 @@ class TestForwardFP:
         b = init_block(BlockConfig(seed=3))
         rng = np.random.default_rng(3)
         x = rng.standard_normal((8, 64)).astype(np.float32)
-        out, _ = forward_fp(b, x)
+        out, _ = fp_pass(b, x)
         x2 = x.copy()
         x2[5:] += rng.standard_normal((3, 64)).astype(np.float32)
-        out2, _ = forward_fp(b, x2)
+        out2, _ = fp_pass(b, x2)
         np.testing.assert_array_equal(out[:5], out2[:5])
 
     def test_shape_mismatch(self):
         b = init_block(BlockConfig(seed=0))
         with pytest.raises(PipelineError):
-            forward_fp(b, np.zeros((4, 32), dtype=np.float32))
+            fp_pass(b, np.zeros((4, 32), dtype=np.float32))
 
 
-class TestForwardQuant:
+class TestQuantizedPass:
+    """A configured pass with a trace, compared against the FP32 pass."""
+
     def test_all_fp_bit_identical(self):
         b = init_block(BlockConfig(seed=4))
         x = np.random.default_rng(4).standard_normal((12, 64)).astype(np.float32)
-        fp_out, _ = forward_fp(b, x)
-        q_out, diags = forward_quant(b, x, BlockConfig(seed=4, sites={}))
+        fp_out, _ = fp_pass(b, x)
+        records = []
+        q_out, _ = forward_block(b, x, BlockConfig(seed=4, sites={}), trace=records)
         np.testing.assert_array_equal(q_out, fp_out)
-        assert diags["cosine"] == 1.0
-        assert diags["sites"] == []
+        assert cosine_similarity(q_out, fp_out) == 1.0
+        assert records == []
 
     def test_w4a8_cosine_on_fixed_seed(self):
         # threshold fixed after an oracle scan over seeds; seed 1 measured 0.985
         cfg = BlockConfig(sites=preset_sites("w4a8"), seed=1)
         b = init_block(cfg)
         x = np.random.default_rng(101).standard_normal((16, 64)).astype(np.float32)
-        _, diags = forward_quant(b, x)
-        assert diags["cosine"] >= 0.98
+        out, _ = forward_block(b, x)
+        assert cosine_similarity(out, fp_pass(b, x)[0]) >= 0.98
 
     @pytest.mark.parametrize("seed", range(20))
     def test_w4a4_divergence_at_least_w4a8(self, seed):
@@ -322,9 +328,10 @@ class TestForwardQuant:
         cfg4 = BlockConfig(sites=preset_sites("w4a4"), seed=seed)
         b = init_block(cfg8)
         x = np.random.default_rng(seed + 100).standard_normal((16, 64)).astype(np.float32)
-        _, d8 = forward_quant(b, x, cfg8)
-        _, d4 = forward_quant(b, x, cfg4)
-        assert 1.0 - d4["cosine"] >= 1.0 - d8["cosine"]
+        fp_out, _ = fp_pass(b, x)
+        cos8 = cosine_similarity(forward_block(b, x, cfg8)[0], fp_out)
+        cos4 = cosine_similarity(forward_block(b, x, cfg4)[0], fp_out)
+        assert 1.0 - cos4 >= 1.0 - cos8
 
     @pytest.mark.parametrize("seed", range(10))
     def test_trip_sites_mse_at_most_affine(self, seed):
@@ -333,22 +340,28 @@ class TestForwardQuant:
                                seed=seed)
         cfg_t = BlockConfig(sites=preset_sites("w4a8", act_quantizer="trip"), seed=seed)
         cfg_a = BlockConfig(sites=preset_sites("w4a8", act_quantizer="affine"), seed=seed)
-        _, dt = forward_quant(b, x, cfg_t)
-        _, da = forward_quant(b, x, cfg_a)
-        # the first diagnostic entry is the shared linear-transform input,
+        dt, da = [], []
+        forward_block(b, x, cfg_t, trace=dt)
+        forward_block(b, x, cfg_a, trace=da)
+        # the first trace record is the shared linear-transform input,
         # identical activations under both configs
-        assert dt["sites"][0]["site"] == da["sites"][0]["site"] == "linear_transform"
-        assert dt["sites"][0]["mse"] <= da["sites"][0]["mse"] + 1e-12
+        assert dt[0]["site"] == da[0]["site"] == "linear_transform"
+        assert dt[0]["mse"] <= da[0]["mse"] + 1e-12
 
-    def test_diagnostics_fields(self):
+    def test_trace_record_fields(self):
         cfg = BlockConfig(sites=preset_sites("w4a8"), seed=0)
         b = init_block(cfg)
         x = np.random.default_rng(0).standard_normal((8, 64)).astype(np.float32)
-        _, diags = forward_quant(b, x)
-        assert {"sites", "cosine", "locality_fp", "locality_q"} <= set(diags)
-        for entry in diags["sites"]:
+        records = []
+        out, amap = forward_block(b, x, trace=records)
+        fp_out, fp_map = fp_pass(b, x)
+        assert records
+        for entry in records:
             assert {"site", "act_bits", "mse"} <= set(entry)
             assert entry["mse"] >= 0
+        assert -1.0 <= cosine_similarity(out, fp_out) <= 1.0
+        assert 0.0 <= attention_locality(fp_map) <= 1.0
+        assert 0.0 <= attention_locality(amap) <= 1.0
 
 
 class TestForwardStack:

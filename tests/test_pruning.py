@@ -7,7 +7,6 @@ from agq.pruning import (
     AttentionMap,
     PruneError,
     PruneSchedule,
-    TokenImportance,
     default_start_layer,
     make_schedule,
     prune_step,
@@ -25,25 +24,25 @@ def uniform_causal(t, heads=1):
 
 class TestScoreTokens:
     def test_uniform_causal(self):
-        scores = score_tokens(uniform_causal(4)).scores
+        scores = score_tokens(uniform_causal(4))
         np.testing.assert_allclose(scores, [1, 1 / 2, 1 / 3, 1 / 4])
 
     def test_one_hot_column_zero(self):
         t = 5
         p = np.zeros((1, t, t))
         p[:, :, 0] = 1.0
-        scores = score_tokens(AttentionMap(probs=p)).scores
+        scores = score_tokens(AttentionMap(probs=p))
         np.testing.assert_array_equal(scores, 1.0)
 
     def test_direct_readoff(self):
         p = np.array(
             [[[1.0, 0.0, 0.0], [0.6, 0.4, 0.0], [0.2, 0.3, 0.5]]]
         )
-        scores = score_tokens(AttentionMap(probs=p)).scores
+        scores = score_tokens(AttentionMap(probs=p))
         np.testing.assert_allclose(scores, [1.0, 0.6, 0.2])
 
     def test_start_score_is_one(self):
-        scores = score_tokens(uniform_causal(7, heads=3)).scores
+        scores = score_tokens(uniform_causal(7, heads=3))
         assert scores[0] == 1.0
 
     def test_head_permutation_covariant(self):
@@ -53,7 +52,7 @@ class TestScoreTokens:
         p /= p.sum(axis=2, keepdims=True)
         m = AttentionMap(probs=p)
         perm = AttentionMap(probs=p[[2, 0, 3, 1]])
-        np.testing.assert_allclose(score_tokens(m).scores, score_tokens(perm).scores)
+        np.testing.assert_allclose(score_tokens(m), score_tokens(perm))
 
     def test_rejects_non_causal(self):
         p = np.full((1, 3, 3), 1 / 3)
@@ -114,37 +113,37 @@ class TestMakeSchedule:
 class TestPruneStep:
     def test_gamma_zero_identity(self):
         x = np.arange(10, dtype=np.float32).reshape(5, 2)
-        out, kept = prune_step(x, TokenImportance(np.ones(5)), 0.0)
+        out, kept = prune_step(x, np.ones(5), 0.0)
         np.testing.assert_array_equal(out, x)
         assert kept == [0, 1, 2, 3, 4]
 
     def test_drop_two_lowest(self):
         x = np.arange(10, dtype=np.float32).reshape(5, 2)
-        scores = TokenImportance(np.array([1.0, 0.9, 0.1, 0.5, 0.3]))
+        scores = np.array([1.0, 0.9, 0.1, 0.5, 0.3])
         out, kept = prune_step(x, scores, 0.5)
         assert kept == [0, 1, 3]
         np.testing.assert_array_equal(out, x[[0, 1, 3]])
 
     def test_tie_breaks_drop_later_positions(self):
         x = np.zeros((5, 1), dtype=np.float32)
-        scores = TokenImportance(np.array([1.0, 0.2, 0.2, 0.2, 0.2]))
+        scores = np.array([1.0, 0.2, 0.2, 0.2, 0.2])
         _, kept = prune_step(x, scores, 0.5)  # drop 2, latest ties first
         assert kept == [0, 1, 2]
 
     def test_start_token_always_kept(self):
         x = np.zeros((6, 1), dtype=np.float32)
-        scores = TokenImportance(np.array([1.0, 0.9, 0.9, 0.9, 0.9, 0.9]))
+        scores = np.array([1.0, 0.9, 0.9, 0.9, 0.9, 0.9])
         _, kept = prune_step(x, scores, 0.99)
         assert 0 in kept
 
     def test_length_mismatch(self):
         with pytest.raises(PruneError):
-            prune_step(np.zeros((4, 2), dtype=np.float32), TokenImportance(np.ones(3)), 0.5)
+            prune_step(np.zeros((4, 2), dtype=np.float32), np.ones(3), 0.5)
 
     def test_survivors_keep_order(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((12, 3)).astype(np.float32)
-        scores = TokenImportance(np.concatenate([[1.0], rng.uniform(0, 1, 11)]))
+        scores = np.concatenate([[1.0], rng.uniform(0, 1, 11)])
         _, kept = prune_step(x, scores, 0.4)
         assert kept == sorted(kept)
 
@@ -159,9 +158,7 @@ class TestCascade:
         kept_global = list(range(t))
         prev = set(kept_global)
         for _ in range(3):
-            x, kept_local = prune_step(
-                x, TokenImportance(scores[kept_global]), gamma
-            )
+            x, kept_local = prune_step(x, scores[kept_global], gamma)
             kept_global = [kept_global[i] for i in kept_local]
             assert set(kept_global) <= prev
             assert 0 in kept_global
@@ -207,8 +204,8 @@ def test_prune_step_properties(gamma, heads, seed, t):
     p = np.tril(rng.uniform(0.01, 1.0, (heads, t, t)))
     p /= p.sum(axis=2, keepdims=True)
     scores = score_tokens(AttentionMap(probs=p))
-    assert scores.scores[0] == pytest.approx(1.0)
-    assert scores.scores.min() >= 0 and scores.scores.max() <= 1
+    assert scores[0] == pytest.approx(1.0)
+    assert scores.min() >= 0 and scores.max() <= 1
     x = rng.standard_normal((t, 3)).astype(np.float32)
     out, kept = prune_step(x, scores, gamma)
     assert 0 in kept

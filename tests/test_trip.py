@@ -103,7 +103,7 @@ def test_dequantize_examples():
     q = quantize_trip(np.zeros_like(x), p)
     # codes at the zero point dequantize to zero
     zero_codes = np.full_like(q.codes, p.base.zero_point)
-    q0 = type(q)(codes=zero_codes, params=p, kind="trip")
+    q0 = type(q)(codes=zero_codes, params=p)
     np.testing.assert_array_equal(dequantize_trip(q0), 0.0)
     # per-channel half-step bound
     recon = dequantize_trip(quantize_trip(x, p))
@@ -118,7 +118,7 @@ def test_dequantize_direct_values():
 
     base = AffineParams(range=CodeRange(8, signed=False), scale=0.1, zero_point=0)
     p = TripParams(base=base, alphas=np.array([0, 1]), cap=1)
-    q = QuantTensor(codes=np.array([[1, 1]]), params=p, kind="trip")
+    q = QuantTensor(codes=np.array([[1, 1]]), params=p)
     np.testing.assert_allclose(dequantize_trip(q), [[0.1, 0.2]], rtol=1e-7)
 
 
@@ -219,10 +219,10 @@ def _trip_site(m, k, n, bits, cap, seed, alphas=None):
     if alphas is None:
         alphas = rng.integers(0, cap + 1, k)
     aq = QuantTensor(rng.integers(0, hi + 1, (m, k)).astype(np.int32),
-                     TripParams(base=base, alphas=np.asarray(alphas), cap=cap), "trip")
+                     TripParams(base=base, alphas=np.asarray(alphas), cap=cap))
     w_codes = rng.integers(-8, 8, (k, n)).astype(np.int32)
     wq = QuantTensor(w_codes, ChannelSymmetricParams(CodeRange(4, signed=True),
-                                                     rng.uniform(1e-3, 1.0, n)), "weight")
+                                                     rng.uniform(1e-3, 1.0, n)))
     return aq, wq, pack_weights_for_gemm((w_codes + 8).astype(np.uint8))
 
 
