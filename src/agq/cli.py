@@ -15,6 +15,7 @@ import contextlib
 import csv
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -91,8 +92,8 @@ def load_config(path: str) -> dict:
     """Parse, schema-validate and check the meaning of a run config.
 
     Unknown keys are rejected; so are settings the schema cannot express,
-    such as a head count that does not divide ``d_model`` or a prune schedule
-    that does not fit the block count.
+    such as a head count that does not divide ``d_model``, a prune schedule
+    that does not fit the block count or an output path open() refuses.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -104,6 +105,13 @@ def load_config(path: str) -> dict:
     error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
     if error is not None:
         raise ConfigError(f"schema: {error.message}")
+    for key, name in cfg.get("output", {}).items():
+        try:
+            encoded = os.fsencode(name)  # as open() will
+        except UnicodeEncodeError as e:
+            raise ConfigError(f"output.{key} cannot be encoded: {e.reason}") from e
+        if 0 in encoded:
+            raise ConfigError(f"output.{key} holds a null byte")
     try:
         _block_config(cfg)
         _schedule(cfg)

@@ -1,15 +1,17 @@
 """Matrix-multiplication back ends.
 
-Four paths: an FP32 reference GEMM, an affine-corrected integer GEMM for
-8-bit activations against 4-bit per-channel weights, a bit-exact model of the
-byte-lane-packed 4-bit multiplier (two weight nibbles per byte, two isolated
-8-bit products per 16-bit multiply, dual 16-bit sub-lane accumulation), and a
-shift-based GEMM for log2-quantized attention probabilities.
+Four paths: an FP32 reference GEMM, an integer GEMM of zero-point-centred
+codes for 8-bit activations against 4-bit per-channel weights, a bit-exact
+model of the byte-lane-packed 4-bit multiplier (two weight nibbles per byte,
+two isolated 8-bit products per 16-bit multiply, dual 16-bit sub-lane
+accumulation), and a shift-based GEMM for log2-quantized attention
+probabilities.
 
-The integer paths run as float64 BLAS matmuls of integer codes. That is
-exact while every partial sum is an integer below 2^53 in magnitude:
-``check_exact`` bounds it from the code ranges in the quantization params
-(not from the data) and raises ``KernelError`` beyond it.
+The integer paths run as float64 BLAS matmuls of integer codes, centred on
+their zero points except in the lane model. That is exact while every
+partial sum is an integer below 2^53 in magnitude: ``check_exact`` bounds it
+from the code ranges and zero points in the quantization params (not from
+the data) and raises ``KernelError`` beyond it.
 
 The packed path ships two implementations: a scalar per-element model that is
 the semantic reference, and the default, which must be bit-identical to it.
@@ -50,22 +52,20 @@ class AccumulatorBudgetError(KernelError):
     """More than 256 additions on one lane accumulator."""
 
 
-def check_exact(k: int, max_a: int, max_b: int, terms: int = 1) -> None:
+def check_exact(k: int, max_a: int, max_b: int) -> None:
     """Raise ``KernelError`` unless a float64 GEMM is exact: inner dimension
-    ``k``, operand magnitudes at most ``max_a`` and ``max_b``, and ``terms``
-    sums of that size (the product plus zero-point corrections) added up.
-    Every partial sum is then an integer below 2^53, in any summation order.
+    ``k`` and operand magnitudes at most ``max_a`` and ``max_b``. Every
+    partial sum is then an integer below 2^53, in any summation order.
     """
-    if terms * k * max_a * max_b >= EXACT_F64_LIMIT:
+    if k * max_a * max_b >= EXACT_F64_LIMIT:
         raise KernelError(
-            f"float64 accumulation not exact: {terms} x k={k} x {max_a} x {max_b} "
-            f"reaches 2^53"
+            f"float64 accumulation not exact: k={k} x {max_a} x {max_b} reaches 2^53"
         )
 
 
-def _max_abs(rng) -> int:
-    """Largest code magnitude of a ``CodeRange``."""
-    return max(-rng.lo, rng.hi)
+def _max_centred(rng, zp: int) -> int:
+    """Largest magnitude of a ``CodeRange`` code minus the zero point ``zp``."""
+    return max(zp - rng.lo, rng.hi - zp)
 
 
 def gemm_f32(a, w) -> np.ndarray:
@@ -83,14 +83,15 @@ def gemm_f32(a, w) -> np.ndarray:
 
 
 def gemm_int_affine(aq: QuantTensor, wq: QuantTensor) -> np.ndarray:
-    """Integer GEMM with zero-point correction, scaled back to FP32.
+    """Integer GEMM of zero-point-centred codes, scaled back to FP32.
 
     ``aq`` carries unsigned activation codes (plain affine, or refined codes
-    read at their shared scale and zero point; both expose a scalar scale and
-    zero point). ``wq`` is either a signed per-output-channel weight tensor
-    (kind "weight") or a second affine tensor (kind "affine", used for
-    activation-activation products such as Q @ K^T). For refined codes the
-    pipeline passes weight codes shifted left by each row's exponent, with a
+    read at their shared scale and zero point). ``wq`` is either a signed
+    per-output-channel weight tensor (kind "weight": zero point 0, per-column
+    scales) or a second affine tensor (kind "affine", used for
+    activation-activation products such as Q @ K^T). One GEMM computes
+    ``(a - zp_a) @ (b - zp_b)``, scaled once. For refined codes the pipeline
+    passes weight codes shifted left by each row's exponent, with a
     ``CodeRange`` shift that bounds them; the exact integer sum, scaled once,
     is then dequantize_trip(aq) @ w_deq in exact arithmetic.
     """
@@ -100,20 +101,15 @@ def gemm_int_affine(aq: QuantTensor, wq: QuantTensor) -> np.ndarray:
         raise KernelError(f"unsupported weight-side kind {wq.kind}")
     if aq.cols != wq.rows:
         raise KernelError(f"inner dims differ: {aq.cols} vs {wq.rows}")
-    k = aq.cols
-    # up to three zero-point corrections, each no larger than the product
-    check_exact(k, _max_abs(aq.params.range), _max_abs(wq.params.range), terms=4)
-    s_a, zp_a = aq.params.scale, aq.params.zero_point
-    a = aq.codes.astype(np.float64)
-    b = wq.codes.astype(np.float64)
-    raw = a @ b
-    raw -= zp_a * b.sum(axis=0)
+    zp_a = aq.params.zero_point
     if wq.kind == "weight":
-        raw *= s_a * wq.params.scales
-        return raw.astype(np.float32)
-    s_b, zp_b = wq.params.scale, wq.params.zero_point
-    raw += (k * zp_a * zp_b - zp_b * a.sum(axis=1))[:, None]
-    raw *= s_a * s_b
+        zp_b, s_b = 0, wq.params.scales
+    else:
+        zp_b, s_b = wq.params.zero_point, wq.params.scale
+    check_exact(aq.cols, _max_centred(aq.params.range, zp_a),
+                _max_centred(wq.params.range, zp_b))
+    raw = (aq.codes - np.float64(zp_a)) @ (wq.codes - np.float64(zp_b))
+    raw *= aq.params.scale * s_b
     return raw.astype(np.float32)
 
 
@@ -269,24 +265,19 @@ def gemm_int4_raw(a_codes, packed: PackedInt4Matrix, impl: str = "vector") -> np
 
 
 def gemm_int4_packed(a_codes, packed: PackedInt4Matrix, params: Int4GemmParams):
-    """Packed-nibble GEMM, affine-corrected and scaled back to FP32."""
+    """Packed-nibble GEMM scaled back to FP32. The lane GEMM keeps unsigned
+    nibbles, as the hardware does; the epilogue centres its sum exactly, in
+    place in float64: ``raw - zp_w * rowsum(a) - zp_a * signed weight sums``."""
     a = np.asarray(a_codes)
-    raw = gemm_int4_raw(a, packed)
-    k = a.shape[1]
-    zp_a, zp_w = params.act_zero_point, params.weight_zero_point
-    # weight row sums from the nibble planes, in row order 2p, 2p + 1
+    acc = gemm_int4_raw(a, packed).astype(np.float64)
+    zp_w = params.weight_zero_point
+    # signed weight row sums from the nibble planes, in row order 2p, 2p + 1
     planes = np.stack([packed.data & 0x0F, packed.data >> 4], axis=1)  # (pairs, 2, k)
-    w_sums = planes.sum(axis=2, dtype=np.int64).ravel()[: packed.rows]
-    corrected = (
-        raw
-        - zp_a * w_sums[None, :]
-        - zp_w * a.sum(axis=1, dtype=np.int64)[:, None]
-        + k * zp_a * zp_w
-    )
-    return (
-        corrected.astype(np.float64)
-        * (params.act_scale * np.asarray(params.weight_scales)[None, :])
-    ).astype(np.float32)
+    w_sums = planes.sum(axis=2, dtype=np.int64).ravel()[: packed.rows] - a.shape[1] * zp_w
+    acc -= zp_w * a.sum(axis=1, dtype=np.int64)[:, None]
+    acc -= params.act_zero_point * w_sums
+    acc *= params.act_scale * np.asarray(params.weight_scales)
+    return acc.astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +290,9 @@ def gemm_log2_attnv(probs_q: QuantTensor, vq: QuantTensor) -> np.ndarray:
 
     Each probability dequantizes to sign * max_abs * 2^-code; the products
     are accumulated as integer v_code * 2^(Ks - code) with Ks the max code,
-    then scaled once by max_abs * s_v * 2^-Ks. Exact while k * 2^Ks * 255
-    stays below 2^53 (any k for 4-bit log2, Ks = 7).
+    then scaled once by max_abs * s_v * 2^-Ks. Exact while k * 2^Ks times
+    the largest centred value code stays below 2^53 (any k for 4-bit log2,
+    Ks = 7).
     """
     if probs_q.kind != "log2":
         raise KernelError(f"expected log2 probabilities, got {probs_q.kind}")
@@ -309,10 +301,9 @@ def gemm_log2_attnv(probs_q: QuantTensor, vq: QuantTensor) -> np.ndarray:
     if probs_q.cols != vq.rows:
         raise KernelError(f"inner dims differ: {probs_q.cols} vs {vq.rows}")
     ks = probs_q.params.code_hi
-    check_exact(probs_q.cols, 2**ks, _max_abs(vq.params.range))
+    check_exact(probs_q.cols, 2**ks, _max_centred(vq.params.range, vq.params.zero_point))
     lhs = np.ldexp(probs_q.signs.astype(np.float64), ks - probs_q.codes)
-    rhs = vq.codes.astype(np.float64) - vq.params.zero_point
-    acc = lhs @ rhs
+    acc = lhs @ (vq.codes - np.float64(vq.params.zero_point))
     scale = probs_q.params.max_abs * vq.params.scale * 2.0**-ks
     return (acc * scale).astype(np.float32)
 

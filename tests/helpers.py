@@ -211,6 +211,20 @@ def int64_gemm_int_affine(aq, wq):
     return (raw.astype(np.float64) * (s_a * s_b)).astype(np.float32)
 
 
+def int64_gemm_int4_packed(a_codes, packed, params):
+    """The three-term int64 formulation of ``gemm_int4_packed``: the raw lane
+    product of unsigned nibbles minus ``zp_a * colsum(w)`` and
+    ``zp_w * rowsum(a)``, plus ``k * zp_a * zp_w``, then one scale to float32."""
+    a = np.asarray(a_codes)
+    raw = agq.gemm_int4_raw(a, packed)
+    zp_a, zp_w = params.act_zero_point, params.weight_zero_point
+    w_sums = agq.unpack_int4(packed).sum(axis=1, dtype=np.int64)
+    corrected = (raw - zp_a * w_sums[None, :] - zp_w * a.sum(axis=1, dtype=np.int64)[:, None]
+                 + a.shape[1] * zp_a * zp_w)
+    return (corrected.astype(np.float64)
+            * (params.act_scale * np.asarray(params.weight_scales)[None, :])).astype(np.float32)
+
+
 def ref_trip_product(aq, wq):
     """The int64 formulation of a TRIP site's product: sum_c (a_c - zp) *
     2^alpha_c * w_cj exactly in int64, then one scale to float32."""

@@ -347,6 +347,17 @@ EXIT_CASES = [
     ("config-number-overflows", lambda p: ["analyze", "--config", raw_config(
         p / "c.json", b'{"seed": 0, "analysis": {"k_sigma": 1e999}}'),
         "--in", good_store(p), "--input", "input"], 1),
+    ("d-model-too-large", lambda p: ["eval", "--config", write_config(
+        p / "c.json", block={"d_model": 1000000000000, "n_heads": 1})], 1),
+    ("d-ff-too-large", lambda p: ["eval", "--config", write_config(
+        p / "c.json", block={"d_ff": 2049})], 1),
+    ("report-path-not-encodable", lambda p: ["eval", "--config", write_config(
+        p / "c.json", output={"report": str(p / "r\ud800.json")})], 1),
+    ("report-path-has-nul", lambda p: ["eval", "--config", write_config(
+        p / "c.json", output={"report": str(p / "r\0.json")})], 1),
+    ("csv-path-not-encodable", lambda p: ["analyze", "--config", write_config(
+        p / "c.json", output={"csv": str(p / "c\ud800.csv")}),
+        "--in", good_store(p), "--input", "input"], 1),
     ("heads-do-not-divide", lambda p: ["eval", "--config", write_config(
         p / "c.json", block={"d_model": 64, "n_heads": 5})], 1),
     ("prune-m-exceeds-blocks", lambda p: ["eval", "--config", write_config(

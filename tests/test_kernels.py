@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
-from helpers import int64_gemm_int_affine, int64_gemm_log2_attnv, naive_int_gemm
+from helpers import (
+    int64_gemm_int4_packed,
+    int64_gemm_int_affine,
+    int64_gemm_log2_attnv,
+    naive_int_gemm,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import agq
 from agq.kernels import (
     EXACT_F64_LIMIT,
     MAX_LANE_ADDITIONS,
@@ -25,6 +31,7 @@ from agq.kernels import (
 )
 from agq.quantizers import (
     AffineParams,
+    ChannelSymmetricParams,
     CodeRange,
     QuantTensor,
     fit_affine,
@@ -154,18 +161,35 @@ class TestGemmIntAffine:
             np.testing.assert_array_equal(
                 gemm_f32(a, w), np.hstack([gemm_f32(a, wt) for wt in thirds]))
 
-    def test_extreme_codes_equal_int64_oracle(self):
-        # every product and correction at its largest: codes 0/255, zp 0/255
+    def test_extreme_codes_equal_int64_oracle(self, monkeypatch):
+        # every centred product at its largest: codes 0/255, zp 0/255, and
+        # weights shifted by up to ``cap`` at codes -8 * 2^cap and 7 * 2^cap;
+        # check_exact is handed the centred bounds of the code ranges
+        bounds = []
+
+        def spy(*args):
+            bounds.append(args)
+            return check_exact(*args)
+
+        monkeypatch.setattr(agq.kernels, "check_exact", spy)
         k = 1000
         rng8 = CodeRange(8, signed=False)
         a = np.tile(np.array([[0, 255], [255, 0]], dtype=np.int32), (1, k // 2))
-        for zp_a in (0, 255):
+        sides = [(QuantTensor(np.full((k, 3), 255 - zp_b, dtype=np.int32),
+                              AffineParams(rng8, 1.0, zp_b)), 255) for zp_b in (0, 255)]
+        for cap in range(7):
+            w_rng = CodeRange(4, signed=True, shift=cap)
+            w = np.tile(np.array([[w_rng.lo, w_rng.hi, w_rng.lo]], dtype=np.int32), (k, 1))
+            w[1::2, 0] = w_rng.hi
+            sides.append((QuantTensor(w, ChannelSymmetricParams(range=w_rng, scales=np.ones(3))),
+                          8 * 2**cap))
+        for zp_a in (0, 1, 128, 255):
             aq = QuantTensor(a, AffineParams(rng8, 1.0, zp_a))
-            for zp_b in (0, 255):
-                bq = QuantTensor(np.full((k, 3), 255 - zp_b, dtype=np.int32),
-                                 AffineParams(rng8, 1.0, zp_b))
+            for bq, max_b in sides:
+                bounds.clear()
                 np.testing.assert_array_equal(gemm_int_affine(aq, bq),
                                               int64_gemm_int_affine(aq, bq))
+                assert bounds == [(k, max(zp_a, 255 - zp_a), max_b)]
 
 
 class TestPacking:
@@ -301,6 +325,26 @@ class TestGemmInt4:
         out = gemm_int4_packed(a, packed, params)
         np.testing.assert_array_equal(out, 0.0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 600), st.integers(1, 6), st.integers(1, 9), st.integers(0, 15),
+           st.sampled_from([None, 0, 15]), st.sampled_from([None, 0, 15]),
+           st.integers(0, 2**32 - 1))
+    def test_packed_equals_int64_oracle(self, k, m, n, zp_a, a_fill, w_fill, seed):
+        # one to three lane groups; all-0/all-15 codes put every sum at an end
+        rng = np.random.default_rng(seed)
+
+        def codes(shape, fill):
+            c = rng.integers(0, 16, shape) if fill is None else np.full(shape, fill)
+            return c.astype(np.uint8)
+
+        a = codes((m, k), a_fill)
+        packed = pack_weights_for_gemm(codes((k, n), w_fill))
+        params = Int4GemmParams(act_scale=float(rng.uniform(1e-3, 2.0)),
+                                act_zero_point=zp_a, weight_scales=rng.uniform(1e-3, 2.0, n))
+        got = gemm_int4_packed(a, packed, params)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, int64_gemm_int4_packed(a, packed, params))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_packed_matches_dequant_oracle(self, seed):
         rng = np.random.default_rng(seed + 70)
@@ -412,11 +456,9 @@ class TestGemmLog2AttnV:
 
 class TestCheckExact:
     def test_boundary(self):
-        check_exact(2**20, 2**16, 2**16, terms=1)  # 2^52
+        check_exact(2**20, 2**16, 2**16)  # 2^52
         with pytest.raises(KernelError):
-            check_exact(2**21, 2**16, 2**16, terms=1)  # 2^53
-        with pytest.raises(KernelError):
-            check_exact(2**19, 2**16, 2**16, terms=4)
+            check_exact(2**21, 2**16, 2**16)  # 2^53
 
 
 class TestBench:
