@@ -158,6 +158,19 @@ def _schedule(cfg: dict):
     return make_schedule(n_blocks, start, prune["beta"], prune["m"])
 
 
+def _store_input(path: str, name: str) -> np.ndarray:
+    """Store tensor ``name`` as forward-pass input: at most the schema's
+    ``sequence_length`` maximum of rows, as each head's attention map is rows^2."""
+    x = tensor_store.load_store(path).get(name)
+    if x is None:
+        raise tensor_store.StoreError(f"tensor {name!r} not in store")
+    limit = _validator().schema["properties"]["sequence_length"]["maximum"]
+    if x.shape[0] > limit:
+        raise tensor_store.StoreError(
+            f"tensor {name!r} has {x.shape[0]} rows, more than sequence_length allows ({limit})")
+    return x
+
+
 def _emit(report: dict, cfg: dict) -> None:
     path = cfg.get("output", {}).get("report")
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -210,10 +223,7 @@ def quantize(config_path, in_path, out_path):
 def analyze(config_path, in_path, input_name):
     """Outlier-channel and attention-locality report for one activation."""
     cfg = load_config(config_path)
-    store = tensor_store.load_store(in_path)
-    if input_name not in store:
-        raise tensor_store.StoreError(f"tensor {input_name!r} not in store")
-    x = store[input_name]
+    x = _store_input(in_path, input_name)
     k_sigma = cfg.get("analysis", {}).get("k_sigma", 3.0)
     report_out = pipeline.analyze_outliers(x, k_sigma)
     block = pipeline.init_block(_block_config(cfg))
@@ -256,9 +266,7 @@ def eval_cmd(config_path, in_path, seed):
         cfg["seed"] = seed
     block_cfg = _block_config(cfg)
     if in_path:
-        x = tensor_store.load_store(in_path).get("input")
-        if x is None:
-            raise tensor_store.StoreError("store has no tensor named 'input'")
+        x = _store_input(in_path, "input")
     else:
         rng = np.random.default_rng(cfg.get("seed", 0) + 1)
         x = rng.standard_normal((cfg.get("sequence_length", 32), block_cfg.d_model))

@@ -11,10 +11,14 @@ GEMM, and log2-quantized softmax probabilities through the shift GEMM. Nonlinear
 operators (softmax, layernorm, the gate) always stay FP32. Weight codes are
 quantized and packed once, in ``init_block``; refined activations reach them
 as exact integer shifts (8-bit) or repeated lane channels (4-bit), never as a
-per-call weight re-quantization. Q, K and V are each
-quantized once per block, each head with its own fit. Per-site MSE records are
-made only for a caller that passes a ``trace`` list. The FP32 reference pass
-is ``forward_block`` with ``replace(cfg, sites={})``.
+per-call weight re-quantization. Q, K and V are quantized in one call per
+block, each head with its own fit. The causal softmax and the log2 quantizer
+take max(1, 2^16 // T^2) heads at a time, each head with its own maximum: all
+heads at T <= 128, one at T >= 182, so their float64 buffer never exceeds 512
+KiB or one head's and peak memory stays that of a per-head loop. The qk and
+attn_v products run per head. Per-site MSE records are made only for a caller
+that passes a ``trace`` list. The FP32 reference pass is ``forward_block``
+with ``replace(cfg, sites={})``.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from .trip import MAX_TRIP_CAP, _fit_trip, _quantize_trip, dequantize_trip
 SITES = ("linear_transform", "qk", "attn_v", "projection", "fc1", "fc2")
 # Sites whose inputs come after the self-attention product and may run 4-bit.
 POST_ATTENTION_SITES = frozenset({"attn_v", "projection", "fc1", "fc2"})
+HEAD_GROUP_SCORES = 2**16  # softmax/log2 head groups: max(1, this // T^2) heads
 
 
 class PipelineError(Exception):
@@ -190,12 +195,13 @@ def _silu(x: np.ndarray) -> np.ndarray:
 
 def _softmax_causal(scores: np.ndarray, past: np.ndarray) -> np.ndarray:
     """Row softmax over the ``past`` entries (the lower triangle, diagonal
-    included); the future entries are exactly 0 and never reach ``exp``."""
-    row_max = scores.max(axis=1, keepdims=True, where=past, initial=-np.inf)
+    included) of a (T, T) map or an (H, T, T) stack of them; the future
+    entries are exactly 0 and never reach ``exp``."""
+    row_max = scores.max(axis=-1, keepdims=True, where=past, initial=-np.inf)
     e = np.zeros(scores.shape)
     np.subtract(scores, row_max, out=e, where=past, dtype=np.float64)
     np.exp(e, out=e, where=past)
-    e /= e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e.astype(np.float32)
 
 
@@ -275,34 +281,44 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
     dh, nh = cfg.d_head, cfg.n_heads
     qk_sc, av_sc = cfg.site("qk"), cfg.site("attn_v")
 
-    qkv = _site_matmul(block, cfg, "linear_transform", x, trace)
-    q, k, v = np.hsplit(_finite(qkv, "linear_transform"), 3)
-    if qk_sc.act_bits < 32:
-        q_heads = _quantize_heads(q, nh, qk_sc.act_bits)
-        k_heads = _quantize_heads(k, nh, qk_sc.act_bits)
-    if av_sc.act_bits < 32:
-        v_heads = _quantize_heads(v, nh, 8)
+    qkv = _finite(_site_matmul(block, cfg, "linear_transform", x, trace), "linear_transform")
+    q, k, v = np.hsplit(qkv, 3)
+    # one 8-bit fit per head over the quantized blocks of [q | k | v] (qk runs
+    # 8-bit or FP32); None pads q and k when FP32, so head h of q, k and v is
+    # heads[h], heads[nh + h] and heads[2 * nh + h]
+    first = 0 if qk_sc.act_bits < 32 else 2
+    last = 3 if av_sc.act_bits < 32 else 2
+    heads = [None] * first * nh
+    if last > first:
+        heads += _quantize_heads(qkv[:, first * d:last * d], (last - first) * nh, 8)
 
     probs = np.empty((nh, t, t), dtype=np.float32)
     ctx = np.empty((t, d), dtype=np.float32)
     past = np.tri(t, dtype=bool)  # T changes between blocks when pruning
-    for h in range(nh):
-        sl = slice(h * dh, (h + 1) * dh)
-        if qk_sc.act_bits == 32:
-            scores = gemm_f32(q[:, sl], k[:, sl].T)
-        else:
-            kt = replace(k_heads[h], codes=k_heads[h].codes.T)
-            scores = gemm_int_affine(q_heads[h], kt)
+    group = max(1, HEAD_GROUP_SCORES // (t * t))
+    for g in range(0, nh, group):
+        hs = range(g, min(g + group, nh))
+        scores = probs[g:hs.stop]  # the group's scores, replaced by their softmax
+        for h in hs:
+            sl = slice(h * dh, (h + 1) * dh)
+            if qk_sc.act_bits == 32:
+                scores[h - g] = gemm_f32(q[:, sl], k[:, sl].T)
+            else:
+                kt = replace(heads[nh + h], codes=heads[nh + h].codes.T)
+                scores[h - g] = gemm_int_affine(heads[h], kt)
         scores /= np.float32(np.sqrt(dh))
-        probs[h] = _softmax_causal(_finite(scores, "qk"), past)
-        if av_sc.act_bits == 32:
-            ctx[:, sl] = gemm_f32(probs[h], v[:, sl])
-            continue
-        probs_q = _quantize_log2(probs[h], av_sc.act_bits)
-        if trace is not None:
-            trace.append({"site": "attn_v", "act_bits": av_sc.act_bits,
-                          "mse": _mse(probs[h], dequantize_log2(probs_q))})
-        ctx[:, sl] = gemm_log2_attnv(probs_q, v_heads[h])
+        scores[:] = _softmax_causal(_finite(scores, "qk"), past)
+        if av_sc.act_bits < 32:
+            probs_q = _quantize_log2(scores, av_sc.act_bits)
+        for h in hs:
+            sl = slice(h * dh, (h + 1) * dh)
+            if av_sc.act_bits == 32:
+                ctx[:, sl] = gemm_f32(probs[h], v[:, sl])
+                continue
+            if trace is not None:
+                trace.append({"site": "attn_v", "act_bits": av_sc.act_bits,
+                              "mse": _mse(probs[h], dequantize_log2(probs_q[h - g]))})
+            ctx[:, sl] = gemm_log2_attnv(probs_q[h - g], heads[2 * nh + h])
 
     proj = _site_matmul(block, cfg, "projection", _finite(ctx, "attn_v"), trace)
     h1 = _finite(x + proj, "projection")

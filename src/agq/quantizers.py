@@ -158,33 +158,35 @@ def dequantize_affine(q: QuantTensor) -> np.ndarray:
 
 
 def quantize_log2(x, bits: int) -> QuantTensor:
-    return _quantize_log2(as_tensor2d(x), bits)
+    return _quantize_log2(as_tensor2d(x)[None], bits)[0]
 
 
-def _quantize_log2(x: np.ndarray, bits: int) -> QuantTensor:
-    """Quantize magnitudes to negated power-of-two exponents of max(|x|).
+def _quantize_log2(x: np.ndarray, bits: int) -> list[QuantTensor]:
+    """Quantize magnitudes to negated power-of-two exponents of max(|x|),
+    one head ``x[h]`` of a (heads, rows, cols) stack at a time, each head
+    with its own max_abs; head h's codes and signs are views of one array.
 
     Exact zeros get the max code with sign 0 so they dequantize to exactly 0.
-    An all-zero tensor yields max_abs = 0 and all-zero codes (not an error).
+    An all-zero head yields max_abs = 0 and all-zero codes (not an error).
     """
     if x.size == 0:
         raise QuantError("cannot fit quantizer on empty tensor")
-    # 0.0 first: zeros of either sign leave max_abs = +0.0
-    p = Log2Params(bits=bits, max_abs=float(max(0.0, x.max(), -x.min())))
+    # + 0.0 turns a -0.0 maximum (a head of zeros) into +0.0
+    max_abs = np.maximum(x.max(axis=(1, 2)), -x.min(axis=(1, 2))).astype(np.float64) + 0.0
+    params = [Log2Params(bits=bits, max_abs=float(m)) for m in max_abs]
+    code_hi = params[0].code_hi
     signs = np.subtract(x > 0, x < 0, dtype=np.int8)
-    if p.max_abs == 0.0:
-        codes = np.zeros_like(x, dtype=np.int32)
-        return QuantTensor(codes=codes, params=p, signs=signs)
     e = x.astype(np.float64)  # one buffer: |x| / max_abs -> -log2 -> code
     np.abs(e, out=e)
-    e /= p.max_abs
+    e /= np.where(max_abs > 0.0, max_abs, 1.0)[:, None, None]
     # ratios up to 2^-code_hi all take code_hi: flooring there gives exact
     # zeros code_hi without a mask or log2(0)
-    np.maximum(e, 2.0**-p.code_hi, out=e)
+    np.maximum(e, 2.0**-code_hi, out=e)
     np.log2(e, out=e)
     np.negative(e, out=e)
-    codes = _clip(_round(e, out=e), 0, p.code_hi).astype(np.int32)
-    return QuantTensor(codes=codes, params=p, signs=signs)
+    codes = _clip(_round(e, out=e), 0, code_hi).astype(np.int32)
+    codes[max_abs == 0.0] = 0
+    return [QuantTensor(codes=codes[h], params=p, signs=signs[h]) for h, p in enumerate(params)]
 
 
 def dequantize_log2(q: QuantTensor) -> np.ndarray:

@@ -3,12 +3,14 @@
 All channels share one scale and zero point; each channel c additionally gets
 an integer exponent alpha_c in {0..K} so its effective step is 2^alpha_c * s.
 The exponents are chosen per channel by exhaustively minimizing the L2
-round-trip reconstruction error. The pipeline applies them as exact integer
-work on the plain 4-bit weight codes: an 8-bit site shifts weight row c left
-by alpha_c, and a 4-bit site counts channel c 2^(alpha_c - min alpha) times in
-the lane GEMM. ``fold_trip_into_weights`` scales float weights instead; it is
-a reference for that identity and no longer runs in a forward pass. Input is
-validated as in ``quantizers``.
+round-trip reconstruction error, every exponent in one broadcast pass over a
+(cap+1, T, C) buffer that sums rows in the order of a per-exponent loop. The
+pipeline applies them as exact integer work on the plain 4-bit weight codes:
+an 8-bit site shifts weight row c left by alpha_c, and a 4-bit site counts
+channel c 2^(alpha_c - min alpha) times in the lane GEMM.
+``fold_trip_into_weights`` scales float weights instead; it is a reference for
+that identity and no longer runs in a forward pass. Input is validated as in
+``quantizers``.
 """
 
 from __future__ import annotations
@@ -92,19 +94,16 @@ def _fit_trip(x: np.ndarray, bits: int, cap: int) -> TripParams:
     base = AffineParams(range=rng, scale=float(scale), zero_point=zp)
 
     # x / (2^a * s) is exactly (x / s) * 2^-a, so divide by s once; codes are
-    # kept shifted by -zp, and one buffer holds them, the residual and its square
+    # kept shifted by -zp, and one buffer holds them, the residuals and squares
+    a = np.arange(cap + 1)[:, None, None]
     base_steps = x.astype(np.float64)
     base_steps /= scale
-    r = np.empty_like(base_steps)
-    err = np.empty((cap + 1, x.shape[1]))  # row a: channel errors at exponent a
-    for a in range(cap + 1):
-        step = 2**a * scale
-        np.multiply(base_steps, 2.0**-a, out=r)
-        _clip(_round(r, out=r), rng.lo - zp, rng.hi - zp)
-        r *= step
-        np.subtract(x, r, out=r)
-        np.square(r, out=r)
-        np.add.reduce(r, axis=0, out=err[a])
+    r = np.multiply(base_steps, np.ldexp(1.0, -a))
+    _clip(_round(r, out=r), rng.lo - zp, rng.hi - zp)
+    r *= np.ldexp(scale, a)  # the steps 2^a * s
+    np.subtract(x, r, out=r)
+    np.square(r, out=r)
+    err = np.add.reduce(r, axis=1)  # row a: channel errors at exponent a
     np.sqrt(err, out=err)  # what np.linalg.norm(axis=0) computes
     alphas = err.argmin(axis=0).astype(np.int64)  # first minimum: ties keep the smaller exponent
     return TripParams(base=base, alphas=alphas, cap=cap)

@@ -48,13 +48,14 @@ def ref_softmax_causal(scores):
 
 
 
-def ref_forward_block(block, x, cfg):
+def ref_forward_block(block, x, cfg, trace=None):
     """``forward_block`` with a per-head attention loop: each head fits and
-    quantizes its own q, k^T and v slices through the public quantizers. The
-    weight sites, softmax, layernorm and gate are the pipeline's own."""
-    from agq.pipeline import _layernorm, _silu, _site_matmul
+    quantizes its own q, k^T and v slices through the public quantizers and
+    runs its own softmax and log2 quantization. The weight sites, layernorm,
+    gate and MSE are the pipeline's own; ``trace`` gets the same records."""
+    from agq.pipeline import _layernorm, _mse, _silu, _site_matmul
 
-    site = functools.partial(_site_matmul, block, cfg, trace=None)
+    site = functools.partial(_site_matmul, block, cfg, trace=trace)
     t, d = x.shape
     dh, qk, av = cfg.d_head, cfg.site("qk"), cfg.site("attn_v")
     q, k, v = np.hsplit(site("linear_transform", x), 3)
@@ -73,11 +74,16 @@ def ref_forward_block(block, x, cfg):
         probs[h] = ref_softmax_causal(scores)
         if av.act_bits == 32:
             ctx[:, sl] = agq.gemm_f32(probs[h], vh)
-        else:
-            ctx[:, sl] = agq.gemm_log2_attnv(agq.quantize_log2(probs[h], av.act_bits),
-                                             agq.quantize_affine(vh, agq.fit_affine(vh, 8)))
+            continue
+        probs_q = agq.quantize_log2(probs[h], av.act_bits)
+        if trace is not None:
+            trace.append({"site": "attn_v", "act_bits": av.act_bits,
+                          "mse": _mse(probs[h], agq.dequantize_log2(probs_q))})
+        ctx[:, sl] = agq.gemm_log2_attnv(probs_q,
+                                         agq.quantize_affine(vh, agq.fit_affine(vh, 8)))
     h1 = x + site("projection", ctx)
     return h1 + site("fc2", _silu(site("fc1", _layernorm(h1)))), probs
+
 
 def ref_attention_locality(m):
     """The per-row loop formulation of ``attention_locality``: each row's
@@ -97,16 +103,14 @@ def ref_eval_cmd(config_path, in_path, seed):
     """The four-pass body of ``agq eval``: FP32, quantized, quantized-pruned
     and forced-keep FP32, each a full ``forward_stack`` from block 0. Install
     it as ``agq.cli.eval_cmd.callback`` to run it behind the real CLI."""
-    from agq import cli, pipeline, tensor_store
+    from agq import cli, pipeline
 
     cfg = cli.load_config(config_path)
     if seed is not None:
         cfg["seed"] = seed
     block_cfg = cli._block_config(cfg)
     if in_path:
-        x = tensor_store.load_store(in_path).get("input")
-        if x is None:
-            raise tensor_store.StoreError("store has no tensor named 'input'")
+        x = cli._store_input(in_path, "input")
     else:
         rng = np.random.default_rng(cfg.get("seed", 0) + 1)
         x = rng.standard_normal((cfg.get("sequence_length", 32), block_cfg.d_model))

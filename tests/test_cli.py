@@ -186,6 +186,36 @@ class TestEval:
         assert r1.output == r2.output
 
 
+@pytest.mark.parametrize("command", ["eval", "analyze"])
+def test_store_rows_bounded_by_sequence_length(runner, monkeypatch, tmp_path, command):
+    """A store input may hold as many rows as the schema lets
+    ``sequence_length`` have (256); one more row is a one-line store error
+    (exit 2) before any forward pass, not an attention map that may not fit."""
+    limit = agq.cli._validator().schema["properties"]["sequence_length"]["maximum"]
+    assert limit == 256
+    cfg = write_config(tmp_path / "cfg.json", quantization={"mode": "w4a8"},
+                       block={"d_model": 8, "n_heads": 1, "d_ff": 8, "n_blocks": 1})
+    forward_block = agq.pipeline.forward_block
+    calls = []
+    monkeypatch.setattr(agq.pipeline, "forward_block",
+                        lambda *a, **k: calls.append(1) or forward_block(*a, **k))
+    extra = ["--input", "input"] if command == "analyze" else []
+    for rows, code in ((limit, 0), (limit + 1, 2)):
+        calls.clear()
+        x = np.random.default_rng(rows).standard_normal((rows, 8)).astype(np.float32)
+        save_store({"input": x}, tmp_path / "in.agqt")
+        r = runner.invoke(main, [command, "--config", cfg,
+                                 "--in", str(tmp_path / "in.agqt")] + extra)
+        assert r.exit_code == code, r.output
+        assert isinstance(r.exception, (SystemExit, type(None)))
+        if code:
+            assert calls == []
+            assert r.stderr == ("store error: tensor 'input' has 257 rows, "
+                                "more than sequence_length allows (256)\n")
+        else:
+            assert calls
+
+
 PRUNE_SETTINGS = [None, {"beta": 0.5, "m": 2}, {"beta": 0.3, "m": 1},
                   {"beta": 0.6, "m": 3, "start_layer": 1}, {"beta": 0.4, "m": 1, "start_layer": 4}]
 

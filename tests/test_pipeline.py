@@ -79,21 +79,24 @@ class TestConfig:
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 300), st.integers(0, 2**32 - 1),
-       st.sampled_from([1e-30, 1e-3, 1.0, 30.0, 1e3, 1e30, 3e38]), st.booleans())
-def test_softmax_equals_minus_inf_oracle(t, seed, amp, ties):
+       st.sampled_from([1e-30, 1e-3, 1.0, 30.0, 1e3, 1e30, 3e38]), st.booleans(),
+       st.sampled_from([None, 1, 2, 3]))
+def test_softmax_equals_minus_inf_oracle(t, seed, amp, ties, heads):
     """The masked in-place softmax equals the -inf/triu_indices formulation
-    bit for bit; ``ties`` draws scores from {-amp, 0, amp}, so most rows
+    bit for bit, on one (T, T) map (``heads`` None) or on an (H, T, T) stack,
+    head by head; ``ties`` draws scores from {-amp, 0, amp}, so most rows
     have several equal maxima."""
     rng = np.random.default_rng(seed)
+    shape = (t, t) if heads is None else (heads, t, t)
     if ties:
-        scores = rng.integers(-1, 2, (t, t)) * np.float32(amp)
+        scores = rng.integers(-1, 2, shape) * np.float32(amp)
     else:
-        scores = np.clip(rng.standard_normal((t, t)), -4, 4) * (amp / 4)
+        scores = np.clip(rng.standard_normal(shape), -4, 4) * (amp / 4)
     scores = scores.astype(np.float32)
     probs = _softmax_causal(scores, np.tri(t, dtype=bool))
-    assert probs.dtype == np.float32
-    assert probs.tobytes() == ref_softmax_causal(scores).tobytes()
-
+    assert probs.dtype == np.float32 and probs.shape == shape
+    want = [ref_softmax_causal(m) for m in scores.reshape(-1, t, t)]
+    assert probs.tobytes() == np.stack(want).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -133,21 +136,34 @@ def test_quantize_heads_equals_per_head_affine(t, n_heads, d_head, bits, seed,
 
 
 
-@pytest.mark.parametrize("mode", ["fp32", "w4a8", "w4a4"])
+@pytest.mark.parametrize("mode", ["fp32", "w4a8", "w4a4", "fp32-qk", "fp32-attn_v"])
 @pytest.mark.parametrize("act_quantizer", ["trip", "affine"])
-@pytest.mark.parametrize("t,d_model,n_heads", [(1, 16, 8), (7, 24, 1), (33, 64, 4)])
+@pytest.mark.parametrize("t,d_model,n_heads", [
+    (1, 16, 8), (7, 24, 1), (33, 64, 4),
+    (129, 64, 4),  # head groups of 3 and 1
+    (256, 64, 4),  # one head per group
+])
 def test_forward_block_equals_per_head_reference(mode, act_quantizer, t, d_model, n_heads):
-    """Quantizing q, k and v once per block gives the bytes of a loop that
-    quantizes every head's slices on its own."""
-    cfg = BlockConfig(d_model=d_model, n_heads=n_heads, d_ff=32, seed=t,
-                      sites=preset_sites(mode, act_quantizer=act_quantizer))
+    """One Q/K/V quantization per block and head-grouped softmax and log2
+    quantization give the bytes and trace records of a loop that quantizes
+    every head's slices and runs every head's softmax on its own. The
+    ``fp32-`` modes are w4a8 with that one site at FP32."""
+    base, _, fp_site = mode.partition("-")
+    sites = preset_sites("w4a8" if fp_site else base, act_quantizer=act_quantizer)
+    if fp_site:
+        sites[fp_site] = SiteConfig()
+    cfg = BlockConfig(d_model=d_model, n_heads=n_heads, d_ff=32, seed=t, sites=sites)
     x = np.random.default_rng(t).standard_normal((t, d_model)).astype(np.float32)
     x[:, 1] *= 20.0
     block = init_block(cfg)
-    out, amap = forward_block(block, x)
-    ref_out, ref_probs = ref_forward_block(block, x, cfg)
+    trace, ref_trace = [], []
+    out, amap = forward_block(block, x, trace=trace)
+    ref_out, ref_probs = ref_forward_block(block, x, cfg, trace=ref_trace)
     assert out.tobytes() == ref_out.tobytes()
     assert amap.probs.tobytes() == ref_probs.tobytes()
+    assert trace == ref_trace
+    assert [r["site"] for r in trace].count("attn_v") == (
+        n_heads if sites and fp_site != "attn_v" else 0)
 
 
 class TestInit:

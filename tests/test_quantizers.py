@@ -10,6 +10,7 @@ from agq.quantizers import (
     KindMismatchError,
     Log2Params,
     QuantError,
+    _quantize_log2,
     dequantize_affine,
     dequantize_log2,
     dequantize_weight_symmetric,
@@ -196,6 +197,35 @@ def test_log2_equals_out_of_place_oracle(shape, seed, amp, bits, zero_frac, boun
     assert q.codes.dtype == ref.codes.dtype and q.codes.tobytes() == ref.codes.tobytes()
     assert q.signs.dtype == ref.signs.dtype and q.signs.tobytes() == ref.signs.tobytes()
     assert dequantize_log2(q).tobytes() == ref_dequantize_log2(ref).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       st.integers(0, 2**32 - 1), log2_amplitudes, st.integers(2, 8),
+       st.sampled_from([None, 0.0, -0.0]))
+def test_log2_head_stack_equals_per_head(heads, shape, seed, amp, bits, zero_head):
+    """The (heads, rows, cols) core gives every head the codes, signs and
+    max_abs of ``quantize_log2`` and of the out-of-place oracle on that head
+    alone. Scattered +0.0 and -0.0 entries and, for ``zero_head``, one head
+    of zeros of that sign; a head of zeros gets max_abs == +0.0."""
+    rng = np.random.default_rng(seed)
+    x = (np.clip(rng.standard_normal((heads, *shape)), -4, 4) * (amp / 4)).astype(np.float32)
+    zeros = rng.random(x.shape) < 0.2
+    x[zeros] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[zeros]
+    if zero_head is not None:
+        x[rng.integers(heads)] = zero_head
+    got = _quantize_log2(x, bits)
+    assert len(got) == heads
+    for h, q in enumerate(got):
+        for want in (quantize_log2(x[h], bits), ref_quantize_log2(x[h], bits)):
+            assert q.params == want.params
+            assert q.codes.dtype == want.codes.dtype
+            assert q.codes.tobytes() == want.codes.tobytes()
+            assert q.signs.dtype == want.signs.dtype
+            assert q.signs.tobytes() == want.signs.tobytes()
+        if not x[h].any():
+            assert q.params.max_abs == 0.0 and not np.signbit(q.params.max_abs)
+            assert not q.codes.any()
 
 
 @settings(max_examples=100, deadline=None)

@@ -123,7 +123,7 @@ def test_forward_stack_validates_once_per_call_and_block(monkeypatch, act_quanti
 @pytest.mark.parametrize("act_quantizer", ["trip", "affine"])
 def test_diagnostics_run_only_for_a_trace(monkeypatch, act_quantizer):
     """Counts, never times: a bare forward pass runs no dequantizer and
-    quantizes q, k and v once per block each; a ``trace`` list turns the
+    quantizes q, k and v in one call per block; a ``trace`` list turns the
     per-site dequantizations on (4 weight sites and one attn_v per head)."""
     n_blocks = 4
     cfg = BlockConfig(sites=preset_sites("w4a8", act_quantizer=act_quantizer))
@@ -135,7 +135,7 @@ def test_diagnostics_run_only_for_a_trace(monkeypatch, act_quantizer):
     forward_stack(blocks, x)
     assert {name: len(c) for name, c in calls.items()} == {
         "dequantize_trip": 0, "dequantize_log2": 0, "dequantize_affine": 0,
-        "_quantize_heads": 3 * n_blocks}
+        "_quantize_heads": n_blocks}
     for c in calls.values():
         c.clear()
     forward_stack(blocks, x, trace=[])
@@ -144,7 +144,7 @@ def test_diagnostics_run_only_for_a_trace(monkeypatch, act_quantizer):
         "dequantize_trip": weight_sites if act_quantizer == "trip" else 0,
         "dequantize_log2": cfg.n_heads * n_blocks,
         "dequantize_affine": weight_sites if act_quantizer == "affine" else 0,
-        "_quantize_heads": 3 * n_blocks}
+        "_quantize_heads": n_blocks}
 
 
 @pytest.mark.parametrize("mode", ["fp32", "w4a8", "w4a4"])
