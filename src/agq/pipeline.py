@@ -295,30 +295,28 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
     probs = np.empty((nh, t, t), dtype=np.float32)
     ctx = np.empty((t, d), dtype=np.float32)
     past = np.tri(t, dtype=bool)  # T changes between blocks when pruning
+    cols = [slice(h * dh, (h + 1) * dh) for h in range(nh)]
     group = max(1, HEAD_GROUP_SCORES // (t * t))
     for g in range(0, nh, group):
         hs = range(g, min(g + group, nh))
         scores = probs[g:hs.stop]  # the group's scores, replaced by their softmax
         for h in hs:
-            sl = slice(h * dh, (h + 1) * dh)
             if qk_sc.act_bits == 32:
-                scores[h - g] = gemm_f32(q[:, sl], k[:, sl].T)
+                scores[h - g] = gemm_f32(q[:, cols[h]], k[:, cols[h]].T)
             else:
                 kt = replace(heads[nh + h], codes=heads[nh + h].codes.T)
                 scores[h - g] = gemm_int_affine(heads[h], kt)
         scores /= np.float32(np.sqrt(dh))
         scores[:] = _softmax_causal(_finite(scores, "qk"), past)
-        if av_sc.act_bits < 32:
-            probs_q = _quantize_log2(scores, av_sc.act_bits)
-        for h in hs:
-            sl = slice(h * dh, (h + 1) * dh)
-            if av_sc.act_bits == 32:
-                ctx[:, sl] = gemm_f32(probs[h], v[:, sl])
-                continue
+        if av_sc.act_bits == 32:
+            for h in hs:
+                ctx[:, cols[h]] = gemm_f32(probs[h], v[:, cols[h]])
+            continue
+        for h, probs_q in zip(hs, _quantize_log2(scores, av_sc.act_bits)):
             if trace is not None:
                 trace.append({"site": "attn_v", "act_bits": av_sc.act_bits,
-                              "mse": _mse(probs[h], dequantize_log2(probs_q[h - g]))})
-            ctx[:, sl] = gemm_log2_attnv(probs_q[h - g], heads[2 * nh + h])
+                              "mse": _mse(probs[h], dequantize_log2(probs_q))})
+            ctx[:, cols[h]] = gemm_log2_attnv(probs_q, heads[2 * nh + h])
 
     proj = _site_matmul(block, cfg, "projection", _finite(ctx, "attn_v"), trace)
     h1 = _finite(x + proj, "projection")
