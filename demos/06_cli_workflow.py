@@ -1,7 +1,8 @@
-"""The batch workflow end to end: quantize, analyze, eval, bench.
+"""The batch workflow end to end: quantize, analyze, eval.
 
 Builds a weight store and a run config in a temp directory, then drives the
-`agq` command line through all four subcommands the way a user would.
+`agq` command line through all three subcommands the way a user would. A
+step that fails ends the demo with its exit code.
 """
 
 import json
@@ -22,7 +23,8 @@ def run(*args):
     if proc.stdout:
         print(proc.stdout[:600] + ("..." if len(proc.stdout) > 600 else ""))
     if proc.returncode != 0:
-        print(f"  exit {proc.returncode}: {proc.stderr.strip()}")
+        print(f"  exit {proc.returncode}: {proc.stderr.strip()}", file=sys.stderr)
+        sys.exit(proc.returncode)
     return proc
 
 
@@ -57,5 +59,3 @@ with tempfile.TemporaryDirectory() as tmp:
         "--in", str(tmp / "acts.agqt"), "--input", "x")
 
     run("eval", "--config", str(tmp / "run.json"))
-
-    run("bench", "--sizes", "32,64", "--kernels", "f32,int4", "--repeats", "5")

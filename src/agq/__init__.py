@@ -15,7 +15,6 @@ from .kernels import (
     Int4GemmParams,
     LaneAccumulator,
     PackedInt4Matrix,
-    bench_gemm,
     gemm_f32,
     gemm_int4_packed,
     gemm_int4_raw,

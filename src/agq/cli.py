@@ -1,12 +1,11 @@
-"""Command-line entry point: quantize, analyze, eval, bench.
+"""Command-line entry point: quantize, analyze, eval.
 
 All randomness flows from the seeds in the config; every command is
-deterministic given (config, seeds, inputs) except bench wall-clock timings,
-which are informational only. Exit codes are a stable contract, kept by one
-table (``EXIT_TABLE``) applied once for the whole command group: each failure
-it lists prints one ``<kind> error: <message>`` line on stderr and exits with
-1 = config or usage error, 2 = I/O error, 3 = numeric error,
-4 = threshold failure.
+deterministic given (config, seeds, inputs). Exit codes are a stable
+contract, kept by one table (``EXIT_TABLE``) applied once for the whole
+command group: each failure it lists prints one ``<kind> error: <message>``
+line on stderr and exits with 1 = config or usage error, 2 = I/O error,
+3 = numeric error, 4 = threshold failure.
 """
 
 from __future__ import annotations
@@ -319,28 +318,6 @@ def _eval_record(name, q_out, q_info, q_sites, fp_out, fp_info) -> dict:
         "locality_q": pipeline.attention_locality(q_info["maps"][-1]),
         "sites": q_sites,
     }
-
-
-@main.command()
-@click.option("--sizes", default="64,256,512", help="Comma-separated square sizes.")
-@click.option("--kernels", "kernel_names", default="f32,int8,int4")
-@click.option("--repeats", type=click.IntRange(min=3), default=50, show_default=True)
-def bench(sizes, kernel_names, repeats):
-    """JSON-lines latency report; numbers are informational, never gated."""
-    try:
-        size_list = [int(s) for s in sizes.split(",") if s]
-    except ValueError:
-        size_list = None
-    if size_list is None or any(n < 1 for n in size_list):
-        raise click.BadParameter(f"bad sizes {sizes!r}", param_hint="'--sizes'")
-    kernel_list = kernel_names.split(",")
-    for kernel in kernel_list:
-        if kernel not in kernels.BENCH_KERNELS:
-            raise click.BadParameter(f"unknown kernel {kernel!r}", param_hint="'--kernels'")
-    for n in size_list:
-        for kernel in kernel_list:
-            row = kernels.bench_gemm(n, n, n, kernel, repeats)
-            click.echo(json.dumps(row, sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -20,24 +20,19 @@ The default models the packed 32-bit register word itself: under the
 one GEMM of the activations against the widened word ``w_lo + 2^16 * w_hi``
 per 256-wide group (each word stays below 2^32), whose low and high 16 bits
 are the two sub-lanes.
+
+Per-kernel calls, MACs, self time and GMAC/s come from the traced benchmark
+runs in ``agqbench/``; nothing here times itself.
 """
 
 from __future__ import annotations
 
-import hashlib
-import time
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .quantizers import (
-    QuantTensor,
-    fit_affine,
-    fit_weight_symmetric,
-    quantize_affine,
-    quantize_weight_symmetric,
-)
+from .quantizers import QuantTensor
 from .tensor_store import as_tensor2d
 
 MAX_LANE_ADDITIONS = 256  # 256 * 225 = 57600 < 2^16 keeps sub-lanes isolated
@@ -306,58 +301,3 @@ def gemm_log2_attnv(probs_q: QuantTensor, vq: QuantTensor) -> np.ndarray:
     acc = lhs @ (vq.codes - np.float64(vq.params.zero_point))
     scale = probs_q.params.max_abs * vq.params.scale * 2.0**-ks
     return (acc * scale).astype(np.float32)
-
-
-# ---------------------------------------------------------------------------
-# Benchmark harness (informational only)
-# ---------------------------------------------------------------------------
-
-BENCH_KERNELS = ("f32", "int8", "int4")
-
-
-def bench_gemm(m: int, k: int, n: int, kernel: str, repeats: int, seed: int = 0) -> dict:
-    """Time one GEMM kernel on seeded inputs; medians are informational and
-    never asserted against platform-dependent thresholds."""
-    if kernel not in BENCH_KERNELS:
-        raise KernelError(f"unknown kernel {kernel!r}; choose from {BENCH_KERNELS}")
-    if repeats < 3:
-        raise KernelError("repeats must be >= 3")
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, k)).astype(np.float32)
-    w = rng.standard_normal((k, n)).astype(np.float32)
-    checksum = hashlib.sha256(a.tobytes() + w.tobytes()).hexdigest()[:16]
-
-    if kernel == "f32":
-        run = lambda: gemm_f32(a, w)
-    elif kernel == "int8":
-        aq = quantize_affine(a, fit_affine(a, 8))
-        wq = quantize_weight_symmetric(w, fit_weight_symmetric(w, 4))
-        run = lambda: gemm_int_affine(aq, wq)
-    else:
-        aq = quantize_affine(a, fit_affine(a, 4))
-        wq = quantize_weight_symmetric(w, fit_weight_symmetric(w, 4))
-        packed = pack_weights_for_gemm(
-            (wq.codes + Int4GemmParams.weight_zero_point).astype(np.uint8))
-        params = Int4GemmParams(
-            act_scale=aq.params.scale,
-            act_zero_point=aq.params.zero_point,
-            weight_scales=wq.params.scales,
-        )
-        run = lambda: gemm_int4_packed(aq.codes, packed, params)
-
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        run()
-        samples.append(time.perf_counter_ns() - t0)
-    return {
-        "kernel": kernel,
-        "m": m,
-        "k": k,
-        "n": n,
-        "median_ns": int(np.median(samples)),
-        "p10_ns": int(np.percentile(samples, 10)),
-        "p90_ns": int(np.percentile(samples, 90)),
-        "repeats": repeats,
-        "input_checksum": checksum,
-    }

@@ -271,11 +271,13 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
 
     Each quantized site appends a ``{"site", "act_bits", "mse"}`` record
     (attn_v one per head) to ``trace``, if given, in pass order.
-    Raises ``PipelineError`` naming the stage whose output is not finite.
+    Raises ``PipelineError`` on an empty input and names any non-finite stage.
     """
     cfg = cfg or block.cfg
     x = as_tensor2d(x)  # the one input check; _finite checks each stage
     t, d = x.shape
+    if t == 0:
+        raise PipelineError("input has no rows")
     if d != cfg.d_model:
         raise PipelineError(f"input width {d} != d_model {cfg.d_model}")
     dh, nh = cfg.d_head, cfg.n_heads

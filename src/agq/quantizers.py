@@ -2,8 +2,10 @@
 
 Activations use unsigned code ranges with a zero point; weights use signed
 symmetric ranges per output channel. All rounding is round-half-to-even
-(``np.rint``) so ties are deterministic across platforms. Public functions
-check their input with ``as_tensor2d``; the pipeline calls the private cores.
+(``np.rint``) so ties are deterministic across platforms. Every activation
+scale and zero point comes from ``_fit_range``, and every affine, TRIP and
+weight code from ``_codes``. Public functions check their input with
+``as_tensor2d``; the pipeline calls the private cores.
 """
 
 from __future__ import annotations
@@ -98,14 +100,33 @@ class QuantTensor:
         return self.codes.shape[1]
 
 
-def _round(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.rint(x, out=out)
-
-
 def _clip(x: np.ndarray, lo, hi) -> np.ndarray:
     """In-place ``np.clip``, equal to it for NaN-free ``x``."""
     np.maximum(x, lo, out=x)
     return np.minimum(x, hi, out=x)
+
+
+def _fit_range(heads: np.ndarray, bits: int, cap: int = 0):
+    """Min/max fit of each head ``heads[:, h]`` of a (rows, heads, cols) stack
+    to unsigned ``bits``-bit codes. Returns the code range, the scales over
+    2^cap (exact this far above the subnormals) and the zero points (floats)
+    of the cap-0 scales, so a TRIP base shares the affine zero point."""
+    if heads.size == 0:
+        raise QuantError("cannot fit quantizer on empty tensor")
+    rng = CodeRange(bits, signed=False)
+    lo = heads.min(axis=(0, 2)).astype(np.float64)
+    scale = np.maximum(heads.max(axis=(0, 2)) - lo, SCALE_EPS) / (2**bits - 1)
+    zp = _clip(np.rint(-lo / scale), rng.lo, rng.hi)
+    return rng, scale / 2**cap, zp
+
+
+def _codes(x: np.ndarray, steps, zero_point, rng: CodeRange) -> np.ndarray:
+    """``x / steps`` rounded half to even, plus ``zero_point``, clipped to
+    ``rng``, as int32; ``steps`` and ``zero_point`` broadcast against ``x``."""
+    codes = np.divide(x, steps, dtype=np.float64)
+    np.rint(codes, out=codes)
+    codes += zero_point
+    return _clip(codes, rng.lo, rng.hi).astype(np.int32)
 
 
 def fit_affine(x, bits: int) -> AffineParams:
@@ -114,13 +135,8 @@ def fit_affine(x, bits: int) -> AffineParams:
 
 def _fit_affine(x: np.ndarray, bits: int) -> AffineParams:
     """Layer-wise unsigned affine parameters from the min/max of ``x``."""
-    if x.size == 0:
-        raise QuantError("cannot fit quantizer on empty tensor")
-    rng = CodeRange(bits, signed=False)
-    lo, hi = float(x.min()), float(x.max())
-    scale = max(hi - lo, SCALE_EPS) / (2**bits - 1)
-    zp = int(min(max(np.rint(-lo / scale), rng.lo), rng.hi))
-    return AffineParams(range=rng, scale=float(scale), zero_point=zp)
+    rng, scale, zp = _fit_range(x[:, None], bits)
+    return AffineParams(range=rng, scale=float(scale[0]), zero_point=int(zp[0]))
 
 
 def quantize_affine(x, p: AffineParams) -> QuantTensor:
@@ -128,24 +144,16 @@ def quantize_affine(x, p: AffineParams) -> QuantTensor:
 
 
 def _quantize_affine(x: np.ndarray, p: AffineParams) -> QuantTensor:
-    codes = _round(x.astype(np.float64) / p.scale) + p.zero_point
-    codes = _clip(codes, p.range.lo, p.range.hi).astype(np.int32)
-    return QuantTensor(codes=codes, params=p)
+    return QuantTensor(codes=_codes(x, p.scale, p.zero_point, p.range), params=p)
 
 
 def _quantize_heads(x: np.ndarray, n_heads: int, bits: int) -> list[QuantTensor]:
     """Head h of ``x``'s equal column blocks as ``_quantize_affine(x_h,
     _fit_affine(x_h, bits))``, all heads in one rint and clip; each head's
     codes are a view of one (T, n_heads, d_head) array."""
-    if x.size == 0:
-        raise QuantError("cannot fit quantizer on empty tensor")
-    rng = CodeRange(bits, signed=False)
-    heads = x.reshape(x.shape[0], n_heads, -1)
-    lo = heads.min(axis=(0, 2)).astype(np.float64)
-    scale = np.maximum(heads.max(axis=(0, 2)) - lo, SCALE_EPS) / (2**bits - 1)
-    zp = _clip(np.rint(-lo / scale), rng.lo, rng.hi)
-    codes = _round(heads.astype(np.float64) / scale[:, None]) + zp[:, None]
-    codes = _clip(codes, rng.lo, rng.hi).astype(np.int32)
+    heads = x.reshape(x.shape[0], n_heads, x.shape[1] // n_heads)
+    rng, scale, zp = _fit_range(heads, bits)
+    codes = _codes(heads, scale[:, None], zp[:, None], rng)
     return [QuantTensor(codes[:, h], AffineParams(rng, float(s), int(z)))
             for h, (s, z) in enumerate(zip(scale, zp))]
 
@@ -184,7 +192,7 @@ def _quantize_log2(x: np.ndarray, bits: int) -> list[QuantTensor]:
     np.maximum(e, 2.0**-code_hi, out=e)
     np.log2(e, out=e)
     np.negative(e, out=e)
-    codes = _clip(_round(e, out=e), 0, code_hi).astype(np.int32)
+    codes = _clip(np.rint(e, out=e), 0, code_hi).astype(np.int32)
     codes[max_abs == 0.0] = 0
     return [QuantTensor(codes=codes[h], params=p, signs=signs[h]) for h, p in enumerate(params)]
 
@@ -230,9 +238,7 @@ def quantize_weight_symmetric(w, p: ChannelSymmetricParams) -> QuantTensor:
 
 
 def _quantize_weight_symmetric(w: np.ndarray, p: ChannelSymmetricParams) -> QuantTensor:
-    codes = _round(w.astype(np.float64) / p.scales[None, :])
-    codes = _clip(codes, p.range.lo, p.range.hi).astype(np.int32)
-    return QuantTensor(codes=codes, params=p)
+    return QuantTensor(codes=_codes(w, p.scales, 0, p.range), params=p)
 
 
 def dequantize_weight_symmetric(q: QuantTensor) -> np.ndarray:

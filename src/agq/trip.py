@@ -21,14 +21,14 @@ from typing import ClassVar
 import numpy as np
 
 from .quantizers import (
-    SCALE_EPS,
     AffineParams,
     CodeRange,
     KindMismatchError,
     QuantError,
     QuantTensor,
     _clip,
-    _round,
+    _codes,
+    _fit_range,
 )
 from .tensor_store import as_tensor2d
 
@@ -83,15 +83,11 @@ def _fit_trip(x: np.ndarray, bits: int, cap: int) -> TripParams:
     finer steps for inlier channels. Ties in the per-channel argmin break
     toward the smaller exponent.
     """
-    if x.size == 0:
-        raise QuantError("cannot fit quantizer on empty tensor")
     if not 0 <= cap <= MAX_TRIP_CAP:
         raise QuantError(f"cap must be in 0..{MAX_TRIP_CAP}, got {cap}")
-    rng = CodeRange(bits, signed=False)
-    lo, hi = float(x.min()), float(x.max())
-    scale = max(hi - lo, SCALE_EPS) / ((2**bits - 1) * 2**cap)
-    zp = int(min(max(np.rint(-lo / (2**cap * scale)), rng.lo), rng.hi))
-    base = AffineParams(range=rng, scale=float(scale), zero_point=zp)
+    rng, scales, zps = _fit_range(x[:, None], bits, cap)
+    scale, zp = float(scales[0]), int(zps[0])
+    base = AffineParams(range=rng, scale=scale, zero_point=zp)
 
     # x / (2^a * s) is exactly (x / s) * 2^-a, so divide by s once; codes are
     # kept shifted by -zp, and one buffer holds them, the residuals and squares
@@ -99,7 +95,7 @@ def _fit_trip(x: np.ndarray, bits: int, cap: int) -> TripParams:
     base_steps = x.astype(np.float64)
     base_steps /= scale
     r = np.multiply(base_steps, np.ldexp(1.0, -a))
-    _clip(_round(r, out=r), rng.lo - zp, rng.hi - zp)
+    _clip(np.rint(r, out=r), rng.lo - zp, rng.hi - zp)
     r *= np.ldexp(scale, a)  # the steps 2^a * s
     np.subtract(x, r, out=r)
     np.square(r, out=r)
@@ -118,10 +114,7 @@ def _quantize_trip(x: np.ndarray, p: TripParams) -> QuantTensor:
         raise QuantError(
             f"channel count {x.shape[1]} != exponent count {len(p.alphas)}"
         )
-    rng = p.base.range
-    codes = _round(x.astype(np.float64) / p.steps[None, :]) + p.base.zero_point
-    codes = _clip(codes, rng.lo, rng.hi).astype(np.int32)
-    return QuantTensor(codes=codes, params=p)
+    return QuantTensor(codes=_codes(x, p.steps, p.zero_point, p.range), params=p)
 
 
 def dequantize_trip(q: QuantTensor) -> np.ndarray:

@@ -3,11 +3,7 @@
 Each test prints a single PASS/FAIL line so a full run reads as a checklist.
 """
 
-import json
-
-import jsonschema
 import numpy as np
-from click.testing import CliRunner
 from helpers import (
     PRUNE_SEEDS,
     locality_trial,
@@ -17,7 +13,6 @@ from helpers import (
 )
 
 import agq
-from agq.cli import main as cli_main
 
 
 def report(name, ok):
@@ -194,38 +189,3 @@ def test_10_pipeline_passthrough_and_monotonicity():
             ok = False
     report("20 seeds: FP pass-through bitwise, W4A4 >= W4A8 divergence, "
            "quantized locality >= FP", ok)
-
-
-BENCH_ROW_SCHEMA = {
-    "type": "object",
-    "required": ["kernel", "m", "k", "n", "median_ns", "p10_ns", "p90_ns",
-                 "repeats", "input_checksum"],
-    "properties": {
-        "kernel": {"enum": ["f32", "int8", "int4"]},
-        "m": {"type": "integer", "minimum": 1},
-        "k": {"type": "integer", "minimum": 1},
-        "n": {"type": "integer", "minimum": 1},
-        "median_ns": {"type": "integer", "minimum": 0},
-        "p10_ns": {"type": "integer", "minimum": 0},
-        "p90_ns": {"type": "integer", "minimum": 0},
-        "repeats": {"type": "integer", "minimum": 3},
-        "input_checksum": {"type": "string", "pattern": "^[0-9a-f]{16}$"},
-    },
-    "additionalProperties": False,
-}
-
-
-def test_11_bench_protocol():
-    runner = CliRunner()
-    r = runner.invoke(cli_main, ["bench", "--sizes", "8,16",
-                                 "--kernels", "f32,int8,int4"])
-    ok = r.exit_code == 0
-    rows = [json.loads(line) for line in r.output.strip().splitlines()]
-    ok &= len(rows) == 6
-    for row in rows:
-        try:
-            jsonschema.validate(row, BENCH_ROW_SCHEMA)
-        except jsonschema.ValidationError:
-            ok = False
-        ok &= row["repeats"] == 50
-    report("bench defaults to 50 iterations per cell and emits schema-valid rows", ok)

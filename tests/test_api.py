@@ -1,5 +1,6 @@
-"""Pins the public API surface, so a change to its size shows up in the diff,
-and the names and attributes the benchmark in agqbench/ looks up."""
+"""Pins the public API surface and the CLI's commands, so a change to either
+shows up in the diff, and the names and attributes the benchmark in agqbench/
+looks up."""
 
 import ast
 import dataclasses
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import agq
+import agq.cli
 from agq.quantizers import _quantize_heads
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,7 +22,7 @@ PUBLIC_NAMES = [
     "ChannelSymmetricParams", "CodeRange", "Int4GemmParams", "LaneAccumulator",
     "Log2Params", "OutlierReport", "POST_ATTENTION_SITES", "PackedInt4Matrix",
     "PipelineError", "PruneSchedule", "QuantError", "QuantTensor", "SITES",
-    "SiteConfig", "TripParams", "analyze_outliers", "attention_locality", "bench_gemm",
+    "SiteConfig", "TripParams", "analyze_outliers", "attention_locality",
     "cosine_similarity", "default_start_layer", "dequantize_affine", "dequantize_log2",
     "dequantize_trip", "dequantize_weight_symmetric", "fit_affine", "fit_trip",
     "fit_weight_symmetric", "fold_trip_into_weights", "forward_block", "forward_stack",
@@ -37,7 +39,11 @@ def test_public_names():
     names = sorted(n for n in dir(agq) if not n.startswith("_")
                    and not isinstance(getattr(agq, n), types.ModuleType))
     assert names == PUBLIC_NAMES
-    assert len(names) == 60
+    assert len(names) == 59
+
+
+def test_cli_commands():
+    assert sorted(agq.cli.main.commands) == ["analyze", "eval", "quantize"]
 
 
 def test_site_config_fields():

@@ -296,35 +296,6 @@ class TestEvalResumesPrunedPasses:
         assert got[0] == 3 and "injected" in got[2]
 
 
-class TestBench:
-    def test_repeats_one_rejected(self, runner):
-        r = runner.invoke(main, ["bench", "--repeats", "1"])
-        assert r.exit_code == 1
-
-    def test_unknown_kernel_rejected(self, runner):
-        r = runner.invoke(main, ["bench", "--kernels", "fp16", "--repeats", "3"])
-        assert r.exit_code == 1
-
-    def test_default_repeats_is_50(self, runner):
-        r = runner.invoke(main, ["bench", "--sizes", "8", "--kernels", "f32"])
-        assert r.exit_code == 0, r.output
-        row = json.loads(r.output.strip())
-        assert row["repeats"] == 50
-
-    def test_rows_per_kernel_and_size(self, runner):
-        r = runner.invoke(main, ["bench", "--sizes", "8,16",
-                                 "--kernels", "f32,int8,int4", "--repeats", "3"])
-        assert r.exit_code == 0, r.output
-        rows = [json.loads(line) for line in r.output.strip().splitlines()]
-        assert len(rows) == 6
-        seen = {(row["m"], row["kernel"]) for row in rows}
-        assert seen == {(m, k) for m in (8, 16) for k in ("f32", "int8", "int4")}
-        for row in rows:
-            assert row["median_ns"] > 0
-            assert {"p10_ns", "p90_ns", "input_checksum"} <= set(row)
-
-
-
 def raw_store(path, name: bytes, x):
     """A one-tensor float32 store written byte by byte, so it can hold what
     save_store refuses to write."""
@@ -346,6 +317,12 @@ def overflow_store(tmp_path):
     x[1::2] *= -1
     path = tmp_path / "big.agqt"
     save_store({"input": x}, path)
+    return str(path)
+
+
+def empty_store(tmp_path):
+    path = tmp_path / "empty.agqt"
+    save_store({"input": np.zeros((0, 64), dtype=np.float32)}, path)
     return str(path)
 
 
@@ -400,6 +377,7 @@ EXIT_CASES = [
     ("unknown-group-option", lambda p: ["--threads", "2", "eval", "--config",
                                         write_config(p / "c.json")], 1),
     ("missing-command", lambda p: [], 1),
+    ("unknown-command", lambda p: ["bench"], 1),
     ("report-dir-missing", lambda p: ["eval", "--config", write_config(
         p / "c.json", output={"report": str(p / "no" / "r.json")})], 2),
     ("csv-dir-missing", lambda p: ["analyze", "--config", write_config(
@@ -417,6 +395,8 @@ EXIT_CASES = [
                                        "--in", overflow_store(p)], 3),
     ("overflow-store-analyze", lambda p: ["analyze", "--config", write_config(p / "c.json"),
                                           "--in", overflow_store(p), "--input", "input"], 3),
+    ("empty-store-eval", lambda p: ["eval", "--config", write_config(p / "c.json"),
+                                    "--in", empty_store(p)], 3),
     ("input-width-mismatch", lambda p: ["analyze", "--config", write_config(p / "c.json"),
                                         "--in", good_store(p, width=32),
                                         "--input", "input"], 3),
@@ -470,7 +450,7 @@ fuzz_values = st.one_of(
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cfg=fuzz_configs, command=st.sampled_from(["eval", "analyze", "quantize"]),
-       t=st.integers(1, 16), width=st.sampled_from([None, None, None, 4, 8]),
+       t=st.integers(0, 16), width=st.sampled_from([None, None, None, 4, 8]),
        values=st.lists(fuzz_values, min_size=1, max_size=4), seed=st.integers(0, 3))
 def test_cli_fuzz_exit_contract(runner, tmp_path, cfg, command, t, width, values, seed):
     """Any small config and finite store ends with an exit code of 0-4 and at

@@ -17,7 +17,6 @@ from agq.kernels import (
     Int4GemmParams,
     KernelError,
     LaneAccumulator,
-    bench_gemm,
     check_exact,
     gemm_f32,
     gemm_int4_packed,
@@ -459,24 +458,3 @@ class TestCheckExact:
         check_exact(2**20, 2**16, 2**16)  # 2^52
         with pytest.raises(KernelError):
             check_exact(2**21, 2**16, 2**16)  # 2^53
-
-
-class TestBench:
-    def test_result_fields(self):
-        r = bench_gemm(8, 8, 8, "f32", repeats=3)
-        assert r["kernel"] == "f32"
-        assert r["repeats"] == 3
-        assert r["median_ns"] > 0
-        assert r["p10_ns"] <= r["median_ns"] <= r["p90_ns"]
-        assert len(r["input_checksum"]) == 16
-
-    def test_checksum_seed_stable(self):
-        r1 = bench_gemm(8, 16, 8, "int4", repeats=3, seed=5)
-        r2 = bench_gemm(8, 16, 8, "int4", repeats=3, seed=5)
-        assert r1["input_checksum"] == r2["input_checksum"]
-
-    def test_validation(self):
-        with pytest.raises(KernelError):
-            bench_gemm(8, 8, 8, "f32", repeats=1)
-        with pytest.raises(KernelError):
-            bench_gemm(8, 8, 8, "fp16", repeats=3)
