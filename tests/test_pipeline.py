@@ -316,6 +316,15 @@ class TestForwardFP:
         with pytest.raises(PipelineError):
             fp_pass(b, np.zeros((4, 32), dtype=np.float32))
 
+    @pytest.mark.parametrize("mode", ["fp32", "w4a8", "w4a4"])
+    def test_input_without_rows_rejected(self, mode):
+        cfg = BlockConfig(sites=preset_sites(mode), seed=0)
+        empty = np.zeros((0, 64), dtype=np.float32)
+        with pytest.raises(PipelineError, match="^input has no rows$"):
+            forward_block(init_block(cfg), empty)
+        with pytest.raises(PipelineError, match="^block 0: input has no rows$"):
+            forward_stack(init_stack(cfg, 2), empty)
+
 
 class TestQuantizedPass:
     """A configured pass with a trace, compared against the FP32 pass."""

@@ -5,11 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agq.quantizers import (
+    SCALE_EPS,
     AffineParams,
     CodeRange,
     KindMismatchError,
     Log2Params,
     QuantError,
+    _codes,
+    _fit_range,
     _quantize_log2,
     dequantize_affine,
     dequantize_log2,
@@ -53,6 +56,66 @@ class TestFitAffine:
     def test_empty_tensor(self):
         with pytest.raises(QuantError):
             fit_affine(np.empty((0, 3), dtype=np.float32), 8)
+
+
+amplitudes = st.sampled_from([1e-30, 1e-3, 1.0, 1e3, 1e30, 3e38])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 5), st.tuples(st.integers(1, 20), st.integers(1, 20)),
+       st.integers(0, 2**32 - 1), amplitudes, st.integers(2, 8), st.integers(0, 6),
+       st.booleans())
+def test_fit_range_equals_per_head_scalar_fit(heads, shape, seed, amp, bits, cap, constant):
+    """Each head's scale and zero point equal the scalar min/max fit at step
+    ``r / (N * 2^cap)``, with the zero point of the cap-0 step, and at cap 0
+    they are ``fit_affine`` of that head alone; one head may be constant."""
+    rng = np.random.default_rng(seed)
+    x = np.clip(rng.standard_normal((shape[0], heads, shape[1])) + rng.uniform(-2, 2), -4, 4)
+    x = (x * (amp / 4)).astype(np.float32)
+    if constant:
+        x[:, rng.integers(heads)] = x.flat[0]
+    code_range, scales, zps = _fit_range(x, bits, cap)
+    assert code_range == CodeRange(bits, signed=False)
+    assert scales.shape == zps.shape == (heads,)
+    for h in range(heads):
+        lo, hi = float(x[:, h].min()), float(x[:, h].max())
+        scale = max(hi - lo, SCALE_EPS) / ((2**bits - 1) * 2**cap)
+        zp = min(max(np.rint(-lo / (2**cap * scale)), 0), 2**bits - 1)
+        assert (float(scales[h]), float(zps[h])) == (scale, zp)
+        p = fit_affine(x[:, h], bits)
+        assert (p.scale, p.zero_point) == (float(scales[h]) * 2**cap, int(zps[h]))
+
+
+def test_fit_range_empty_rejected():
+    for shape in ((0, 2, 3), (4, 2, 0), (4, 0, 3)):
+        with pytest.raises(QuantError, match="empty tensor"):
+            _fit_range(np.empty(shape, dtype=np.float32), 8)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.tuples(st.integers(1, 20), st.integers(1, 20)), st.integers(0, 2**32 - 1),
+       st.integers(2, 8), st.booleans(), st.booleans(), st.booleans())
+def test_codes_equal_out_of_place_oracle(shape, seed, bits, signed, per_column, ties):
+    """``_codes`` is ``clip(rint(x / steps) + zero_point)`` as int32 bit for
+    bit, with scalar or per-column steps, values exactly on half-step ties and
+    far outside the range, and leaves ``x`` as it was."""
+    rng = np.random.default_rng(seed)
+    code_range = CodeRange(bits, signed=signed)
+    size = shape[1] if per_column else None
+    if ties:  # power-of-two steps, so (n +- 1/2) * step is exact in float32
+        steps = 2.0 ** rng.integers(-6, 2, size)
+    else:
+        steps = rng.uniform(0.01, 2.0, size)
+    zp = 0 if signed else int(rng.integers(code_range.lo, code_range.hi + 1))
+    x = rng.uniform(-2.0, 2.0, shape) * 2**bits * np.max(steps)
+    if ties:
+        x = (np.rint(x / steps) + rng.choice([-0.5, 0.5], shape)) * steps
+    x = x.astype(np.float32)
+    before = x.copy()
+    got = _codes(x, steps, zp, code_range)
+    want = np.clip(np.rint(x.astype(np.float64) / steps) + zp, code_range.lo, code_range.hi)
+    assert got.dtype == np.int32 and got.tobytes() == want.astype(np.int32).tobytes()
+    assert x.tobytes() == before.tobytes()
 
 
 class TestQuantizeAffine:

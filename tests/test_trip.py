@@ -40,6 +40,26 @@ def test_cap_zero_collapses_to_affine():
     )
 
 
+@pytest.mark.parametrize("cap", range(7))
+def test_base_is_affine_fit_over_2_to_the_cap(cap):
+    """The base step is the affine step divided by 2^cap, exactly, and the
+    base zero point is the affine one."""
+    rng = np.random.default_rng(cap)
+    x = (rng.uniform(-3, 5, (16, 8)) * 10.0 ** rng.integers(-20, 20, 8)).astype(np.float32)
+    for bits in range(2, 9):
+        p, pa = fit_trip(x, bits, cap), fit_affine(x, bits)
+        assert p.base.scale == pa.scale / 2**cap
+        assert p.base.zero_point == pa.zero_point
+
+
+def test_cap_checked_before_empty_input():
+    empty = np.empty((0, 3), dtype=np.float32)
+    with pytest.raises(QuantError, match="^cap must be in 0..6, got 7$"):
+        fit_trip(empty, 8, cap=7)
+    with pytest.raises(QuantError, match="empty tensor"):
+        fit_trip(empty, 8, cap=2)
+
+
 def test_outlier_channel_gets_bigger_exponent():
     rng = np.random.default_rng(1)
     x = np.empty((64, 2), dtype=np.float32)
