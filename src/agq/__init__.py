@@ -6,8 +6,9 @@ lane channels (4-bit sites), attention-importance token pruning, a bit-exact
 packed INT4 lane GEMM, and a toy causal decoder block that ties them together.
 ``forward_block`` is the one block pass: with ``replace(cfg, sites={})`` it is
 the FP32 reference, and a ``trace`` list collects per-site MSE records.
-``fold_trip_into_weights`` remains as a float reference; no forward pass
-runs it.
+Each site's ``SiteConfig`` sets only its precision and TRIP cap; the site
+fixes the quantizer. ``fold_trip_into_weights`` is a float reference for the
+shift identity.
 """
 
 from .kernels import (

@@ -4,15 +4,16 @@ One block = causal self-attention (one fused QKV linear transform, scaled QK,
 softmax, AttnV, output projection, residual) followed by layernorm, an MLP
 with a sigmoid-gated linear unit, and a second residual. The four weight
 sites (linear_transform = [wq | wk | wv], projection, fc1, fc2) each hold one
-weight matrix, so each site input is quantized once per block. Matmul sites
-are individually configurable: FP32 reference, 8-bit affine/refined
-activations against 4-bit weights, 4-bit activations through the packed lane
-GEMM, and log2-quantized softmax probabilities through the shift GEMM. Nonlinear
-operators (softmax, layernorm, the gate) always stay FP32. Weight codes are
-quantized and packed once, in ``init_block``; refined activations reach them
-as exact integer shifts (8-bit) or repeated lane channels (4-bit), never as a
-per-call weight re-quantization. Q, K and V are quantized in one call per
-block, each head with its own fit. The causal softmax and the log2 quantizer
+weight matrix, so each site input is quantized once per block. A site's
+config sets only its precision and TRIP cap; the site fixes the quantizer.
+Weight-site inputs are TRIP-refined (cap 0 is plain affine) against 4-bit
+weights, at 8 bits or at 4 bits through the packed lane GEMM; Q/K/V are
+per-head affine; softmax probabilities are log2 codes through the shift
+GEMM. Nonlinear operators (softmax, layernorm, the gate) always stay FP32.
+Weight codes are quantized and packed once, in ``init_block``; refined
+activations reach them as exact integer shifts (8-bit) or repeated lane
+channels (4-bit), never as a per-call weight re-quantization. Q, K and V are
+quantized in one call per block, each head with its own fit. The causal softmax and the log2 quantizer
 take max(1, 2^16 // T^2) heads at a time, each head with its own maximum: all
 heads at T <= 128, one at T >= 182, so their float64 buffer never exceeds 512
 KiB or one head's and peak memory stays that of a per-head loop. The qk and
@@ -47,13 +48,10 @@ from .pruning import (
 from .quantizers import (
     ChannelSymmetricParams,
     QuantTensor,
-    _fit_affine,
     _fit_weight_symmetric,
-    _quantize_affine,
     _quantize_heads,
     _quantize_log2,
     _quantize_weight_symmetric,
-    dequantize_affine,
     dequantize_log2,
 )
 from .tensor_store import as_tensor2d, slice_rows
@@ -71,16 +69,17 @@ class PipelineError(Exception):
 
 @dataclass(frozen=True)
 class SiteConfig:
+    """One matmul site's precision. The site fixes the quantizer: weight-site
+    inputs are TRIP-refined (cap 0 = layer-wise affine), Q/K/V per-head
+    affine, softmax outputs log2."""
+
     act_bits: int = 32  # 4, 8, or 32 (32 = FP passthrough; else 4-bit weights)
-    act_quantizer: str = "affine"  # "affine" | "trip" | "log2"
-    trip_cap: int = 3
+    trip_cap: int = 0  # largest TRIP channel exponent; weight sites only
 
     def __post_init__(self):
         if self.act_bits not in (4, 8, 32):
             raise PipelineError(f"act_bits must be 4, 8 or 32, got {self.act_bits}")
-        if self.act_quantizer not in ("affine", "trip", "log2"):
-            raise PipelineError(f"unknown activation quantizer {self.act_quantizer!r}")
-        if not 0 <= self.trip_cap <= MAX_TRIP_CAP:
+        if self.trip_cap not in range(MAX_TRIP_CAP + 1):
             raise PipelineError(f"trip_cap must be in 0..{MAX_TRIP_CAP}, got {self.trip_cap}")
 
 
@@ -104,10 +103,9 @@ class BlockConfig:
                 raise PipelineError(
                     f"4-bit activations are restricted to post-attention sites, not {name}"
                 )
-        attn_v = self.site("attn_v")
-        if attn_v.act_bits < 32 and attn_v.act_quantizer != "log2":
-            raise PipelineError("quantized softmax output must use the log2 quantizer")
-        if attn_v.act_bits == 8:
+            if sc.trip_cap and name in ("qk", "attn_v"):
+                raise PipelineError(f"trip_cap applies to weight sites only, not {name}")
+        if self.site("attn_v").act_bits == 8:
             raise PipelineError("softmax probabilities quantize to 4-bit log2 or FP32")
 
     @property
@@ -123,24 +121,29 @@ def preset_sites(mode: str, act_quantizer: str = "trip", trip_cap: int = 3):
 
     w4a8 quantizes every matmul with 8-bit activations (softmax output 4-bit
     log2); w4a4 additionally drops the projection and FC1 inputs to 4-bit.
+    ``act_quantizer="affine"`` is TRIP at cap 0 on the weight sites.
     """
+    if act_quantizer not in ("affine", "trip"):
+        raise PipelineError(f"unknown activation quantizer {act_quantizer!r}")
     if mode == "fp32":
         return {}
     if mode not in ("w4a8", "w4a4"):
         raise PipelineError(f"unknown preset {mode!r}")
-    a8 = SiteConfig(act_bits=8, act_quantizer=act_quantizer, trip_cap=trip_cap)
+    a8 = SiteConfig(act_bits=8, trip_cap=trip_cap)  # checks the cap for both quantizers
+    if act_quantizer == "affine":
+        a8 = SiteConfig(act_bits=8)
     sites = {
         "linear_transform": a8,
-        "qk": SiteConfig(act_bits=8, act_quantizer="affine"),
-        "attn_v": SiteConfig(act_bits=4, act_quantizer="log2"),
+        "qk": SiteConfig(act_bits=8),
+        "attn_v": SiteConfig(act_bits=4),
         "projection": a8,
         "fc1": a8,
         "fc2": a8,
     }
     if mode == "w4a4":
-        cap4 = min(trip_cap, 2)  # smaller shift budget at 4-bit
+        cap4 = min(a8.trip_cap, 2)  # smaller shift budget at 4-bit
         for name in ("projection", "fc1"):
-            sites[name] = replace(a8, act_bits=4, trip_cap=cap4)
+            sites[name] = SiteConfig(act_bits=4, trip_cap=cap4)
     return sites
 
 
@@ -205,12 +208,6 @@ def _softmax_causal(scores: np.ndarray, past: np.ndarray) -> np.ndarray:
     return e.astype(np.float32)
 
 
-def _quantize_act(x: np.ndarray, sc: SiteConfig):
-    if sc.act_quantizer == "trip":
-        return _quantize_trip(x, _fit_trip(x, sc.act_bits, sc.trip_cap))
-    return _quantize_affine(x, _fit_affine(x, sc.act_bits))
-
-
 def _mse(x: np.ndarray, dequant: np.ndarray) -> float:
     """Mean squared quantization error, in float64."""
     d = x.astype(np.float64)
@@ -224,16 +221,17 @@ def _site_product(aq: QuantTensor, wq: QuantTensor, packed: PackedInt4Matrix) ->
     which ``packed`` holds as nibbles. TRIP exponents act on integers only,
     exactly: 8-bit codes meet weight row c shifted left by alpha_c, and 4-bit
     codes stay nibbles in the lane GEMM, with channel c counted
-    2^(alpha_c - min alpha) times and the scale times 2^min alpha."""
+    2^(alpha_c - min alpha) times and the scale times 2^min alpha. At cap 0
+    the exponents are all 0 and the codes meet the weights as they are."""
     p = aq.params
     if p.range.bits == 8:
-        if aq.kind == "trip":
+        if p.cap:
             shifted = ChannelSymmetricParams(range=replace(wq.params.range, shift=p.cap),
                                              scales=wq.params.scales)
             wq = QuantTensor(wq.codes << p.alphas.astype(np.int32)[:, None], shifted)
         return gemm_int_affine(aq, wq)
     codes, scale = aq.codes.astype(np.uint8), p.scale
-    if aq.kind == "trip":
+    if p.cap:
         low = int(p.alphas.min())
         cols = np.repeat(np.arange(aq.cols), 1 << (p.alphas - low))
         codes = codes[:, cols]
@@ -250,10 +248,10 @@ def _site_matmul(block: Block, cfg: BlockConfig, name: str, x: np.ndarray,
     sc = cfg.site(name)
     if sc.act_bits == 32:
         return gemm_f32(x, block.weights[name])
-    aq = _quantize_act(x, sc)
+    aq = _quantize_trip(x, _fit_trip(x, sc.act_bits, sc.trip_cap))
     if trace is not None:
-        dequant = dequantize_trip(aq) if aq.kind == "trip" else dequantize_affine(aq)
-        trace.append({"site": name, "act_bits": sc.act_bits, "mse": _mse(x, dequant)})
+        trace.append({"site": name, "act_bits": sc.act_bits,
+                      "mse": _mse(x, dequantize_trip(aq))})
     return _site_product(aq, block.weight_q[name], block.packed[name])
 
 
@@ -285,14 +283,10 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
 
     qkv = _finite(_site_matmul(block, cfg, "linear_transform", x, trace), "linear_transform")
     q, k, v = np.hsplit(qkv, 3)
-    # one 8-bit fit per head over the quantized blocks of [q | k | v] (qk runs
-    # 8-bit or FP32); None pads q and k when FP32, so head h of q, k and v is
-    # heads[h], heads[nh + h] and heads[2 * nh + h]
-    first = 0 if qk_sc.act_bits < 32 else 2
-    last = 3 if av_sc.act_bits < 32 else 2
-    heads = [None] * first * nh
-    if last > first:
-        heads += _quantize_heads(qkv[:, first * d:last * d], (last - first) * nh, 8)
+    # one 8-bit fit per head of [q | k | v] (qk runs 8-bit or FP32), so head h
+    # of q, k and v is heads[h], heads[nh + h] and heads[2 * nh + h]
+    if qk_sc.act_bits < 32 or av_sc.act_bits < 32:
+        heads = _quantize_heads(qkv, 3 * nh, 8)
 
     probs = np.empty((nh, t, t), dtype=np.float32)
     ctx = np.empty((t, d), dtype=np.float32)

@@ -62,16 +62,13 @@ def score_tokens(m: AttentionMap) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PruneSchedule:
-    total_layers: int
     prune_layers: tuple[int, ...]
     final_ratio: float  # beta: cumulative fraction pruned after all stages
-    per_layer_ratio: float  # gamma
 
-    def __post_init__(self):
-        m = len(self.prune_layers)
-        expected = 1.0 - (1.0 - self.final_ratio) ** (1.0 / m)
-        if abs(self.per_layer_ratio - expected) > 1e-12:
-            raise PruneError("per-layer ratio inconsistent with final ratio")
+    @property
+    def per_layer_ratio(self) -> float:
+        """gamma = 1 - (1 - beta)^(1/m)."""
+        return 1.0 - (1.0 - self.final_ratio) ** (1.0 / len(self.prune_layers))
 
 
 def make_schedule(n: int, start_layer: int, beta: float, m: int) -> PruneSchedule:
@@ -85,13 +82,7 @@ def make_schedule(n: int, start_layer: int, beta: float, m: int) -> PruneSchedul
     layers = np.unique(np.round(np.linspace(start_layer, n - 1, m)).astype(int))
     if len(layers) != m:  # rounding collision; fall back to consecutive slots
         layers = np.arange(start_layer, start_layer + m)
-    gamma = 1.0 - (1.0 - beta) ** (1.0 / m)
-    return PruneSchedule(
-        total_layers=n,
-        prune_layers=tuple(int(l) for l in layers),
-        final_ratio=beta,
-        per_layer_ratio=gamma,
-    )
+    return PruneSchedule(prune_layers=tuple(int(l) for l in layers), final_ratio=beta)
 
 
 def default_start_layer(n: int) -> int:

@@ -5,7 +5,7 @@ symmetric ranges per output channel. All rounding is round-half-to-even
 (``np.rint``) so ties are deterministic across platforms. Every activation
 scale and zero point comes from ``_fit_range``, and every affine, TRIP and
 weight code from ``_codes``. Public functions check their input with
-``as_tensor2d``; the pipeline calls the private cores.
+``as_tensor2d``; the pipeline calls the private cores of those it runs.
 """
 
 from __future__ import annotations
@@ -130,26 +130,18 @@ def _codes(x: np.ndarray, steps, zero_point, rng: CodeRange) -> np.ndarray:
 
 
 def fit_affine(x, bits: int) -> AffineParams:
-    return _fit_affine(as_tensor2d(x), bits)
-
-
-def _fit_affine(x: np.ndarray, bits: int) -> AffineParams:
     """Layer-wise unsigned affine parameters from the min/max of ``x``."""
-    rng, scale, zp = _fit_range(x[:, None], bits)
+    rng, scale, zp = _fit_range(as_tensor2d(x)[:, None], bits)
     return AffineParams(range=rng, scale=float(scale[0]), zero_point=int(zp[0]))
 
 
 def quantize_affine(x, p: AffineParams) -> QuantTensor:
-    return _quantize_affine(as_tensor2d(x), p)
-
-
-def _quantize_affine(x: np.ndarray, p: AffineParams) -> QuantTensor:
-    return QuantTensor(codes=_codes(x, p.scale, p.zero_point, p.range), params=p)
+    return QuantTensor(codes=_codes(as_tensor2d(x), p.scale, p.zero_point, p.range), params=p)
 
 
 def _quantize_heads(x: np.ndarray, n_heads: int, bits: int) -> list[QuantTensor]:
-    """Head h of ``x``'s equal column blocks as ``_quantize_affine(x_h,
-    _fit_affine(x_h, bits))``, all heads in one rint and clip; each head's
+    """Head h of ``x``'s equal column blocks as ``quantize_affine(x_h,
+    fit_affine(x_h, bits))``, all heads in one rint and clip; each head's
     codes are a view of one (T, n_heads, d_head) array."""
     heads = x.reshape(x.shape[0], n_heads, x.shape[1] // n_heads)
     rng, scale, zp = _fit_range(heads, bits)

@@ -7,10 +7,10 @@ round-trip reconstruction error, every exponent in one broadcast pass over a
 (cap+1, T, C) buffer that sums rows in the order of a per-exponent loop. The
 pipeline applies them as exact integer work on the plain 4-bit weight codes:
 an 8-bit site shifts weight row c left by alpha_c, and a 4-bit site counts
-channel c 2^(alpha_c - min alpha) times in the lane GEMM.
-``fold_trip_into_weights`` scales float weights instead; it is a reference for
-that identity and no longer runs in a forward pass. Input is validated as in
-``quantizers``.
+channel c 2^(alpha_c - min alpha) times in the lane GEMM. At cap 0 every
+exponent is 0 and TRIP is the layer-wise affine quantizer.
+``fold_trip_into_weights`` scales float weights instead, as a float reference
+for that identity. Input is validated as in ``quantizers``.
 """
 
 from __future__ import annotations
@@ -81,13 +81,16 @@ def _fit_trip(x: np.ndarray, bits: int, cap: int) -> TripParams:
     range maps onto (2^bits - 1) * 2^cap base steps, so alpha_c = cap
     reproduces the plain layer-wise affine quantizer and smaller alpha_c give
     finer steps for inlier channels. Ties in the per-channel argmin break
-    toward the smaller exponent.
+    toward the smaller exponent. At cap 0 the one exponent is 0 and no
+    search runs.
     """
     if not 0 <= cap <= MAX_TRIP_CAP:
         raise QuantError(f"cap must be in 0..{MAX_TRIP_CAP}, got {cap}")
     rng, scales, zps = _fit_range(x[:, None], bits, cap)
     scale, zp = float(scales[0]), int(zps[0])
     base = AffineParams(range=rng, scale=scale, zero_point=zp)
+    if cap == 0:
+        return TripParams(base=base, alphas=np.zeros(x.shape[1], dtype=np.int64), cap=0)
 
     # x / (2^a * s) is exactly (x / s) * 2^-a, so divide by s once; codes are
     # kept shifted by -zp, and one buffer holds them, the residuals and squares
@@ -130,10 +133,9 @@ def fold_trip_into_weights(w, p: TripParams) -> np.ndarray:
     from the activation path: ((codes - zp) @ folded_w) * s equals
     dequantize_trip(q) @ w in exact arithmetic.
 
-    A float reference only: a forward pass never folds, since folded weights
-    would need a 4-bit re-fit and re-quantization on every call. The
-    pipeline shifts the integer weight codes (8-bit sites) or repeats lane
-    channels (4-bit sites) instead.
+    A float reference only: folded weights would need a 4-bit re-fit and
+    re-quantization on every call, so the pipeline shifts the integer weight
+    codes (8-bit sites) or repeats lane channels (4-bit sites) instead.
     """
     w = as_tensor2d(w)
     if w.shape[0] != len(p.alphas):

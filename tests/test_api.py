@@ -48,7 +48,12 @@ def test_cli_commands():
 
 def test_site_config_fields():
     fields = [f.name for f in dataclasses.fields(agq.SiteConfig)]
-    assert fields == ["act_bits", "act_quantizer", "trip_cap"]
+    assert fields == ["act_bits", "trip_cap"]
+
+
+def test_prune_schedule_fields():
+    fields = [f.name for f in dataclasses.fields(agq.PruneSchedule)]
+    assert fields == ["prune_layers", "final_ratio"]
 
 
 def test_derived_fields_are_not_settable():

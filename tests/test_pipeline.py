@@ -31,7 +31,7 @@ from agq.pipeline import (
     preset_sites,
 )
 from agq.pruning import AttentionMap
-from agq.quantizers import _fit_affine, _quantize_affine, _quantize_heads
+from agq.quantizers import _quantize_heads, fit_affine, quantize_affine
 
 
 class TestConfig:
@@ -51,17 +51,31 @@ class TestConfig:
             })
         BlockConfig(sites={"fc1": SiteConfig(act_bits=4)})
 
-    def test_softmax_site_must_be_log2(self):
-        with pytest.raises(PipelineError):
-            BlockConfig(sites={
-                "attn_v": SiteConfig(act_bits=4, act_quantizer="affine")
-            })
+    @pytest.mark.parametrize("name,site", [("qk", SiteConfig(8, trip_cap=1)),
+                                           ("attn_v", SiteConfig(4, trip_cap=1))])
+    def test_trip_cap_only_on_weight_sites(self, name, site):
+        """Q/K and softmax outputs have fixed quantizers with no exponents."""
+        with pytest.raises(PipelineError, match=f"weight sites only, not {name}"):
+            BlockConfig(sites={name: site})
+        BlockConfig(sites={name: replace(site, trip_cap=0)})
+
+    @pytest.mark.parametrize("mode", ["fp32", "w4a8", "w4a4"])
+    @pytest.mark.parametrize("act_quantizer", ["log2", "TRIP", "", None])
+    def test_preset_quantizer_is_affine_or_trip(self, mode, act_quantizer):
+        with pytest.raises(PipelineError, match="unknown activation quantizer"):
+            preset_sites(mode, act_quantizer=act_quantizer)
+
+    @pytest.mark.parametrize("mode", ["fp32", "w4a8", "w4a4"])
+    @pytest.mark.parametrize("cap", range(7))
+    def test_affine_preset_is_trip_at_cap_zero(self, mode, cap):
+        assert preset_sites(mode, "affine", cap) == preset_sites(mode, "trip", 0)
 
     def test_presets(self):
         assert preset_sites("fp32") == {}
         w4a8 = preset_sites("w4a8")
         assert set(w4a8) == set(agq.SITES)
-        assert w4a8["attn_v"].act_quantizer == "log2"
+        assert w4a8["qk"] == SiteConfig(8) and w4a8["attn_v"] == SiteConfig(4)
+        assert w4a8["fc2"] == SiteConfig(8, trip_cap=3)
         w4a4 = preset_sites("w4a4")
         assert w4a4["projection"].act_bits == 4
         assert w4a4["fc1"].act_bits == 4
@@ -69,12 +83,14 @@ class TestConfig:
         with pytest.raises(PipelineError):
             preset_sites("w8a8")
 
-    @pytest.mark.parametrize("cap", [-1, 7, 200])
+    # "log2": SiteConfig(8, "log2") passes a quantizer name as the cap
+    @pytest.mark.parametrize("cap", [-1, 7, 200, "log2"])
     def test_trip_cap_outside_0_to_6_rejected(self, cap):
         with pytest.raises(PipelineError, match="trip_cap must be in 0..6"):
-            SiteConfig(act_bits=8, act_quantizer="trip", trip_cap=cap)
-        with pytest.raises(PipelineError, match="trip_cap must be in 0..6"):
-            preset_sites("w4a8", trip_cap=cap)
+            SiteConfig(act_bits=8, trip_cap=cap)
+        for act_quantizer in ("trip", "affine"):
+            with pytest.raises(PipelineError, match="trip_cap must be in 0..6"):
+                preset_sites("w4a8", act_quantizer, trip_cap=cap)
 
 
 @settings(max_examples=80, deadline=None)
@@ -125,12 +141,12 @@ def test_quantize_heads_equals_per_head_affine(t, n_heads, d_head, bits, seed,
     assert len(heads) == n_heads
     for h, got in enumerate(heads):
         kh = k[:, h * d_head:(h + 1) * d_head]
-        want = _quantize_affine(kh, _fit_affine(kh, bits))
+        want = quantize_affine(kh, fit_affine(kh, bits))
         assert got.kind == want.kind == "affine"
         assert got.params == want.params
         assert got.codes.dtype == want.codes.dtype
         np.testing.assert_array_equal(got.codes, want.codes)
-        want_t = _quantize_affine(kh.T, _fit_affine(kh.T, bits))
+        want_t = quantize_affine(kh.T, fit_affine(kh.T, bits))
         assert want_t.params == got.params
         np.testing.assert_array_equal(got.codes.T, want_t.codes)
 
@@ -219,7 +235,7 @@ def _small_stack(sites, t=8, n_blocks=2):
 def _lane_sites(cap):
     """w4a8 with every post-attention weight site at 4-bit TRIP, cap ``cap``."""
     sites = preset_sites("w4a8", trip_cap=cap)
-    sites.update(dict.fromkeys(("projection", "fc1", "fc2"), SiteConfig(4, "trip", cap)))
+    sites.update(dict.fromkeys(("projection", "fc1", "fc2"), SiteConfig(4, cap)))
     return sites
 
 

@@ -74,6 +74,13 @@ class TestMakeSchedule:
     def test_beta_zero(self):
         assert make_schedule(4, 0, 0.0, 2).per_layer_ratio == 0.0
 
+    def test_gamma_derived_from_beta_and_m(self):
+        """gamma is the one float expression of beta and m, not a stored copy."""
+        for beta in (0.0, 0.3, 0.5, 0.99):
+            for layers in ((1,), (1, 2), (0, 3, 5, 7)):
+                s = PruneSchedule(prune_layers=layers, final_ratio=beta)
+                assert s.per_layer_ratio == 1.0 - (1.0 - beta) ** (1.0 / len(layers))
+
     def test_single_stage_collapse(self):
         assert make_schedule(4, 1, 0.25, 1).per_layer_ratio == pytest.approx(0.25)
 
@@ -97,12 +104,6 @@ class TestMakeSchedule:
             make_schedule(4, 0, 0.3, 0)
         with pytest.raises(PruneError):
             make_schedule(4, 3, 0.3, 2)
-
-    def test_ratio_consistency_asserted(self):
-        with pytest.raises(PruneError):
-            PruneSchedule(
-                total_layers=4, prune_layers=(1, 2), final_ratio=0.3, per_layer_ratio=0.3
-            )
 
     def test_default_start_layer(self):
         assert default_start_layer(4) == 1

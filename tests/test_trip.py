@@ -15,6 +15,7 @@ from agq.quantizers import (
     CodeRange,
     QuantError,
     QuantTensor,
+    dequantize_affine,
     fit_affine,
     quantize_affine,
 )
@@ -27,17 +28,34 @@ from agq.trip import (
 )
 
 
-def test_cap_zero_collapses_to_affine():
-    rng = np.random.default_rng(0)
-    x = rng.uniform(-3, 5, (16, 8)).astype(np.float32)
-    p = fit_trip(x, 8, cap=0)
-    pa = fit_affine(x, 8)
-    assert p.base.scale == pa.scale
-    assert p.base.zero_point == pa.zero_point
-    assert np.all(p.alphas == 0)
-    np.testing.assert_array_equal(
-        quantize_trip(x, p).codes, quantize_affine(x, pa).codes
-    )
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(1, 24), st.integers(1, 12)), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-30, 1e-3, 1.0, 1e3, 1e30, 3e38]), st.integers(2, 8),
+       st.booleans(), st.booleans())
+@example((1, 1), 0, 1.0, 8, False, False)
+@example((6, 4), 1, 3e38, 2, True, True)
+def test_cap_zero_collapses_to_affine(shape, seed, amp, bits, const_col, on_grid):
+    """TRIP at cap 0 is the layer-wise affine quantizer: equal params, codes
+    and dequantized bytes (trace MSEs are computed from the latter).
+    ``const_col`` makes one channel constant; ``on_grid`` puts values on a
+    coarse grid, so many land exactly on rounding ties."""
+    rng = np.random.default_rng(seed)
+    x = np.clip(rng.standard_normal(shape) + rng.uniform(-2, 2), -4, 4) / 4
+    if on_grid:
+        x = np.rint(x * 4) / 4
+    if const_col:
+        x[:, rng.integers(shape[1])] = rng.uniform(-1, 1)
+    x = (x * amp).astype(np.float32)
+    p, pa = fit_trip(x, bits, cap=0), fit_affine(x, bits)
+    assert p.base == pa
+    assert p.alphas.dtype == np.int64 and not p.alphas.any()
+    q, qa = quantize_trip(x, p), quantize_affine(x, pa)
+    assert q.codes.dtype == qa.codes.dtype
+    np.testing.assert_array_equal(q.codes, qa.codes)
+    # near 3e38 both reconstructions may round past float32's largest value
+    # to the same inf
+    with np.errstate(over="ignore"):
+        assert dequantize_trip(q).tobytes() == dequantize_affine(qa).tobytes()
 
 
 @pytest.mark.parametrize("cap", range(7))

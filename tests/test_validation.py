@@ -124,7 +124,8 @@ def test_forward_stack_validates_once_per_call_and_block(monkeypatch, act_quanti
 def test_diagnostics_run_only_for_a_trace(monkeypatch, act_quantizer):
     """Counts, never times: a bare forward pass runs no dequantizer and
     quantizes q, k and v in one call per block; a ``trace`` list turns the
-    per-site dequantizations on (4 weight sites and one attn_v per head)."""
+    per-site dequantizations on (4 weight sites and one attn_v per head).
+    Weight sites are TRIP for both quantizers (affine is cap 0)."""
     n_blocks = 4
     cfg = BlockConfig(sites=preset_sites("w4a8", act_quantizer=act_quantizer))
     blocks = init_stack(cfg, n_blocks)
@@ -141,9 +142,9 @@ def test_diagnostics_run_only_for_a_trace(monkeypatch, act_quantizer):
     forward_stack(blocks, x, trace=[])
     weight_sites = 4 * n_blocks
     assert {name: len(c) for name, c in calls.items()} == {
-        "dequantize_trip": weight_sites if act_quantizer == "trip" else 0,
+        "dequantize_trip": weight_sites,
         "dequantize_log2": cfg.n_heads * n_blocks,
-        "dequantize_affine": weight_sites if act_quantizer == "affine" else 0,
+        "dequantize_affine": 0,
         "_quantize_heads": n_blocks}
 
 
