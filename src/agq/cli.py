@@ -79,12 +79,16 @@ class _Group(click.Group):
 @functools.cache
 def _validator():
     """The run-config validator, its schema checked against the metaschema
-    once per process rather than on every load."""
+    once per process rather than on every load. JSON Schema counts 2.0 as an
+    integer; this validator does not, because numpy and ``range`` refuse a
+    float as a count, seed or width."""
     text = resources.files("agq.schemas").joinpath("run_config.schema.json").read_text()
     schema = json.loads(text)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
-    return cls(schema)
+    ints = cls.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
+    return jsonschema.validators.extend(cls, type_checker=ints)(schema)
 
 
 def load_config(path: str) -> dict:

@@ -13,13 +13,26 @@ GEMM. Nonlinear operators (softmax, layernorm, the gate) always stay FP32.
 Weight codes are quantized and packed once, in ``init_block``; refined
 activations reach them as exact integer shifts (8-bit) or repeated lane
 channels (4-bit), never as a per-call weight re-quantization. Q, K and V are
-quantized in one call per block, each head with its own fit. The causal softmax and the log2 quantizer
-take max(1, 2^16 // T^2) heads at a time, each head with its own maximum: all
-heads at T <= 128, one at T >= 182, so their float64 buffer never exceeds 512
-KiB or one head's and peak memory stays that of a per-head loop. The qk and
-attn_v products run per head. Per-site MSE records are made only for a caller
-that passes a ``trace`` list. The FP32 reference pass is ``forward_block``
-with ``replace(cfg, sites={})``.
+quantized in one call per block, each head with its own fit.
+
+The attention chain (qk product, causal softmax, log2 quantizer, attn_v
+product) is one loop over head groups and causal row bands. From T =
+BAND_MIN_T on, bands of BAND_ROWS query rows ``[r0, r1)`` read key columns
+``[0, r1)`` only, so the zeros above the diagonal are never computed; they
+run bottom band first, so later, smaller buffers reuse the first ones'
+memory. Bands give the bytes of the whole map: the integer qk and attn_v sums
+are exact in any order, each band's softmax rows sum over the full width T,
+zero-padded (numpy's pairwise sum depends on the row length), and the log2
+quantizer takes each head's maximum over all its bands first. One band of T
+rows runs for shorter sequences, FP32 qk or attn_v sites (``gemm_f32`` is
+not order-exact), a ``trace`` (its attn_v MSE is over the whole map) and
+qk scores that might overflow float32 (``_finite`` must see them all). A
+group holds max(1, 2^16 // (band rows * T)) heads, each with its own
+maximum, so the softmax's float64 buffer never exceeds 512 KiB or one head's
+band. The qk and attn_v products run per head and band, through the public
+kernels. Per-site MSE records are made only for a caller that passes a
+``trace`` list. The FP32 reference pass is ``forward_block`` with
+``replace(cfg, sites={})``.
 """
 
 from __future__ import annotations
@@ -46,6 +59,7 @@ from .pruning import (
     validate_map,
 )
 from .quantizers import (
+    F32_MAX,
     ChannelSymmetricParams,
     QuantTensor,
     _fit_weight_symmetric,
@@ -60,7 +74,10 @@ from .trip import MAX_TRIP_CAP, _fit_trip, _quantize_trip, dequantize_trip
 SITES = ("linear_transform", "qk", "attn_v", "projection", "fc1", "fc2")
 # Sites whose inputs come after the self-attention product and may run 4-bit.
 POST_ATTENTION_SITES = frozenset({"attn_v", "projection", "fc1", "fc2"})
-HEAD_GROUP_SCORES = 2**16  # softmax/log2 head groups: max(1, this // T^2) heads
+HEAD_GROUP_SCORES = 2**16  # head groups: max(1, this // (band rows * T)) heads
+BAND_ROWS = 64  # causal row band height of the quantized attention chain
+# the shortest banded sequence: at T = 176 bands still cost more than they save
+BAND_MIN_T = 192
 
 
 class PipelineError(Exception):
@@ -199,12 +216,25 @@ def _silu(x: np.ndarray) -> np.ndarray:
 def _softmax_causal(scores: np.ndarray, past: np.ndarray) -> np.ndarray:
     """Row softmax over the ``past`` entries (the lower triangle, diagonal
     included) of a (T, T) map or an (H, T, T) stack of them; the future
-    entries are exactly 0 and never reach ``exp``."""
-    row_max = scores.max(axis=-1, keepdims=True, where=past, initial=-np.inf)
+    entries are exactly 0 and never reach ``exp``.
+
+    ``past`` may also be rows ``[r0, r1)`` of the (T, T) mask, a causal row
+    band, with ``scores`` holding the band's first r1 columns. The output
+    has the full width T, and each row sums all T entries, zeros included:
+    numpy's pairwise sum depends on the row length, so a band row sums as it
+    does in the whole map.
+    """
+    n = scores.shape[-1]
+    band = past[:, :n]
+    row_max = scores.max(axis=-1, keepdims=True, where=band, initial=-np.inf)
     e = np.zeros(scores.shape)
-    np.subtract(scores, row_max, out=e, where=past, dtype=np.float64)
-    np.exp(e, out=e, where=past)
-    e /= e.sum(axis=-1, keepdims=True)
+    np.subtract(scores, row_max, out=e, where=band, dtype=np.float64)
+    np.exp(e, out=e, where=band)
+    if n < past.shape[-1]:  # a band: zero-pad its rows to the full width
+        padded = np.zeros(scores.shape[:-1] + past.shape[-1:])
+        padded[..., :n] = e
+        e = padded
+    e[..., :n] /= e.sum(axis=-1, keepdims=True)
     return e.astype(np.float32)
 
 
@@ -255,6 +285,29 @@ def _site_matmul(block: Block, cfg: BlockConfig, name: str, x: np.ndarray,
     return _site_product(aq, block.weight_q[name], block.packed[name])
 
 
+def _head_rows(head: QuantTensor, r0: int, r1: int) -> QuantTensor:
+    """Rows ``[r0, r1)`` of a head's codes; the head itself if that is all."""
+    return head if r1 - r0 == head.rows else QuantTensor(head.codes[r0:r1], head.params)
+
+
+def _band_rows(cfg: BlockConfig, t: int, trace: list | None, heads) -> int:
+    """BAND_ROWS where bands are exact and pay (see the module docstring),
+    else t. Bands skip the qk scores above the diagonal, so they need proof
+    that none overflows float32: head h's scores are at most d_head * hi *
+    s_q * hi * s_k in magnitude, as its unsigned Q and K codes of ``heads``
+    (the per-head Q, K, V codes) lie within hi of their zero points. Each
+    bound, in float64, must stay below half of float32's largest value.
+    """
+    if (t < BAND_MIN_T or trace is not None
+            or 32 in (cfg.site("qk").act_bits, cfg.site("attn_v").act_bits)):
+        return t
+    nh = cfg.n_heads
+    bound = max(qh.cols * qh.params.range.hi * qh.params.scale
+                * kh.params.range.hi * kh.params.scale
+                for qh, kh in zip(heads[:nh], heads[nh:2 * nh]))
+    return BAND_ROWS if bound < F32_MAX / 2 else t
+
+
 def _finite(x: np.ndarray, stage: str) -> np.ndarray:
     """Pass ``x`` on, or raise if a stage overflowed float32 into Inf/NaN."""
     if not np.isfinite(x).all():
@@ -285,34 +338,42 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
     q, k, v = np.hsplit(qkv, 3)
     # one 8-bit fit per head of [q | k | v] (qk runs 8-bit or FP32), so head h
     # of q, k and v is heads[h], heads[nh + h] and heads[2 * nh + h]
-    if qk_sc.act_bits < 32 or av_sc.act_bits < 32:
-        heads = _quantize_heads(qkv, 3 * nh, 8)
+    heads = (_quantize_heads(qkv, 3 * nh, 8)
+             if qk_sc.act_bits < 32 or av_sc.act_bits < 32 else None)
 
     probs = np.empty((nh, t, t), dtype=np.float32)
     ctx = np.empty((t, d), dtype=np.float32)
     past = np.tri(t, dtype=bool)  # T changes between blocks when pruning
     cols = [slice(h * dh, (h + 1) * dh) for h in range(nh)]
-    group = max(1, HEAD_GROUP_SCORES // (t * t))
+    rows = _band_rows(cfg, t, trace, heads)
+    bands = [(r0, min(r0 + rows, t)) for r0 in reversed(range(0, t, rows))]
+    group = max(1, HEAD_GROUP_SCORES // (rows * t))
     for g in range(0, nh, group):
         hs = range(g, min(g + group, nh))
-        scores = probs[g:hs.stop]  # the group's scores, replaced by their softmax
-        for h in hs:
-            if qk_sc.act_bits == 32:
-                scores[h - g] = gemm_f32(q[:, cols[h]], k[:, cols[h]].T)
-            else:
-                kt = replace(heads[nh + h], codes=heads[nh + h].codes.T)
-                scores[h - g] = gemm_int_affine(heads[h], kt)
-        scores /= np.float32(np.sqrt(dh))
-        scores[:] = _softmax_causal(_finite(scores, "qk"), past)
+        for r0, r1 in bands:
+            scores = probs[g:hs.stop, r0:r1, :r1]  # replaced by their softmax
+            for h in hs:
+                if qk_sc.act_bits == 32:
+                    scores[h - g] = gemm_f32(q[r0:r1, cols[h]], k[:r1, cols[h]].T)
+                else:
+                    kh = heads[nh + h]
+                    scores[h - g] = gemm_int_affine(_head_rows(heads[h], r0, r1),
+                                                    QuantTensor(kh.codes[:r1].T, kh.params))
+            scores /= np.float32(np.sqrt(dh))
+            probs[g:hs.stop, r0:r1] = _softmax_causal(_finite(scores, "qk"), past[r0:r1])
         if av_sc.act_bits == 32:
             for h in hs:
                 ctx[:, cols[h]] = gemm_f32(probs[h], v[:, cols[h]])
             continue
-        for h, probs_q in zip(hs, _quantize_log2(scores, av_sc.act_bits)):
-            if trace is not None:
-                trace.append({"site": "attn_v", "act_bits": av_sc.act_bits,
-                              "mse": _mse(probs[h], dequantize_log2(probs_q))})
-            ctx[:, cols[h]] = gemm_log2_attnv(probs_q, heads[2 * nh + h])
+        max_abs = probs[g:hs.stop].max(axis=(1, 2))  # each head's, over all its bands
+        for r0, r1 in bands:
+            band_q = _quantize_log2(probs[g:hs.stop, r0:r1, :r1], av_sc.act_bits, max_abs)
+            for h, probs_q in zip(hs, band_q):
+                if trace is not None:  # a trace runs one band: probs_q is the whole map
+                    trace.append({"site": "attn_v", "act_bits": av_sc.act_bits,
+                                  "mse": _mse(probs[h], dequantize_log2(probs_q))})
+                ctx[r0:r1, cols[h]] = gemm_log2_attnv(probs_q,
+                                                      _head_rows(heads[2 * nh + h], 0, r1))
 
     proj = _site_matmul(block, cfg, "projection", _finite(ctx, "attn_v"), trace)
     h1 = _finite(x + proj, "projection")

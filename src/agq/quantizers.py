@@ -18,6 +18,7 @@ import numpy as np
 from .tensor_store import as_tensor2d
 
 SCALE_EPS = 1e-8
+F32_MAX = float(np.finfo(np.float32).max)
 
 
 class QuantError(Exception):
@@ -129,6 +130,15 @@ def _codes(x: np.ndarray, steps, zero_point, rng: CodeRange) -> np.ndarray:
     return _clip(codes, rng.lo, rng.hi).astype(np.int32)
 
 
+def _reconstruct(codes: np.ndarray, zero_point, steps) -> np.ndarray:
+    """``(codes - zero_point) * steps`` in float64, narrowed to float32. The
+    rounded zero point can put the top or bottom code a fraction of a step
+    past float32's largest value; that saturates at +-F32_MAX, not +-inf."""
+    out = codes.astype(np.float64) - zero_point
+    out *= steps
+    return _clip(out, -F32_MAX, F32_MAX).astype(np.float32)
+
+
 def fit_affine(x, bits: int) -> AffineParams:
     """Layer-wise unsigned affine parameters from the min/max of ``x``."""
     rng, scale, zp = _fit_range(as_tensor2d(x)[:, None], bits)
@@ -153,26 +163,30 @@ def _quantize_heads(x: np.ndarray, n_heads: int, bits: int) -> list[QuantTensor]
 def dequantize_affine(q: QuantTensor) -> np.ndarray:
     if q.kind != "affine":
         raise KindMismatchError(f"expected affine tensor, got {q.kind}")
-    p = q.params
-    return ((q.codes.astype(np.float64) - p.zero_point) * p.scale).astype(np.float32)
+    return _reconstruct(q.codes, q.params.zero_point, q.params.scale)
 
 
 def quantize_log2(x, bits: int) -> QuantTensor:
     return _quantize_log2(as_tensor2d(x)[None], bits)[0]
 
 
-def _quantize_log2(x: np.ndarray, bits: int) -> list[QuantTensor]:
+def _quantize_log2(x: np.ndarray, bits: int, max_abs=None) -> list[QuantTensor]:
     """Quantize magnitudes to negated power-of-two exponents of max(|x|),
     one head ``x[h]`` of a (heads, rows, cols) stack at a time, each head
     with its own max_abs; head h's codes and signs are views of one array.
+    A given ``max_abs`` holds each head's maximum magnitude over more than
+    ``x``, such as all row bands of a head's attention map; codes are
+    elementwise, so a band quantizes as it would inside its whole map.
 
     Exact zeros get the max code with sign 0 so they dequantize to exactly 0.
     An all-zero head yields max_abs = 0 and all-zero codes (not an error).
     """
     if x.size == 0:
         raise QuantError("cannot fit quantizer on empty tensor")
+    if max_abs is None:
+        max_abs = np.maximum(x.max(axis=(1, 2)), -x.min(axis=(1, 2)))
     # + 0.0 turns a -0.0 maximum (a head of zeros) into +0.0
-    max_abs = np.maximum(x.max(axis=(1, 2)), -x.min(axis=(1, 2))).astype(np.float64) + 0.0
+    max_abs = max_abs.astype(np.float64) + 0.0
     params = [Log2Params(bits=bits, max_abs=float(m)) for m in max_abs]
     code_hi = params[0].code_hi
     signs = np.subtract(x > 0, x < 0, dtype=np.int8)

@@ -29,6 +29,7 @@ from .quantizers import (
     _clip,
     _codes,
     _fit_range,
+    _reconstruct,
 )
 from .tensor_store import as_tensor2d
 
@@ -123,9 +124,7 @@ def _quantize_trip(x: np.ndarray, p: TripParams) -> QuantTensor:
 def dequantize_trip(q: QuantTensor) -> np.ndarray:
     if q.kind != "trip":
         raise KindMismatchError(f"expected trip tensor, got {q.kind}")
-    p = q.params
-    out = (q.codes.astype(np.float64) - p.base.zero_point) * p.steps[None, :]
-    return out.astype(np.float32)
+    return _reconstruct(q.codes, q.params.zero_point, q.params.steps)
 
 
 def fold_trip_into_weights(w, p: TripParams) -> np.ndarray:

@@ -51,8 +51,10 @@ def ref_softmax_causal(scores):
 def ref_forward_block(block, x, cfg, trace=None):
     """``forward_block`` with a per-head attention loop: each head fits and
     quantizes its own q, k^T and v slices through the public quantizers and
-    runs its own softmax and log2 quantization. The weight sites, layernorm,
-    gate and MSE are the pipeline's own; ``trace`` gets the same records."""
+    runs its own softmax and log2 quantization on the whole (T, T) map,
+    raising as the pipeline does if a qk score overflows. The weight sites,
+    layernorm, gate and MSE are the pipeline's own; ``trace`` gets the same
+    records."""
     from agq.pipeline import _layernorm, _mse, _silu, _site_matmul
 
     site = functools.partial(_site_matmul, block, cfg, trace=trace)
@@ -71,6 +73,8 @@ def ref_forward_block(block, x, cfg, trace=None):
                 agq.quantize_affine(qh, agq.fit_affine(qh, qk.act_bits)),
                 agq.quantize_affine(kt, agq.fit_affine(kt, qk.act_bits)))
         scores /= np.float32(np.sqrt(dh))
+        if not np.isfinite(scores).all():
+            raise agq.PipelineError("non-finite activations after qk")
         probs[h] = ref_softmax_causal(scores)
         if av.act_bits == 32:
             ctx[:, sl] = agq.gemm_f32(probs[h], vh)

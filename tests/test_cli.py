@@ -337,6 +337,20 @@ def raw_config(path, data: bytes):
     return str(path)
 
 
+# Each integer field of the run config written as an integral JSON float.
+INTEGRAL_FLOATS = {
+    "seed": {"seed": 1.0},
+    "sequence-length": {"sequence_length": 8.0},
+    "d-model": {"block": {"d_model": 64.0}},
+    "n-heads": {"block": {"n_heads": 2.0}},
+    "d-ff": {"block": {"d_ff": 32.0}},
+    "n-blocks": {"block": {"n_blocks": 2.0}},
+    "trip-cap": {"quantization": {"mode": "w4a8", "trip_cap": 2.0}},
+    "prune-m": {"prune": {"beta": 0.5, "m": 2.0}},
+    "start-layer": {"prune": {"beta": 0.5, "m": 1, "start_layer": 1.0}},
+}
+
+
 # (id, function of tmp_path returning the argument list, exit code)
 EXIT_CASES = [
     ("config-not-utf8", lambda p: ["eval", "--config", raw_config(
@@ -374,6 +388,9 @@ EXIT_CASES = [
         prune={"beta": 0.3, "m": 1, "start_layer": 5})], 1),
     ("seed-not-an-int", lambda p: ["eval", "--config", write_config(p / "c.json"),
                                    "--seed", "x"], 1),
+    *[(f"{field}-integral-float", lambda p, o=overrides: [
+        "eval", "--config", write_config(p / "c.json", **o)], 1)
+      for field, overrides in INTEGRAL_FLOATS.items()],
     ("unknown-group-option", lambda p: ["--threads", "2", "eval", "--config",
                                         write_config(p / "c.json")], 1),
     ("missing-command", lambda p: [], 1),
@@ -414,6 +431,15 @@ def test_exit_code_table(runner, tmp_path, make_args, code):
     assert isinstance(r.exception, SystemExit)  # not an escaped exception
     assert len(r.stderr.splitlines()) == 1, r.stderr
     assert "error: " in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("overrides", INTEGRAL_FLOATS.values(), ids=INTEGRAL_FLOATS)
+def test_integral_float_is_not_an_integer(runner, tmp_path, overrides):
+    """JSON Schema counts 2.0 as an integer; the run config does not."""
+    r = runner.invoke(main, ["eval", "--config", write_config(tmp_path / "c.json", **overrides)])
+    assert r.exit_code == 1
+    assert r.stderr.startswith("config error: schema: ")
+    assert r.stderr.rstrip().endswith(".0 is not of type 'integer'")
 
 
 # A fuzzed run: a small config (valid or not) and a store of finite values,

@@ -96,12 +96,16 @@ class TestConfig:
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 300), st.integers(0, 2**32 - 1),
        st.sampled_from([1e-30, 1e-3, 1.0, 30.0, 1e3, 1e30, 3e38]), st.booleans(),
-       st.sampled_from([None, 1, 2, 3]))
-def test_softmax_equals_minus_inf_oracle(t, seed, amp, ties, heads):
+       st.sampled_from([None, 1, 2, 3]), st.lists(st.integers(1, 299), max_size=5))
+@example(300, 1, 1.0, False, 2, [64, 128, 129, 200, 299])
+@example(256, 2, 30.0, True, None, [128, 192, 255])
+def test_softmax_equals_minus_inf_oracle(t, seed, amp, ties, heads, cuts):
     """The masked in-place softmax equals the -inf/triu_indices formulation
     bit for bit, on one (T, T) map (``heads`` None) or on an (H, T, T) stack,
     head by head; ``ties`` draws scores from {-amp, 0, amp}, so most rows
-    have several equal maxima."""
+    have several equal maxima. So does each causal row band ``[r0, r1)``
+    between the ``cuts``, given only its first r1 columns: it returns the
+    oracle's rows r0..r1 at full width, the zeros above the diagonal +0.0."""
     rng = np.random.default_rng(seed)
     shape = (t, t) if heads is None else (heads, t, t)
     if ties:
@@ -109,10 +113,16 @@ def test_softmax_equals_minus_inf_oracle(t, seed, amp, ties, heads):
     else:
         scores = np.clip(rng.standard_normal(shape), -4, 4) * (amp / 4)
     scores = scores.astype(np.float32)
-    probs = _softmax_causal(scores, np.tri(t, dtype=bool))
+    past = np.tri(t, dtype=bool)
+    probs = _softmax_causal(scores, past)
     assert probs.dtype == np.float32 and probs.shape == shape
-    want = [ref_softmax_causal(m) for m in scores.reshape(-1, t, t)]
-    assert probs.tobytes() == np.stack(want).tobytes()
+    want = np.stack([ref_softmax_causal(m) for m in scores.reshape(-1, t, t)]).reshape(shape)
+    assert probs.tobytes() == want.tobytes()
+    bounds = [0, *sorted({c for c in cuts if c < t}), t]
+    for r0, r1 in zip(bounds, bounds[1:]):
+        band = _softmax_causal(scores[..., r0:r1, :r1], past[r0:r1])
+        assert band.dtype == np.float32 and band.shape == (*shape[:-2], r1 - r0, t)
+        assert band.tobytes() == want[..., r0:r1, :].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -152,18 +162,27 @@ def test_quantize_heads_equals_per_head_affine(t, n_heads, d_head, bits, seed,
 
 
 
-@pytest.mark.parametrize("mode", ["fp32", "w4a8", "w4a4", "fp32-qk", "fp32-attn_v"])
-@pytest.mark.parametrize("act_quantizer", ["trip", "affine"])
-@pytest.mark.parametrize("t,d_model,n_heads", [
-    (1, 16, 8), (7, 24, 1), (33, 64, 4),
-    (129, 64, 4),  # head groups of 3 and 1
-    (256, 64, 4),  # one head per group
-])
-def test_forward_block_equals_per_head_reference(mode, act_quantizer, t, d_model, n_heads):
-    """One Q/K/V quantization per block and head-grouped softmax and log2
-    quantization give the bytes and trace records of a loop that quantizes
-    every head's slices and runs every head's softmax on its own. The
-    ``fp32-`` modes are w4a8 with that one site at FP32."""
+def _reference_grid(test):
+    """Every mode and quantizer, at lengths on both sides of BAND_MIN_T."""
+    for mark in (
+        pytest.mark.parametrize("t,d_model,n_heads", [
+            (1, 16, 8), (7, 24, 1), (33, 64, 4),
+            (129, 64, 4),  # head groups of 3 and 1
+            (191, 64, 4),  # the longest sequence that runs one band
+            (192, 32, 2),  # the shortest banded one: 3 bands, both heads at once
+            (255, 64, 4),
+            (256, 64, 4),  # the benchmark's geometry: 4 bands, all heads at once
+            (257, 64, 8),  # a one-row band; head groups of 3, 3 and 2
+            (300, 64, 4),  # a 44-row band; head groups of 3 and 1
+        ]),
+        pytest.mark.parametrize("act_quantizer", ["trip", "affine"]),
+        pytest.mark.parametrize("mode", ["fp32", "w4a8", "w4a4", "fp32-qk", "fp32-attn_v"]),
+    ):
+        test = mark(test)
+    return test
+
+
+def _equals_per_head_reference(mode, act_quantizer, t, d_model, n_heads, traced):
     base, _, fp_site = mode.partition("-")
     sites = preset_sites("w4a8" if fp_site else base, act_quantizer=act_quantizer)
     if fp_site:
@@ -172,14 +191,69 @@ def test_forward_block_equals_per_head_reference(mode, act_quantizer, t, d_model
     x = np.random.default_rng(t).standard_normal((t, d_model)).astype(np.float32)
     x[:, 1] *= 20.0
     block = init_block(cfg)
-    trace, ref_trace = [], []
+    trace, ref_trace = ([], []) if traced else (None, None)
     out, amap = forward_block(block, x, trace=trace)
     ref_out, ref_probs = ref_forward_block(block, x, cfg, trace=ref_trace)
     assert out.tobytes() == ref_out.tobytes()
     assert amap.probs.tobytes() == ref_probs.tobytes()
     assert trace == ref_trace
-    assert [r["site"] for r in trace].count("attn_v") == (
-        n_heads if sites and fp_site != "attn_v" else 0)
+    if traced:
+        assert [r["site"] for r in trace].count("attn_v") == (
+            n_heads if sites and fp_site != "attn_v" else 0)
+
+
+@_reference_grid
+def test_forward_block_equals_per_head_reference(mode, act_quantizer, t, d_model, n_heads):
+    """One Q/K/V quantization per block and head-grouped softmax and log2
+    quantization give the bytes and trace records of a loop that quantizes
+    every head's slices and runs every head's softmax on its whole map. A
+    trace keeps every length at one band. The ``fp32-`` modes are w4a8 with
+    that one site at FP32."""
+    _equals_per_head_reference(mode, act_quantizer, t, d_model, n_heads, traced=True)
+
+
+@_reference_grid
+def test_untraced_forward_block_equals_per_head_reference(mode, act_quantizer, t, d_model,
+                                                          n_heads):
+    """Without a trace, quantized qk and attn_v sites from T = 192 on run in
+    causal row bands, and still give the reference's bytes."""
+    _equals_per_head_reference(mode, act_quantizer, t, d_model, n_heads, traced=False)
+
+
+@pytest.mark.parametrize("amp,bands", [(1e18, 4), (1e19, 1), (3e19, 1)])
+def test_qk_overflow_bound_decides_the_bands(monkeypatch, amp, bands):
+    """At T=256 a block runs 4 bands only while no qk score can overflow
+    float32, since bands never compute the scores above the diagonal. Past
+    that bound it runs one band: at 1e19 that still passes, at 3e19 it
+    raises on the overflowing scores as the whole-map reference does."""
+    cfg = BlockConfig(sites=preset_sites("w4a4"), seed=256)
+    block = init_block(cfg)
+    x = np.random.default_rng(256).standard_normal((256, cfg.d_model)).clip(-4, 4)
+    x = x.astype(np.float32) * np.float32(amp / 4)
+    qk_calls = []
+    kernel = agq.pipeline.gemm_int_affine
+
+    def spy(aq, wq):
+        if wq.kind == "affine":
+            qk_calls.append(aq.rows)
+        return kernel(aq, wq)
+
+    monkeypatch.setattr(agq.pipeline, "gemm_int_affine", spy)
+    try:
+        out, amap = forward_block(block, x)
+    except PipelineError as e:
+        out, error = None, str(e)
+    assert set(qk_calls) == {256 // bands}  # the query rows of each band
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow under test
+        if out is None:
+            with pytest.raises(PipelineError, match="non-finite activations after qk"):
+                ref_forward_block(block, x, cfg)
+            assert error == "non-finite activations after qk"
+        else:
+            ref_out, ref_probs = ref_forward_block(block, x, cfg)
+            assert out.tobytes() == ref_out.tobytes()
+            assert amap.probs.tobytes() == ref_probs.tobytes()
+            assert len(qk_calls) == bands * cfg.n_heads
 
 
 class TestInit:

@@ -291,6 +291,25 @@ def test_log2_head_stack_equals_per_head(heads, shape, seed, amp, bits, zero_hea
             assert not q.codes.any()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 300), st.integers(0, 2**32 - 1), log2_amplitudes,
+       st.integers(2, 8), st.lists(st.integers(1, 299), max_size=4))
+def test_log2_bands_with_the_head_maximum(heads, t, seed, amp, bits, cuts):
+    """Row bands ``[r0, r1)`` of a (heads, T, T) stack, each quantized with
+    every head's ``max_abs`` over the whole stack, give the params of the
+    whole stack and its codes and signs in rows r0..r1, columns 0..r1."""
+    rng = np.random.default_rng(seed)
+    x = (np.tril(rng.random((heads, t, t))) * amp).astype(np.float32)
+    whole = _quantize_log2(x, bits)
+    max_abs = x.max(axis=(1, 2))
+    bounds = [0, *sorted({c for c in cuts if c < t}), t]
+    for r0, r1 in zip(bounds, bounds[1:]):
+        for want, got in zip(whole, _quantize_log2(x[:, r0:r1, :r1], bits, max_abs)):
+            assert got.params == want.params
+            assert got.codes.tobytes() == want.codes[r0:r1, :r1].tobytes()
+            assert got.signs.tobytes() == want.signs[r0:r1, :r1].tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
 def test_affine_codes_in_range(seed, bits):

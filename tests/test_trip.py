@@ -52,10 +52,28 @@ def test_cap_zero_collapses_to_affine(shape, seed, amp, bits, const_col, on_grid
     q, qa = quantize_trip(x, p), quantize_affine(x, pa)
     assert q.codes.dtype == qa.codes.dtype
     np.testing.assert_array_equal(q.codes, qa.codes)
-    # near 3e38 both reconstructions may round past float32's largest value
-    # to the same inf
-    with np.errstate(over="ignore"):
-        assert dequantize_trip(q).tobytes() == dequantize_affine(qa).tobytes()
+    assert dequantize_trip(q).tobytes() == dequantize_affine(qa).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("cap", [0, 3])
+def test_dequantize_saturates_at_float32_max(seed, cap):
+    """At 2 bits the rounded zero point of a 3e38 input puts the top or bottom
+    code a fraction of a step past float32's largest value. Both dequantizers
+    saturate there, not at +-inf (an overflow warning, which this suite
+    turns into an error); every other value is the plain float32 cast."""
+    x = (np.random.default_rng(seed).uniform(-1, 1, (12, 12)) * 3e38).astype(np.float32)
+    pa = fit_affine(x, 2)
+    p = fit_trip(x, 2, cap)
+    big = np.finfo(np.float32).max
+    for q, steps in ((quantize_affine(x, pa), pa.scale), (quantize_trip(x, p), p.steps)):
+        exact = (q.codes - np.float64(q.params.zero_point)) * steps
+        assert np.abs(exact).max() > big  # the case this guards
+        got = (dequantize_affine if q.kind == "affine" else dequantize_trip)(q)
+        assert np.isfinite(got).all()
+        inside = np.abs(exact) <= big
+        np.testing.assert_array_equal(got[inside], exact[inside].astype(np.float32))
+        np.testing.assert_array_equal(got[~inside], np.sign(exact[~inside]) * big)
 
 
 @pytest.mark.parametrize("cap", range(7))

@@ -85,12 +85,13 @@ def test_forward_entry_rejects_bad_tensors(bad):
 
 
 def _counting(monkeypatch, module, name):
-    """Count calls through ``module.name`` in every agq module bound to it."""
+    """Record the positional arguments of every call through ``module.name``,
+    in every agq module bound to it."""
     original = getattr(module, name)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for mod_name, mod in list(sys.modules.items()):
@@ -118,6 +119,29 @@ def test_forward_stack_validates_once_per_call_and_block(monkeypatch, act_quanti
     # per block: linear_transform, projection, fc1, fc2 and one qk per head
     assert len(affine) == n_blocks * (4 + cfg.n_heads)
     assert len(attnv) == n_blocks * cfg.n_heads
+
+
+@pytest.mark.parametrize("t", [192, 256, 300])
+def test_row_bands_call_the_public_kernels(monkeypatch, t):
+    """At a banded length every qk and attn_v product still goes through the
+    public kernel names that outside wrappers (the benchmark's oracles)
+    replace: one call per head per causal row band ``[r0, r1)``, with the
+    band's query rows against key columns ``[0, r1)`` and the attn_v inner
+    dimension r1. No batched kernel of its own bypasses them."""
+    cfg = BlockConfig(sites=preset_sites("w4a4"))
+    block = agq.init_block(cfg)
+    x = np.random.default_rng(t).standard_normal((t, cfg.d_model)).astype(np.float32)
+    affine = _counting(monkeypatch, agq.kernels, "gemm_int_affine")
+    attnv = _counting(monkeypatch, agq.kernels, "gemm_log2_attnv")
+    agq.forward_block(block, x)
+    rows = agq.pipeline.BAND_ROWS
+    bands = [(r0, min(r0 + rows, t)) for r0 in range(0, t, rows)]
+    assert t >= agq.pipeline.BAND_MIN_T and len(bands) > 1
+    per_head = sorted((r1 - r0, cfg.d_head, r1) for r0, r1 in bands) * cfg.n_heads
+    qk = [(aq.rows, wq.rows, wq.cols) for aq, wq in affine if wq.kind == "affine"]
+    assert sorted(qk) == sorted(per_head)
+    av = [(pq.rows, pq.cols, vq.rows) for pq, vq in attnv]
+    assert sorted(av) == sorted((m, r1, r1) for m, _, r1 in per_head)
 
 
 @pytest.mark.parametrize("act_quantizer", ["trip", "affine"])
