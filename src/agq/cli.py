@@ -255,7 +255,8 @@ def analyze(config_path, in_path, input_name):
 @main.command(name="eval")
 @click.option("--config", "config_path", required=True)
 @click.option("--in", "in_path", required=False, default=None)
-@click.option("--seed", type=int, default=None, help="Overrides the config seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Overrides the config seed.")
 def eval_cmd(config_path, in_path, seed):
     """Run FP and quantized passes; exit 0 iff configured thresholds pass.
 

@@ -16,22 +16,23 @@ channels (4-bit), never as a per-call weight re-quantization. Q, K and V are
 quantized in one call per block, each head with its own fit.
 
 The attention chain (qk product, causal softmax, log2 quantizer, attn_v
-product) is one loop over head groups and causal row bands. From T =
-BAND_MIN_T on, bands of BAND_ROWS query rows ``[r0, r1)`` read key columns
-``[0, r1)`` only, so the zeros above the diagonal are never computed; they
-run bottom band first, so later, smaller buffers reuse the first ones'
-memory. Bands give the bytes of the whole map: the integer qk and attn_v sums
-are exact in any order, each band's softmax rows sum over the full width T,
-zero-padded (numpy's pairwise sum depends on the row length), and the log2
-quantizer takes each head's maximum over all its bands first. One band of T
-rows runs for shorter sequences, FP32 qk or attn_v sites (``gemm_f32`` is
-not order-exact), a ``trace`` (its attn_v MSE is over the whole map) and
-qk scores that might overflow float32 (``_finite`` must see them all). A
-group holds max(1, 2^16 // (band rows * T)) heads, each with its own
-maximum, so the softmax's float64 buffer never exceeds 512 KiB or one head's
-band. The qk and attn_v products run per head and band, through the public
-kernels. Per-site MSE records are made only for a caller that passes a
-``trace`` list. The FP32 reference pass is ``forward_block`` with
+product) is one loop over head groups and causal row bands, one body per
+band. From T = BAND_MIN_T on, bands of BAND_ROWS query rows ``[r0, r1)`` read
+key columns ``[0, r1)`` only, so the zeros above the diagonal are never
+computed; they run bottom band first, so later, smaller buffers reuse the
+first ones' memory. Bands give the bytes of the whole map: the integer qk
+and attn_v sums are exact in any order, each band's softmax rows sum over
+the full width T, zero-padded (numpy's pairwise sum depends on the row
+length), and the log2 quantizer takes the map's maximum, which is exactly
+1.0: row 0 is exp(0) / 1, and no rounded quotient of non-negative numbers
+exceeds it. One band of T rows runs for shorter sequences, FP32 qk or attn_v
+sites (``gemm_f32`` is not order-exact), a ``trace`` (its attn_v MSE is over
+the whole map) and qk scores that might overflow float32 (``_finite`` must
+see them all). A group holds max(1, 2^16 // (band rows * T)) heads, so the
+softmax's float64 buffer never exceeds 512 KiB or one head's band. The qk
+and attn_v products run per head and band, through the public kernels.
+Per-site MSE records are made only for a caller that passes a ``trace``
+list. The FP32 reference pass is ``forward_block`` with
 ``replace(cfg, sites={})``.
 """
 
@@ -361,14 +362,12 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
                                                     QuantTensor(kh.codes[:r1].T, kh.params))
             scores /= np.float32(np.sqrt(dh))
             probs[g:hs.stop, r0:r1] = _softmax_causal(_finite(scores, "qk"), past[r0:r1])
-        if av_sc.act_bits == 32:
-            for h in hs:
-                ctx[:, cols[h]] = gemm_f32(probs[h], v[:, cols[h]])
-            continue
-        max_abs = probs[g:hs.stop].max(axis=(1, 2))  # each head's, over all its bands
-        for r0, r1 in bands:
-            band_q = _quantize_log2(probs[g:hs.stop, r0:r1, :r1], av_sc.act_bits, max_abs)
-            for h, probs_q in zip(hs, band_q):
+            if av_sc.act_bits == 32:
+                for h in hs:
+                    ctx[r0:r1, cols[h]] = gemm_f32(scores[h - g], v[:r1, cols[h]])
+                continue
+            # each map's maximum is exactly 1.0 (see the module docstring)
+            for h, probs_q in zip(hs, _quantize_log2(scores, av_sc.act_bits, 1.0)):
                 if trace is not None:  # a trace runs one band: probs_q is the whole map
                     trace.append({"site": "attn_v", "act_bits": av_sc.act_bits,
                                   "mse": _mse(probs[h], dequantize_log2(probs_q))})

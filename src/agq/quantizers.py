@@ -167,40 +167,36 @@ def dequantize_affine(q: QuantTensor) -> np.ndarray:
 
 
 def quantize_log2(x, bits: int) -> QuantTensor:
-    return _quantize_log2(as_tensor2d(x)[None], bits)[0]
-
-
-def _quantize_log2(x: np.ndarray, bits: int, max_abs=None) -> list[QuantTensor]:
-    """Quantize magnitudes to negated power-of-two exponents of max(|x|),
-    one head ``x[h]`` of a (heads, rows, cols) stack at a time, each head
-    with its own max_abs; head h's codes and signs are views of one array.
-    A given ``max_abs`` holds each head's maximum magnitude over more than
-    ``x``, such as all row bands of a head's attention map; codes are
-    elementwise, so a band quantizes as it would inside its whole map.
-
-    Exact zeros get the max code with sign 0 so they dequantize to exactly 0.
-    An all-zero head yields max_abs = 0 and all-zero codes (not an error).
-    """
+    """Log2 codes of ``x`` relative to its own max(|x|)."""
+    x = as_tensor2d(x)
     if x.size == 0:
         raise QuantError("cannot fit quantizer on empty tensor")
-    if max_abs is None:
-        max_abs = np.maximum(x.max(axis=(1, 2)), -x.min(axis=(1, 2)))
-    # + 0.0 turns a -0.0 maximum (a head of zeros) into +0.0
-    max_abs = max_abs.astype(np.float64) + 0.0
-    params = [Log2Params(bits=bits, max_abs=float(m)) for m in max_abs]
-    code_hi = params[0].code_hi
+    # + 0.0 turns a -0.0 maximum (all zeros) into +0.0
+    return _quantize_log2(x[None], bits, float(max(x.max(), -x.min())) + 0.0)[0]
+
+
+def _quantize_log2(x: np.ndarray, bits: int, max_abs: float) -> list[QuantTensor]:
+    """Quantize magnitudes to negated power-of-two exponents of ``max_abs``,
+    which bounds every |x|, for each head ``x[h]`` of a (heads, rows, cols)
+    stack; the heads share one Log2Params, and head h's codes and signs are
+    views of one array. Codes are elementwise, so a row band of an attention
+    map quantizes as it would inside the whole map given the map's maximum.
+
+    Exact zeros get the max code with sign 0 so they dequantize to exactly 0;
+    max_abs = 0 (an all-zero ``x``) gives all-zero codes.
+    """
+    p = Log2Params(bits=bits, max_abs=max_abs)
     signs = np.subtract(x > 0, x < 0, dtype=np.int8)
     e = x.astype(np.float64)  # one buffer: |x| / max_abs -> -log2 -> code
     np.abs(e, out=e)
-    e /= np.where(max_abs > 0.0, max_abs, 1.0)[:, None, None]
+    e /= max_abs or 1.0
     # ratios up to 2^-code_hi all take code_hi: flooring there gives exact
     # zeros code_hi without a mask or log2(0)
-    np.maximum(e, 2.0**-code_hi, out=e)
+    np.maximum(e, 2.0**-p.code_hi, out=e)
     np.log2(e, out=e)
     np.negative(e, out=e)
-    codes = _clip(np.rint(e, out=e), 0, code_hi).astype(np.int32)
-    codes[max_abs == 0.0] = 0
-    return [QuantTensor(codes=codes[h], params=p, signs=signs[h]) for h, p in enumerate(params)]
+    codes = _clip(np.rint(e, out=e), 0, p.code_hi if max_abs else 0).astype(np.int32)
+    return [QuantTensor(codes=codes[h], params=p, signs=signs[h]) for h in range(len(x))]
 
 
 def dequantize_log2(q: QuantTensor) -> np.ndarray:

@@ -388,6 +388,8 @@ EXIT_CASES = [
         prune={"beta": 0.3, "m": 1, "start_layer": 5})], 1),
     ("seed-not-an-int", lambda p: ["eval", "--config", write_config(p / "c.json"),
                                    "--seed", "x"], 1),
+    ("seed-negative", lambda p: ["eval", "--config", write_config(p / "c.json"),
+                                 "--seed", "-1"], 1),
     *[(f"{field}-integral-float", lambda p, o=overrides: [
         "eval", "--config", write_config(p / "c.json", **o)], 1)
       for field, overrides in INTEGRAL_FLOATS.items()],

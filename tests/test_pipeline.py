@@ -105,7 +105,8 @@ def test_softmax_equals_minus_inf_oracle(t, seed, amp, ties, heads, cuts):
     head by head; ``ties`` draws scores from {-amp, 0, amp}, so most rows
     have several equal maxima. So does each causal row band ``[r0, r1)``
     between the ``cuts``, given only its first r1 columns: it returns the
-    oracle's rows r0..r1 at full width, the zeros above the diagonal +0.0."""
+    oracle's rows r0..r1 at full width, the zeros above the diagonal +0.0.
+    Every map's maximum is exactly 1.0 (row 0), and no band entry exceeds it."""
     rng = np.random.default_rng(seed)
     shape = (t, t) if heads is None else (heads, t, t)
     if ties:
@@ -118,11 +119,13 @@ def test_softmax_equals_minus_inf_oracle(t, seed, amp, ties, heads, cuts):
     assert probs.dtype == np.float32 and probs.shape == shape
     want = np.stack([ref_softmax_causal(m) for m in scores.reshape(-1, t, t)]).reshape(shape)
     assert probs.tobytes() == want.tobytes()
+    assert (probs.reshape(-1, t, t).max(axis=(1, 2)) == 1.0).all()  # the log2 maximum
     bounds = [0, *sorted({c for c in cuts if c < t}), t]
     for r0, r1 in zip(bounds, bounds[1:]):
         band = _softmax_causal(scores[..., r0:r1, :r1], past[r0:r1])
         assert band.dtype == np.float32 and band.shape == (*shape[:-2], r1 - r0, t)
         assert band.tobytes() == want[..., r0:r1, :].tobytes()
+        assert (band <= 1.0).all()
 
 
 @settings(max_examples=100, deadline=None)
@@ -196,6 +199,7 @@ def _equals_per_head_reference(mode, act_quantizer, t, d_model, n_heads, traced)
     ref_out, ref_probs = ref_forward_block(block, x, cfg, trace=ref_trace)
     assert out.tobytes() == ref_out.tobytes()
     assert amap.probs.tobytes() == ref_probs.tobytes()
+    assert (amap.probs.max(axis=(1, 2)) == 1.0).all()  # the log2 quantizer's maximum
     assert trace == ref_trace
     if traced:
         assert [r["site"] for r in trace].count("attn_v") == (

@@ -242,11 +242,13 @@ def _rounding_boundaries(max_abs, bits):
 @settings(max_examples=120, deadline=None)
 @given(st.tuples(st.integers(1, 9), st.integers(1, 300)), st.integers(0, 2**32 - 1),
        log2_amplitudes, st.integers(2, 8), st.sampled_from([0.0, 0.3, 1.0]),
-       st.booleans())
-def test_log2_equals_out_of_place_oracle(shape, seed, amp, bits, zero_frac, boundaries):
+       st.booleans(), st.sampled_from([None, 0.0, -0.0]))
+def test_log2_equals_out_of_place_oracle(shape, seed, amp, bits, zero_frac, boundaries,
+                                         zero_fill):
     """Codes, signs, max_abs and dequantized values equal the out-of-place
-    formulation bit for bit: negatives, +0.0 and -0.0, subnormals, all zeros,
-    and values at the rounding boundaries between two codes."""
+    formulation bit for bit: negatives, +0.0 and -0.0, subnormals, all zeros
+    (mixed or, for ``zero_fill``, all of one sign: max_abs is +0.0 and every
+    code 0), and values at the rounding boundaries between two codes."""
     rng = np.random.default_rng(seed)
     x = (np.clip(rng.standard_normal(shape), -4, 4) * (amp / 4)).astype(np.float32)
     if boundaries:
@@ -255,29 +257,32 @@ def test_log2_equals_out_of_place_oracle(shape, seed, amp, bits, zero_frac, boun
         x.flat[1 : 1 + b.size] = b * rng.choice([-1, 1], b.size)
     zeros = rng.random(shape) < zero_frac
     x[zeros] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zeros]
+    if zero_fill is not None:
+        x[:] = zero_fill
     q, ref = quantize_log2(x, bits), ref_quantize_log2(x, bits)
     assert q.params == ref.params
     assert q.codes.dtype == ref.codes.dtype and q.codes.tobytes() == ref.codes.tobytes()
     assert q.signs.dtype == ref.signs.dtype and q.signs.tobytes() == ref.signs.tobytes()
     assert dequantize_log2(q).tobytes() == ref_dequantize_log2(ref).tobytes()
+    if not x.any():
+        assert q.params.max_abs == 0.0 and not np.signbit(q.params.max_abs)
+        assert not q.codes.any()
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 5), st.tuples(st.integers(1, 40), st.integers(1, 40)),
-       st.integers(0, 2**32 - 1), log2_amplitudes, st.integers(2, 8),
-       st.sampled_from([None, 0.0, -0.0]))
-def test_log2_head_stack_equals_per_head(heads, shape, seed, amp, bits, zero_head):
-    """The (heads, rows, cols) core gives every head the codes, signs and
-    max_abs of ``quantize_log2`` and of the out-of-place oracle on that head
-    alone. Scattered +0.0 and -0.0 entries and, for ``zero_head``, one head
-    of zeros of that sign; a head of zeros gets max_abs == +0.0."""
+       st.integers(0, 2**32 - 1), log2_amplitudes, st.integers(2, 8))
+def test_log2_head_stack_equals_per_head(heads, shape, seed, amp, bits):
+    """The (heads, rows, cols) core, given the heads' shared maximum
+    magnitude, gives every head the codes, signs and params of
+    ``quantize_log2`` and of the out-of-place oracle on that head alone.
+    Each head peaks at +-amp and has scattered +0.0 and -0.0 entries."""
     rng = np.random.default_rng(seed)
     x = (np.clip(rng.standard_normal((heads, *shape)), -4, 4) * (amp / 4)).astype(np.float32)
     zeros = rng.random(x.shape) < 0.2
     x[zeros] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[zeros]
-    if zero_head is not None:
-        x[rng.integers(heads)] = zero_head
-    got = _quantize_log2(x, bits)
+    x[:, 0, 0] = amp * rng.choice([-1, 1], heads)
+    got = _quantize_log2(x, bits, float(np.float32(amp)))
     assert len(got) == heads
     for h, q in enumerate(got):
         for want in (quantize_log2(x[h], bits), ref_quantize_log2(x[h], bits)):
@@ -286,22 +291,26 @@ def test_log2_head_stack_equals_per_head(heads, shape, seed, amp, bits, zero_hea
             assert q.codes.tobytes() == want.codes.tobytes()
             assert q.signs.dtype == want.signs.dtype
             assert q.signs.tobytes() == want.signs.tobytes()
-        if not x[h].any():
-            assert q.params.max_abs == 0.0 and not np.signbit(q.params.max_abs)
-            assert not q.codes.any()
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 300), st.integers(0, 2**32 - 1), log2_amplitudes,
        st.integers(2, 8), st.lists(st.integers(1, 299), max_size=4))
 def test_log2_bands_with_the_head_maximum(heads, t, seed, amp, bits, cuts):
-    """Row bands ``[r0, r1)`` of a (heads, T, T) stack, each quantized with
-    every head's ``max_abs`` over the whole stack, give the params of the
-    whole stack and its codes and signs in rows r0..r1, columns 0..r1."""
+    """Row bands ``[r0, r1)`` of a (heads, T, T) stack whose every head peaks
+    at row 0, as a causal softmax map does, each quantized with that maximum,
+    give the params of the whole stack and its codes and signs in rows
+    r0..r1, columns 0..r1; the whole stack quantizes each head as
+    ``quantize_log2`` on that head alone."""
     rng = np.random.default_rng(seed)
     x = (np.tril(rng.random((heads, t, t))) * amp).astype(np.float32)
-    whole = _quantize_log2(x, bits)
-    max_abs = x.max(axis=(1, 2))
+    x[:, 0, 0] = amp
+    max_abs = float(np.float32(amp))
+    whole = _quantize_log2(x, bits, max_abs)
+    for h, want in enumerate(whole):
+        alone = quantize_log2(x[h], bits)
+        assert alone.params == want.params
+        assert alone.codes.tobytes() == want.codes.tobytes()
     bounds = [0, *sorted({c for c in cuts if c < t}), t]
     for r0, r1 in zip(bounds, bounds[1:]):
         for want, got in zip(whole, _quantize_log2(x[:, r0:r1, :r1], bits, max_abs)):
