@@ -132,20 +132,12 @@ def _finite(literal: str) -> float:
 
 
 def _block_config(cfg: dict) -> pipeline.BlockConfig:
-    block = cfg.get("block", {})
-    quant = cfg.get("quantization", {})
-    sites = pipeline.preset_sites(
-        quant.get("mode", "fp32"),
-        act_quantizer=quant.get("act_quantizer", "trip"),
-        trip_cap=quant.get("trip_cap", 3),
-    )
-    return pipeline.BlockConfig(
-        d_model=block.get("d_model", 64),
-        n_heads=block.get("n_heads", 4),
-        d_ff=block.get("d_ff", 256),
-        sites=sites,
-        seed=cfg.get("seed", 0),
-    )
+    """The run config's block; a width it omits takes BlockConfig's default."""
+    block, quant = cfg.get("block", {}), cfg.get("quantization", {})
+    sites = pipeline.preset_sites(quant.get("mode", "fp32"), quant.get("act_quantizer", "trip"),
+                                  quant.get("trip_cap", 3))
+    widths = {name: block[name] for name in ("d_model", "n_heads", "d_ff") if name in block}
+    return pipeline.BlockConfig(**widths, sites=sites, seed=cfg.get("seed", 0))
 
 
 def _n_blocks(cfg: dict) -> int:
@@ -162,11 +154,13 @@ def _schedule(cfg: dict):
 
 
 def _store_input(path: str, name: str) -> np.ndarray:
-    """Store tensor ``name`` as forward-pass input: at most the schema's
+    """Float32 store tensor ``name`` as forward-pass input, at most the schema's
     ``sequence_length`` maximum of rows, as each head's attention map is rows^2."""
     x = tensor_store.load_store(path).get(name)
     if x is None:
         raise tensor_store.StoreError(f"tensor {name!r} not in store")
+    if x.dtype != np.float32:
+        raise tensor_store.StoreError(f"tensor {name!r} is {x.dtype}, not float32")
     limit = _validator().schema["properties"]["sequence_length"]["maximum"]
     if x.shape[0] > limit:
         raise tensor_store.StoreError(

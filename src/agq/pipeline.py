@@ -26,14 +26,13 @@ the full width T, zero-padded (numpy's pairwise sum depends on the row
 length), and the log2 quantizer takes the map's maximum, which is exactly
 1.0: row 0 is exp(0) / 1, and no rounded quotient of non-negative numbers
 exceeds it. One band of T rows runs for shorter sequences, FP32 qk or attn_v
-sites (``gemm_f32`` is not order-exact), a ``trace`` (its attn_v MSE is over
-the whole map) and qk scores that might overflow float32 (``_finite`` must
-see them all). A group holds max(1, 2^16 // (band rows * T)) heads, so the
-softmax's float64 buffer never exceeds 512 KiB or one head's band. The qk
-and attn_v products run per head and band, through the public kernels.
-Per-site MSE records are made only for a caller that passes a ``trace``
-list. The FP32 reference pass is ``forward_block`` with
-``replace(cfg, sites={})``.
+sites (``gemm_f32`` is not order-exact) and qk scores that might overflow
+float32 (``_finite`` must see them all). A group holds max(1, 2^16 // (band
+rows * T)) heads, so the softmax's float64 buffer never exceeds 512 KiB or
+one head's band. The qk and attn_v products run per head and band, through
+the public kernels. Per-site MSE records are made only for a caller that
+passes a ``trace`` list, which runs the same bands. The FP32 reference pass
+is ``forward_block`` with ``replace(cfg, sites={})``.
 """
 
 from __future__ import annotations
@@ -85,6 +84,15 @@ class PipelineError(Exception):
     pass
 
 
+def _int_field(cfg, name: str, ok, says: str) -> None:
+    """Keep field ``name`` of the frozen ``cfg`` as a Python int (numpy's narrow
+    ones overflow later); raise on a bool, a float or a value ``ok`` refuses."""
+    value = getattr(cfg, name)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not ok(value):
+        raise PipelineError(f"{name} must be {says}, got {value!r}")
+    object.__setattr__(cfg, name, int(value))
+
+
 @dataclass(frozen=True)
 class SiteConfig:
     """One matmul site's precision. The site fixes the quantizer: weight-site
@@ -95,10 +103,8 @@ class SiteConfig:
     trip_cap: int = 0  # largest TRIP channel exponent; weight sites only
 
     def __post_init__(self):
-        if self.act_bits not in (4, 8, 32):
-            raise PipelineError(f"act_bits must be 4, 8 or 32, got {self.act_bits}")
-        if self.trip_cap not in range(MAX_TRIP_CAP + 1):
-            raise PipelineError(f"trip_cap must be in 0..{MAX_TRIP_CAP}, got {self.trip_cap}")
+        _int_field(self, "act_bits", lambda v: v in (4, 8, 32), "4, 8 or 32")
+        _int_field(self, "trip_cap", lambda v: 0 <= v <= MAX_TRIP_CAP, f"in 0..{MAX_TRIP_CAP}")
 
 
 @dataclass(frozen=True)
@@ -110,6 +116,8 @@ class BlockConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, low in (("d_model", 1), ("n_heads", 1), ("d_ff", 1), ("seed", 0)):
+            _int_field(self, name, lambda v: v >= low, f"an integer >= {low}")
         if self.d_model % self.n_heads:
             raise PipelineError("d_model must be divisible by n_heads")
         unknown = set(self.sites) - set(SITES)
@@ -286,12 +294,7 @@ def _site_matmul(block: Block, cfg: BlockConfig, name: str, x: np.ndarray,
     return _site_product(aq, block.weight_q[name], block.packed[name])
 
 
-def _head_rows(head: QuantTensor, r0: int, r1: int) -> QuantTensor:
-    """Rows ``[r0, r1)`` of a head's codes; the head itself if that is all."""
-    return head if r1 - r0 == head.rows else QuantTensor(head.codes[r0:r1], head.params)
-
-
-def _band_rows(cfg: BlockConfig, t: int, trace: list | None, heads) -> int:
+def _band_rows(cfg: BlockConfig, t: int, heads) -> int:
     """BAND_ROWS where bands are exact and pay (see the module docstring),
     else t. Bands skip the qk scores above the diagonal, so they need proof
     that none overflows float32: head h's scores are at most d_head * hi *
@@ -299,8 +302,7 @@ def _band_rows(cfg: BlockConfig, t: int, trace: list | None, heads) -> int:
     (the per-head Q, K, V codes) lie within hi of their zero points. Each
     bound, in float64, must stay below half of float32's largest value.
     """
-    if (t < BAND_MIN_T or trace is not None
-            or 32 in (cfg.site("qk").act_bits, cfg.site("attn_v").act_bits)):
+    if t < BAND_MIN_T or 32 in (cfg.site("qk").act_bits, cfg.site("attn_v").act_bits):
         return t
     nh = cfg.n_heads
     bound = max(qh.cols * qh.params.range.hi * qh.params.scale
@@ -322,7 +324,7 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
     """One decoder block pass; returns (output, AttentionMap).
 
     Each quantized site appends a ``{"site", "act_bits", "mse"}`` record
-    (attn_v one per head) to ``trace``, if given, in pass order.
+    (attn_v one per head, over its whole map) to ``trace``, if given, in pass order.
     Raises ``PipelineError`` on an empty input and names any non-finite stage.
     """
     cfg = cfg or block.cfg
@@ -346,7 +348,8 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
     ctx = np.empty((t, d), dtype=np.float32)
     past = np.tri(t, dtype=bool)  # T changes between blocks when pruning
     cols = [slice(h * dh, (h + 1) * dh) for h in range(nh)]
-    rows = _band_rows(cfg, t, trace, heads)
+    deq = np.zeros_like(probs) if trace is not None and av_sc.act_bits < 32 else None
+    rows = _band_rows(cfg, t, heads)
     bands = [(r0, min(r0 + rows, t)) for r0 in reversed(range(0, t, rows))]
     group = max(1, HEAD_GROUP_SCORES // (rows * t))
     for g in range(0, nh, group):
@@ -357,8 +360,8 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
                 if qk_sc.act_bits == 32:
                     scores[h - g] = gemm_f32(q[r0:r1, cols[h]], k[:r1, cols[h]].T)
                 else:
-                    kh = heads[nh + h]
-                    scores[h - g] = gemm_int_affine(_head_rows(heads[h], r0, r1),
+                    qh, kh = heads[h], heads[nh + h]
+                    scores[h - g] = gemm_int_affine(QuantTensor(qh.codes[r0:r1], qh.params),
                                                     QuantTensor(kh.codes[:r1].T, kh.params))
             scores /= np.float32(np.sqrt(dh))
             probs[g:hs.stop, r0:r1] = _softmax_causal(_finite(scores, "qk"), past[r0:r1])
@@ -368,11 +371,15 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
                 continue
             # each map's maximum is exactly 1.0 (see the module docstring)
             for h, probs_q in zip(hs, _quantize_log2(scores, av_sc.act_bits, 1.0)):
-                if trace is not None:  # a trace runs one band: probs_q is the whole map
-                    trace.append({"site": "attn_v", "act_bits": av_sc.act_bits,
-                                  "mse": _mse(probs[h], dequantize_log2(probs_q))})
+                if deq is not None:
+                    deq[h, r0:r1, :r1] = dequantize_log2(probs_q)
+                vh = heads[2 * nh + h]
                 ctx[r0:r1, cols[h]] = gemm_log2_attnv(probs_q,
-                                                      _head_rows(heads[2 * nh + h], 0, r1))
+                                                      QuantTensor(vh.codes[:r1], vh.params))
+            del probs_q  # its views would hold the band's log2 codes through the MLP
+    if deq is not None:
+        trace.extend({"site": "attn_v", "act_bits": av_sc.act_bits,
+                      "mse": _mse(probs[h], deq[h])} for h in range(nh))
 
     proj = _site_matmul(block, cfg, "projection", _finite(ctx, "attn_v"), trace)
     h1 = _finite(x + proj, "projection")

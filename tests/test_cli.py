@@ -326,9 +326,9 @@ def empty_store(tmp_path):
     return str(path)
 
 
-def good_store(tmp_path, width=64):
+def good_store(tmp_path, width=64, dtype=np.float32):
     path = tmp_path / "good.agqt"
-    save_store({"input": np.ones((4, width), dtype=np.float32)}, path)
+    save_store({"input": np.ones((4, width), dtype=dtype)}, path)
     return str(path)
 
 
@@ -408,6 +408,11 @@ EXIT_CASES = [
                                      "--in", nan_store(p), "--input", "input"], 2),
     ("nan-store-quantize", lambda p: ["quantize", "--config", write_config(p / "c.json"),
                                       "--in", nan_store(p), "--out", str(p / "o.agqt")], 2),
+    ("uint8-store-eval", lambda p: ["eval", "--config", write_config(p / "c.json"),
+                                    "--in", good_store(p, dtype=np.uint8)], 2),
+    ("uint8-store-analyze", lambda p: ["analyze", "--config", write_config(p / "c.json"),
+                                       "--in", good_store(p, dtype=np.uint8),
+                                       "--input", "input"], 2),
     ("name-not-utf8", lambda p: ["eval", "--config", write_config(p / "c.json"), "--in",
                                  raw_store(p / "u.agqt", b"\xff\xfe", np.ones((4, 64)))], 2),
     ("overflow-store-eval", lambda p: ["eval", "--config", write_config(p / "c.json"),

@@ -83,6 +83,34 @@ class TestConfig:
         with pytest.raises(PipelineError):
             preset_sites("w8a8")
 
+    @pytest.mark.parametrize("make", [
+        lambda: SiteConfig(act_bits=8.0),
+        lambda: SiteConfig(act_bits=True),
+        lambda: SiteConfig(act_bits=8, trip_cap=2.0),
+        lambda: SiteConfig(act_bits=8, trip_cap=True),
+        lambda: BlockConfig(n_heads=0),
+        lambda: BlockConfig(n_heads=-4),
+        lambda: BlockConfig(d_model=64.0),
+        lambda: BlockConfig(d_model=0, n_heads=1),
+        lambda: BlockConfig(d_ff=0),
+        lambda: BlockConfig(d_ff=np.float32(256)),
+        lambda: BlockConfig(seed=-1),
+        lambda: BlockConfig(seed=1.0),
+        lambda: BlockConfig(seed=False),
+    ])
+    def test_non_integer_or_out_of_range_fields_rejected(self, make):
+        """Each is refused when the config is built, not by a raw TypeError,
+        ValueError or ZeroDivisionError in a later forward pass."""
+        with pytest.raises(PipelineError, match="must be"):
+            make()
+
+    def test_numpy_integers_accepted(self):
+        cfg = BlockConfig(d_model=np.int64(16), n_heads=np.int32(2), d_ff=np.uint8(8),
+                          seed=np.int64(3), sites={"fc1": SiteConfig(np.int64(8),
+                                                                     np.int8(2))})
+        assert type(cfg.d_ff) is int and type(cfg.site("fc1").trip_cap) is int
+        assert forward_block(init_block(cfg), np.ones((3, 16), np.float32))[0].shape == (3, 16)
+
     # "log2": SiteConfig(8, "log2") passes a quantizer name as the cap
     @pytest.mark.parametrize("cap", [-1, 7, 200, "log2"])
     def test_trip_cap_outside_0_to_6_rejected(self, cap):
@@ -91,6 +119,27 @@ class TestConfig:
         for act_quantizer in ("trip", "affine"):
             with pytest.raises(PipelineError, match="trip_cap must be in 0..6"):
                 preset_sites("w4a8", act_quantizer, trip_cap=cap)
+
+
+config_fields = st.one_of(st.integers(-2, 9), st.sampled_from([
+    0.0, 4.0, 8.0, True, False, None, "8", np.int64(4), np.int8(-1), np.float64(2.0)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(act_bits=config_fields, trip_cap=config_fields, d_model=config_fields,
+       n_heads=config_fields, d_ff=config_fields, seed=config_fields)
+def test_config_builds_a_runnable_block_or_raises(act_bits, trip_cap, d_model, n_heads,
+                                                  d_ff, seed):
+    """A config with any of these field values either runs a forward pass or
+    refuses to be built with a ``PipelineError``: nothing crashes later."""
+    try:
+        cfg = BlockConfig(d_model=d_model, n_heads=n_heads, d_ff=d_ff, seed=seed,
+                          sites={"fc1": SiteConfig(act_bits, trip_cap)})
+    except PipelineError:
+        return
+    x = np.random.default_rng(0).standard_normal((3, cfg.d_model)).astype(np.float32)
+    out, amap = forward_block(init_block(cfg), x)
+    assert out.shape == x.shape and amap.probs.shape == (cfg.n_heads, 3, 3)
 
 
 @settings(max_examples=80, deadline=None)
@@ -211,7 +260,8 @@ def test_forward_block_equals_per_head_reference(mode, act_quantizer, t, d_model
     """One Q/K/V quantization per block and head-grouped softmax and log2
     quantization give the bytes and trace records of a loop that quantizes
     every head's slices and runs every head's softmax on its whole map. A
-    trace keeps every length at one band. The ``fp32-`` modes are w4a8 with
+    trace runs the same bands as a bare pass, and its attn_v records, over
+    each whole map, are the reference's. The ``fp32-`` modes are w4a8 with
     that one site at FP32."""
     _equals_per_head_reference(mode, act_quantizer, t, d_model, n_heads, traced=True)
 
@@ -219,8 +269,8 @@ def test_forward_block_equals_per_head_reference(mode, act_quantizer, t, d_model
 @_reference_grid
 def test_untraced_forward_block_equals_per_head_reference(mode, act_quantizer, t, d_model,
                                                           n_heads):
-    """Without a trace, quantized qk and attn_v sites from T = 192 on run in
-    causal row bands, and still give the reference's bytes."""
+    """Without a trace too, quantized qk and attn_v sites from T = 192 on run
+    in causal row bands, and still give the reference's bytes."""
     _equals_per_head_reference(mode, act_quantizer, t, d_model, n_heads, traced=False)
 
 

@@ -121,19 +121,23 @@ def test_forward_stack_validates_once_per_call_and_block(monkeypatch, act_quanti
     assert len(attnv) == n_blocks * cfg.n_heads
 
 
-@pytest.mark.parametrize("t", [192, 256, 300])
-def test_row_bands_call_the_public_kernels(monkeypatch, t):
+@pytest.mark.parametrize("t,traced", [
+    pytest.param(t, traced, id=f"{t}-traced" if traced else str(t))
+    for t in (192, 256, 300) for traced in (False, True)])
+def test_row_bands_call_the_public_kernels(monkeypatch, t, traced):
     """At a banded length every qk and attn_v product still goes through the
     public kernel names that outside wrappers (the benchmark's oracles)
     replace: one call per head per causal row band ``[r0, r1)``, with the
     band's query rows against key columns ``[0, r1)`` and the attn_v inner
-    dimension r1. No batched kernel of its own bypasses them."""
+    dimension r1. No batched kernel of its own bypasses them. A ``trace``
+    records the pass without changing it: it makes the same calls."""
     cfg = BlockConfig(sites=preset_sites("w4a4"))
     block = agq.init_block(cfg)
     x = np.random.default_rng(t).standard_normal((t, cfg.d_model)).astype(np.float32)
     affine = _counting(monkeypatch, agq.kernels, "gemm_int_affine")
     attnv = _counting(monkeypatch, agq.kernels, "gemm_log2_attnv")
-    agq.forward_block(block, x)
+    trace = [] if traced else None
+    agq.forward_block(block, x, trace=trace)
     rows = agq.pipeline.BAND_ROWS
     bands = [(r0, min(r0 + rows, t)) for r0 in range(0, t, rows)]
     assert t >= agq.pipeline.BAND_MIN_T and len(bands) > 1
@@ -142,6 +146,8 @@ def test_row_bands_call_the_public_kernels(monkeypatch, t):
     assert sorted(qk) == sorted(per_head)
     av = [(pq.rows, pq.cols, vq.rows) for pq, vq in attnv]
     assert sorted(av) == sorted((m, r1, r1) for m, _, r1 in per_head)
+    if traced:
+        assert [r["site"] for r in trace].count("attn_v") == cfg.n_heads
 
 
 @pytest.mark.parametrize("act_quantizer", ["trip", "affine"])
@@ -177,30 +183,32 @@ def test_diagnostics_run_only_for_a_trace(monkeypatch, act_quantizer):
 def test_trace_records_without_changing_the_pass(mode, act_quantizer):
     """With ``trace=[]`` each quantized block appends its 4 weight-site
     records and one attn_v record per head, in pass order; the output,
-    attention maps and kept indices equal the bare pass's."""
+    attention maps and kept indices equal the bare pass's. At T = 256 the
+    two blocks up to the prune run causal row bands, traced or not."""
     n_blocks = 3
     cfg = BlockConfig(sites=preset_sites(mode, act_quantizer=act_quantizer))
     blocks = init_stack(cfg, n_blocks)
-    x = np.random.default_rng(2).standard_normal((12, cfg.d_model)).astype(np.float32)
     schedule = agq.make_schedule(n_blocks, 1, 0.5, 1)
-    records = []
-    out, info = forward_stack(blocks, x, schedule=schedule, trace=records)
-    bare_out, bare_info = forward_stack(blocks, x, schedule=schedule)
-    assert out.tobytes() == bare_out.tobytes()
-    assert info["keeps"] == bare_info["keeps"]
-    assert [m.probs.tobytes() for m in info["maps"]] == [
-        m.probs.tobytes() for m in bare_info["maps"]]
-    assert "sites" not in info
     sites = cfg.sites
     per_block = [(name, sites[name].act_bits) for name in (
         ["linear_transform"] + ["attn_v"] * cfg.n_heads + ["projection", "fc1", "fc2"])
     ] if sites else []
-    assert [(r["site"], r["act_bits"]) for r in records] == per_block * n_blocks
-    assert all(r["mse"] >= 0.0 for r in records)
-    one = []
-    block_out, _ = agq.forward_block(blocks[0], x, trace=one)
-    assert one == records[:len(per_block)]
-    assert block_out.tobytes() == agq.forward_block(blocks[0], x)[0].tobytes()
+    for t in (12, 256):
+        x = np.random.default_rng(2).standard_normal((t, cfg.d_model)).astype(np.float32)
+        records = []
+        out, info = forward_stack(blocks, x, schedule=schedule, trace=records)
+        bare_out, bare_info = forward_stack(blocks, x, schedule=schedule)
+        assert out.tobytes() == bare_out.tobytes()
+        assert info["keeps"] == bare_info["keeps"]
+        assert [m.probs.tobytes() for m in info["maps"]] == [
+            m.probs.tobytes() for m in bare_info["maps"]]
+        assert "sites" not in info
+        assert [(r["site"], r["act_bits"]) for r in records] == per_block * n_blocks
+        assert all(r["mse"] >= 0.0 for r in records)
+        one = []
+        block_out, _ = agq.forward_block(blocks[0], x, trace=one)
+        assert one == records[:len(per_block)]
+        assert block_out.tobytes() == agq.forward_block(blocks[0], x)[0].tobytes()
 
 
 @pytest.mark.parametrize("prune,calls", [
