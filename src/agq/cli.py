@@ -188,16 +188,19 @@ def main():
 @click.option("--in", "in_path", required=True)
 @click.option("--out", "out_path", required=True)
 def quantize(config_path, in_path, out_path):
-    """Quantize every float tensor in a store to per-channel 4-bit codes."""
+    """Quantize every float32 tensor in a store to per-channel 4-bit codes;
+    tensors of other dtypes are skipped, but a store with no float32 tensor
+    is a store error."""
     load_config(config_path)
     store = tensor_store.load_store(in_path)
+    floats = sorted(name for name, w in store.items() if w.dtype == np.float32)
+    if not floats:
+        raise tensor_store.StoreError(f"{in_path} holds no float32 tensor")
     out_store: dict[str, np.ndarray] = {}
     sidecar: dict[str, dict] = {}
     zp = kernels.Int4GemmParams.weight_zero_point
-    for name in sorted(store):
+    for name in floats:
         w = store[name]
-        if w.dtype != np.float32:
-            continue
         wq = quantize_weight_symmetric(w, fit_weight_symmetric(w, 4))
         out_store[name + ".codes"] = (wq.codes + zp).astype(np.uint8)
         sidecar[name] = {

@@ -16,23 +16,22 @@ channels (4-bit), never as a per-call weight re-quantization. Q, K and V are
 quantized in one call per block, each head with its own fit.
 
 The attention chain (qk product, causal softmax, log2 quantizer, attn_v
-product) is one loop over head groups and causal row bands, one body per
-band. From T = BAND_MIN_T on, bands of BAND_ROWS query rows ``[r0, r1)`` read
-key columns ``[0, r1)`` only, so the zeros above the diagonal are never
-computed; they run bottom band first, so later, smaller buffers reuse the
-first ones' memory. Bands give the bytes of the whole map: the integer qk
-and attn_v sums are exact in any order, each band's softmax rows sum over
-the full width T, zero-padded (numpy's pairwise sum depends on the row
-length), and the log2 quantizer takes the map's maximum, which is exactly
-1.0: row 0 is exp(0) / 1, and no rounded quotient of non-negative numbers
-exceeds it. One band of T rows runs for shorter sequences, FP32 qk or attn_v
-sites (``gemm_f32`` is not order-exact) and qk scores that might overflow
-float32 (``_finite`` must see them all). A group holds max(1, 2^16 // (band
-rows * T)) heads, so the softmax's float64 buffer never exceeds 512 KiB or
-one head's band. The qk and attn_v products run per head and band, through
-the public kernels. Per-site MSE records are made only for a caller that
-passes a ``trace`` list, which runs the same bands. The FP32 reference pass
-is ``forward_block`` with ``replace(cfg, sites={})``.
+product) is one loop over causal row bands of all heads, one body per band.
+Bands of BAND_ROWS query rows ``[r0, r1)`` read key columns ``[0, r1)`` only,
+so the zeros above the diagonal are never computed; they run bottom band
+first, so later, smaller buffers reuse the first ones' memory. Bands give
+the bytes of the whole map: the integer qk and attn_v sums are exact in any
+order, each band's softmax rows sum over the full width T, zero-padded
+(numpy's pairwise sum depends on the row length), and the log2 quantizer
+takes the map's maximum, which is exactly 1.0: row 0 is exp(0) / 1, and no
+rounded quotient of non-negative numbers exceeds it. One band of T rows runs
+for FP32 qk or attn_v sites (``gemm_f32`` is not order-exact) and qk scores
+that might overflow float32 (``_finite`` must see them all); only then does
+the softmax's float64 buffer hold every head's whole (T, T) map, twice the
+float32 map the block returns. The qk and attn_v products run per head and
+band, through the public kernels. Per-site MSE records are made only for a
+caller that passes a ``trace`` list, which runs the same bands. The FP32
+reference pass is ``forward_block`` with ``replace(cfg, sites={})``.
 """
 
 from __future__ import annotations
@@ -74,10 +73,7 @@ from .trip import MAX_TRIP_CAP, _fit_trip, _quantize_trip, dequantize_trip
 SITES = ("linear_transform", "qk", "attn_v", "projection", "fc1", "fc2")
 # Sites whose inputs come after the self-attention product and may run 4-bit.
 POST_ATTENTION_SITES = frozenset({"attn_v", "projection", "fc1", "fc2"})
-HEAD_GROUP_SCORES = 2**16  # head groups: max(1, this // (band rows * T)) heads
 BAND_ROWS = 64  # causal row band height of the quantized attention chain
-# the shortest banded sequence: at T = 176 bands still cost more than they save
-BAND_MIN_T = 192
 
 
 class PipelineError(Exception):
@@ -105,6 +101,9 @@ class SiteConfig:
     def __post_init__(self):
         _int_field(self, "act_bits", lambda v: v in (4, 8, 32), "4, 8 or 32")
         _int_field(self, "trip_cap", lambda v: 0 <= v <= MAX_TRIP_CAP, f"in 0..{MAX_TRIP_CAP}")
+
+
+_FP32_SITE = SiteConfig()  # a site the config does not name
 
 
 @dataclass(frozen=True)
@@ -139,7 +138,7 @@ class BlockConfig:
         return self.d_model // self.n_heads
 
     def site(self, name: str) -> SiteConfig:
-        return self.sites.get(name, SiteConfig())
+        return self.sites.get(name, _FP32_SITE)
 
 
 def preset_sites(mode: str, act_quantizer: str = "trip", trip_cap: int = 3):
@@ -236,14 +235,11 @@ def _softmax_causal(scores: np.ndarray, past: np.ndarray) -> np.ndarray:
     n = scores.shape[-1]
     band = past[:, :n]
     row_max = scores.max(axis=-1, keepdims=True, where=band, initial=-np.inf)
-    e = np.zeros(scores.shape)
-    np.subtract(scores, row_max, out=e, where=band, dtype=np.float64)
-    np.exp(e, out=e, where=band)
-    if n < past.shape[-1]:  # a band: zero-pad its rows to the full width
-        padded = np.zeros(scores.shape[:-1] + past.shape[-1:])
-        padded[..., :n] = e
-        e = padded
-    e[..., :n] /= e.sum(axis=-1, keepdims=True)
+    e = np.zeros(scores.shape[:-1] + past.shape[-1:])
+    e_band = e[..., :n]  # key columns [0, n); the rest stay zero
+    np.subtract(scores, row_max, out=e_band, where=band, dtype=np.float64)
+    np.exp(e_band, out=e_band, where=band)
+    e_band /= e.sum(axis=-1, keepdims=True)
     return e.astype(np.float32)
 
 
@@ -295,14 +291,15 @@ def _site_matmul(block: Block, cfg: BlockConfig, name: str, x: np.ndarray,
 
 
 def _band_rows(cfg: BlockConfig, t: int, heads) -> int:
-    """BAND_ROWS where bands are exact and pay (see the module docstring),
-    else t. Bands skip the qk scores above the diagonal, so they need proof
-    that none overflows float32: head h's scores are at most d_head * hi *
-    s_q * hi * s_k in magnitude, as its unsigned Q and K codes of ``heads``
-    (the per-head Q, K, V codes) lie within hi of their zero points. Each
-    bound, in float64, must stay below half of float32's largest value.
+    """BAND_ROWS where bands are exact (see the module docstring), else t:
+    one band, which up to BAND_ROWS rows is all there is. Bands skip the qk
+    scores above the diagonal, so they need proof that none overflows
+    float32: head h's scores are at most d_head * hi * s_q * hi * s_k in
+    magnitude, as its unsigned Q and K codes of ``heads`` (the per-head Q,
+    K, V codes) lie within hi of their zero points. Each bound, in float64,
+    must stay below half of float32's largest value.
     """
-    if t < BAND_MIN_T or 32 in (cfg.site("qk").act_bits, cfg.site("attn_v").act_bits):
+    if t <= BAND_ROWS or 32 in (cfg.site("qk").act_bits, cfg.site("attn_v").act_bits):
         return t
     nh = cfg.n_heads
     bound = max(qh.cols * qh.params.range.hi * qh.params.scale
@@ -350,33 +347,29 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
     cols = [slice(h * dh, (h + 1) * dh) for h in range(nh)]
     deq = np.zeros_like(probs) if trace is not None and av_sc.act_bits < 32 else None
     rows = _band_rows(cfg, t, heads)
-    bands = [(r0, min(r0 + rows, t)) for r0 in reversed(range(0, t, rows))]
-    group = max(1, HEAD_GROUP_SCORES // (rows * t))
-    for g in range(0, nh, group):
-        hs = range(g, min(g + group, nh))
-        for r0, r1 in bands:
-            scores = probs[g:hs.stop, r0:r1, :r1]  # replaced by their softmax
-            for h in hs:
-                if qk_sc.act_bits == 32:
-                    scores[h - g] = gemm_f32(q[r0:r1, cols[h]], k[:r1, cols[h]].T)
-                else:
-                    qh, kh = heads[h], heads[nh + h]
-                    scores[h - g] = gemm_int_affine(QuantTensor(qh.codes[r0:r1], qh.params),
-                                                    QuantTensor(kh.codes[:r1].T, kh.params))
-            scores /= np.float32(np.sqrt(dh))
-            probs[g:hs.stop, r0:r1] = _softmax_causal(_finite(scores, "qk"), past[r0:r1])
-            if av_sc.act_bits == 32:
-                for h in hs:
-                    ctx[r0:r1, cols[h]] = gemm_f32(scores[h - g], v[:r1, cols[h]])
-                continue
-            # each map's maximum is exactly 1.0 (see the module docstring)
-            for h, probs_q in zip(hs, _quantize_log2(scores, av_sc.act_bits, 1.0)):
-                if deq is not None:
-                    deq[h, r0:r1, :r1] = dequantize_log2(probs_q)
-                vh = heads[2 * nh + h]
-                ctx[r0:r1, cols[h]] = gemm_log2_attnv(probs_q,
-                                                      QuantTensor(vh.codes[:r1], vh.params))
-            del probs_q  # its views would hold the band's log2 codes through the MLP
+    for r0 in reversed(range(0, t, rows)):
+        r1 = min(r0 + rows, t)
+        scores = probs[:, r0:r1, :r1]  # replaced by their softmax
+        for h in range(nh):
+            if qk_sc.act_bits == 32:
+                scores[h] = gemm_f32(q[r0:r1, cols[h]], k[:r1, cols[h]].T)
+            else:
+                qh, kh = heads[h], heads[nh + h]
+                scores[h] = gemm_int_affine(QuantTensor(qh.codes[r0:r1], qh.params),
+                                            QuantTensor(kh.codes[:r1].T, kh.params))
+        scores /= np.float32(np.sqrt(dh))
+        probs[:, r0:r1] = _softmax_causal(_finite(scores, "qk"), past[r0:r1])
+        if av_sc.act_bits == 32:
+            for h in range(nh):
+                ctx[r0:r1, cols[h]] = gemm_f32(scores[h], v[:r1, cols[h]])
+            continue
+        # each map's maximum is exactly 1.0 (see the module docstring)
+        for h, probs_q in enumerate(_quantize_log2(scores, av_sc.act_bits, 1.0)):
+            if deq is not None:
+                deq[h, r0:r1, :r1] = dequantize_log2(probs_q)
+            vh = heads[2 * nh + h]
+            ctx[r0:r1, cols[h]] = gemm_log2_attnv(probs_q, QuantTensor(vh.codes[:r1], vh.params))
+        del probs_q  # its views would hold the band's log2 codes through the MLP
     if deq is not None:
         trace.extend({"site": "attn_v", "act_bits": av_sc.act_bits,
                       "mse": _mse(probs[h], deq[h])} for h in range(nh))

@@ -410,6 +410,9 @@ EXIT_CASES = [
                                       "--in", nan_store(p), "--out", str(p / "o.agqt")], 2),
     ("uint8-store-eval", lambda p: ["eval", "--config", write_config(p / "c.json"),
                                     "--in", good_store(p, dtype=np.uint8)], 2),
+    ("uint8-store-quantize", lambda p: ["quantize", "--config", write_config(p / "c.json"),
+                                        "--in", good_store(p, dtype=np.uint8),
+                                        "--out", str(p / "o.agqt")], 2),
     ("uint8-store-analyze", lambda p: ["analyze", "--config", write_config(p / "c.json"),
                                        "--in", good_store(p, dtype=np.uint8),
                                        "--input", "input"], 2),

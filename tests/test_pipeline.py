@@ -215,17 +215,18 @@ def test_quantize_heads_equals_per_head_affine(t, n_heads, d_head, bits, seed,
 
 
 def _reference_grid(test):
-    """Every mode and quantizer, at lengths on both sides of BAND_MIN_T."""
+    """Every mode and quantizer, at lengths of one band and of several."""
     for mark in (
         pytest.mark.parametrize("t,d_model,n_heads", [
-            (1, 16, 8), (7, 24, 1), (33, 64, 4),
-            (129, 64, 4),  # head groups of 3 and 1
-            (191, 64, 4),  # the longest sequence that runs one band
-            (192, 32, 2),  # the shortest banded one: 3 bands, both heads at once
+            (1, 16, 8), (7, 24, 1), (33, 64, 4),  # one band holds every row
+            (65, 32, 2),  # the shortest banded length: a bottom band of 1 row
+            (129, 64, 4),  # 3 bands, the bottom one of 1 row
+            (191, 64, 4),  # 3 bands, the bottom one of 63 rows
+            (192, 32, 2),  # 3 full bands
             (255, 64, 4),
-            (256, 64, 4),  # the benchmark's geometry: 4 bands, all heads at once
-            (257, 64, 8),  # a one-row band; head groups of 3, 3 and 2
-            (300, 64, 4),  # a 44-row band; head groups of 3 and 1
+            (256, 64, 4),  # the benchmark's geometry: 4 bands
+            (257, 64, 8),  # a one-row band, 8 heads
+            (300, 64, 4),  # a 44-row band
         ]),
         pytest.mark.parametrize("act_quantizer", ["trip", "affine"]),
         pytest.mark.parametrize("mode", ["fp32", "w4a8", "w4a4", "fp32-qk", "fp32-attn_v"]),
@@ -257,20 +258,20 @@ def _equals_per_head_reference(mode, act_quantizer, t, d_model, n_heads, traced)
 
 @_reference_grid
 def test_forward_block_equals_per_head_reference(mode, act_quantizer, t, d_model, n_heads):
-    """One Q/K/V quantization per block and head-grouped softmax and log2
-    quantization give the bytes and trace records of a loop that quantizes
-    every head's slices and runs every head's softmax on its whole map. A
-    trace runs the same bands as a bare pass, and its attn_v records, over
-    each whole map, are the reference's. The ``fp32-`` modes are w4a8 with
-    that one site at FP32."""
+    """One Q/K/V quantization per block and banded softmax and log2
+    quantization of all heads at once give the bytes and trace records of a
+    loop that quantizes every head's slices and runs every head's softmax on
+    its whole map. A trace runs the same bands as a bare pass, and its
+    attn_v records, over each whole map, are the reference's. The ``fp32-``
+    modes are w4a8 with that one site at FP32."""
     _equals_per_head_reference(mode, act_quantizer, t, d_model, n_heads, traced=True)
 
 
 @_reference_grid
 def test_untraced_forward_block_equals_per_head_reference(mode, act_quantizer, t, d_model,
                                                           n_heads):
-    """Without a trace too, quantized qk and attn_v sites from T = 192 on run
-    in causal row bands, and still give the reference's bytes."""
+    """Without a trace too, quantized qk and attn_v sites longer than
+    BAND_ROWS run in causal row bands, and still give the reference's bytes."""
     _equals_per_head_reference(mode, act_quantizer, t, d_model, n_heads, traced=False)
 
 

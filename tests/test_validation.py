@@ -123,9 +123,9 @@ def test_forward_stack_validates_once_per_call_and_block(monkeypatch, act_quanti
 
 @pytest.mark.parametrize("t,traced", [
     pytest.param(t, traced, id=f"{t}-traced" if traced else str(t))
-    for t in (192, 256, 300) for traced in (False, True)])
+    for t in (16, 65, 128, 192, 256, 300) for traced in (False, True)])
 def test_row_bands_call_the_public_kernels(monkeypatch, t, traced):
-    """At a banded length every qk and attn_v product still goes through the
+    """At every length every qk and attn_v product still goes through the
     public kernel names that outside wrappers (the benchmark's oracles)
     replace: one call per head per causal row band ``[r0, r1)``, with the
     band's query rows against key columns ``[0, r1)`` and the attn_v inner
@@ -140,7 +140,7 @@ def test_row_bands_call_the_public_kernels(monkeypatch, t, traced):
     agq.forward_block(block, x, trace=trace)
     rows = agq.pipeline.BAND_ROWS
     bands = [(r0, min(r0 + rows, t)) for r0 in range(0, t, rows)]
-    assert t >= agq.pipeline.BAND_MIN_T and len(bands) > 1
+    assert len(bands) == -(-t // rows)
     per_head = sorted((r1 - r0, cfg.d_head, r1) for r0, r1 in bands) * cfg.n_heads
     qk = [(aq.rows, wq.rows, wq.cols) for aq, wq in affine if wq.kind == "affine"]
     assert sorted(qk) == sorted(per_head)
