@@ -61,11 +61,11 @@ from .quantizers import (
     F32_MAX,
     ChannelSymmetricParams,
     QuantTensor,
-    _fit_weight_symmetric,
     _quantize_heads,
     _quantize_log2,
-    _quantize_weight_symmetric,
     dequantize_log2,
+    fit_weight_symmetric,
+    quantize_weight_symmetric,
 )
 from .tensor_store import as_tensor2d, slice_rows
 from .trip import MAX_TRIP_CAP, _fit_trip, _quantize_trip, dequantize_trip
@@ -124,6 +124,8 @@ class BlockConfig:
             raise PipelineError(f"unknown sites {sorted(unknown)}")
         for name in SITES:
             sc = self.site(name)
+            if not isinstance(sc, SiteConfig):
+                raise PipelineError(f"site {name} must be a SiteConfig, got {sc!r}")
             if sc.act_bits == 4 and name not in POST_ATTENTION_SITES:
                 raise PipelineError(
                     f"4-bit activations are restricted to post-attention sites, not {name}"
@@ -196,7 +198,7 @@ def init_block(cfg: BlockConfig) -> Block:
     weights = {"linear_transform": np.hstack([draw((d, d)) for _ in range(3)])}
     weights.update(projection=draw((d, d)), fc1=draw((d, f)), fc2=draw((f, d)))
     weight_q = {
-        name: _quantize_weight_symmetric(w, _fit_weight_symmetric(w, 4))
+        name: quantize_weight_symmetric(w, fit_weight_symmetric(w, 4))
         for name, w in weights.items()
     }
     zp = Int4GemmParams.weight_zero_point
@@ -416,17 +418,14 @@ def forward_stack(blocks: list[Block], x, cfg: BlockConfig | None = None,
         except PipelineError as e:
             raise PipelineError(f"block {i}: {e}") from e
         info["maps"].append(amap)
+        local = list(range(x.shape[0]))
         if forced_keeps is not None and i in forced_keeps:
             local = forced_keeps[i]
             x = slice_rows(x, local)
-            kept_global = [kept_global[j] for j in local]
-            info["keeps"].append(local)
         elif schedule is not None and i in schedule.prune_layers:
             x, local = prune_step(x, score_tokens(amap), schedule.per_layer_ratio)
-            kept_global = [kept_global[j] for j in local]
-            info["keeps"].append(local)
-        else:
-            info["keeps"].append(list(range(x.shape[0])))
+        kept_global = [kept_global[j] for j in local]
+        info["keeps"].append(local)
         info["kept_fractions"].append(x.shape[0] / t0)
     info["kept_global"] = kept_global
     info["sparsity"] = sparsity(info["kept_fractions"], len(blocks))
@@ -451,7 +450,6 @@ def cosine_similarity(a, b) -> float:
 class OutlierReport:
     counts: np.ndarray  # per-channel outlier counts
     threshold: float  # |x| above this counts as an outlier
-    k_sigma: float
     ranked_channels: np.ndarray  # channels sorted by count, descending
 
 
@@ -460,7 +458,7 @@ def analyze_outliers(x, k_sigma: float) -> OutlierReport:
     x = as_tensor2d(x)
     if x.size == 0:
         raise PipelineError("cannot analyze empty tensor")
-    if k_sigma <= 0:
+    if not k_sigma > 0:
         raise PipelineError("k_sigma must be positive")
     mag = np.abs(x.astype(np.float64))
     threshold = float(mag.mean() + k_sigma * mag.std())
@@ -469,7 +467,6 @@ def analyze_outliers(x, k_sigma: float) -> OutlierReport:
     return OutlierReport(
         counts=counts.astype(np.int64),
         threshold=threshold,
-        k_sigma=k_sigma,
         ranked_channels=order,
     )
 

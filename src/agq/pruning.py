@@ -34,10 +34,6 @@ class AttentionMap:
             raise PruneError("attention map must be (heads, T, T)")
 
     @property
-    def heads(self) -> int:
-        return self.probs.shape[0]
-
-    @property
     def tokens(self) -> int:
         return self.probs.shape[1]
 

@@ -5,7 +5,7 @@ symmetric ranges per output channel. All rounding is round-half-to-even
 (``np.rint``) so ties are deterministic across platforms. Every activation
 scale and zero point comes from ``_fit_range``, and every affine, TRIP and
 weight code from ``_codes``. Public functions check their input with
-``as_tensor2d``; the pipeline calls the private cores of those it runs.
+``as_tensor2d``; the forward pass calls the private cores of those it runs.
 """
 
 from __future__ import annotations
@@ -222,11 +222,8 @@ class ChannelSymmetricParams:
 
 
 def fit_weight_symmetric(w, bits: int = 4) -> ChannelSymmetricParams:
-    return _fit_weight_symmetric(as_tensor2d(w), bits)
-
-
-def _fit_weight_symmetric(w: np.ndarray, bits: int) -> ChannelSymmetricParams:
     """Per-output-column symmetric scales: step = max|w_col| / hi."""
+    w = as_tensor2d(w)
     if w.size == 0:
         raise QuantError("cannot fit quantizer on empty tensor")
     rng = CodeRange(bits, signed=True)
@@ -236,11 +233,7 @@ def _fit_weight_symmetric(w: np.ndarray, bits: int) -> ChannelSymmetricParams:
 
 
 def quantize_weight_symmetric(w, p: ChannelSymmetricParams) -> QuantTensor:
-    return _quantize_weight_symmetric(as_tensor2d(w), p)
-
-
-def _quantize_weight_symmetric(w: np.ndarray, p: ChannelSymmetricParams) -> QuantTensor:
-    return QuantTensor(codes=_codes(w, p.scales, 0, p.range), params=p)
+    return QuantTensor(codes=_codes(as_tensor2d(w), p.scales, 0, p.range), params=p)
 
 
 def dequantize_weight_symmetric(q: QuantTensor) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 All channels share one scale and zero point; each channel c additionally gets
 an integer exponent alpha_c in {0..K} so its effective step is 2^alpha_c * s.
+So ``TripParams`` is an ``AffineParams`` (code range, s, zero point) plus the
+exponents and their cap K, fitted and validated as one object.
 The exponents are chosen per channel by exhaustively minimizing the L2
 round-trip reconstruction error, every exponent in one broadcast pass over a
 (cap+1, T, C) buffer that sums rows in the order of a per-exponent loop. The
@@ -22,7 +24,6 @@ import numpy as np
 
 from .quantizers import (
     AffineParams,
-    CodeRange,
     KindMismatchError,
     QuantError,
     QuantTensor,
@@ -37,13 +38,13 @@ MAX_TRIP_CAP = 6  # largest channel exponent, as in the run-config schema
 
 
 @dataclass(frozen=True)
-class TripParams:
+class TripParams(AffineParams):
     kind: ClassVar[str] = "trip"
-    base: AffineParams
     alphas: np.ndarray  # one exponent per channel, each in 0..cap
     cap: int
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0 <= self.cap <= MAX_TRIP_CAP:
             raise QuantError(f"cap must be in 0..{MAX_TRIP_CAP}, got {self.cap}")
         a = self.alphas
@@ -51,24 +52,14 @@ class TripParams:
             raise QuantError("channel exponents must lie in 0..cap")
 
     @property
-    def range(self) -> CodeRange:
-        """The activation code range, as on :class:`AffineParams`."""
-        return self.base.range
-
-    @property
-    def scale(self) -> float:
-        """The shared layer-wise scale, as on :class:`AffineParams`."""
-        return self.base.scale
-
-    @property
-    def zero_point(self) -> int:
-        """The shared zero point, as on :class:`AffineParams`."""
-        return self.base.zero_point
+    def base(self) -> AffineParams:
+        """The shared layer-wise quantizer without the exponents."""
+        return AffineParams(self.range, self.scale, self.zero_point)
 
     @property
     def steps(self) -> np.ndarray:
         """Effective per-channel step sizes 2^alpha_c * s."""
-        return np.exp2(self.alphas.astype(np.float64)) * self.base.scale
+        return np.exp2(self.alphas.astype(np.float64)) * self.scale
 
 
 def fit_trip(x, bits: int, cap: int) -> TripParams:
@@ -89,9 +80,8 @@ def _fit_trip(x: np.ndarray, bits: int, cap: int) -> TripParams:
         raise QuantError(f"cap must be in 0..{MAX_TRIP_CAP}, got {cap}")
     rng, scales, zps = _fit_range(x[:, None], bits, cap)
     scale, zp = float(scales[0]), int(zps[0])
-    base = AffineParams(range=rng, scale=scale, zero_point=zp)
     if cap == 0:
-        return TripParams(base=base, alphas=np.zeros(x.shape[1], dtype=np.int64), cap=0)
+        return TripParams(rng, scale, zp, alphas=np.zeros(x.shape[1], dtype=np.int64), cap=0)
 
     # x / (2^a * s) is exactly (x / s) * 2^-a, so divide by s once; codes are
     # kept shifted by -zp, and one buffer holds them, the residuals and squares
@@ -106,7 +96,7 @@ def _fit_trip(x: np.ndarray, bits: int, cap: int) -> TripParams:
     err = np.add.reduce(r, axis=1)  # row a: channel errors at exponent a
     np.sqrt(err, out=err)  # what np.linalg.norm(axis=0) computes
     alphas = err.argmin(axis=0).astype(np.int64)  # first minimum: ties keep the smaller exponent
-    return TripParams(base=base, alphas=alphas, cap=cap)
+    return TripParams(rng, scale, zp, alphas=alphas, cap=cap)
 
 
 def quantize_trip(x, p: TripParams) -> QuantTensor:

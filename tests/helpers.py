@@ -184,7 +184,6 @@ def ref_fit_trip(x, bits, cap):
     lo, hi = float(x.min()), float(x.max())
     scale = max(hi - lo, SCALE_EPS) / ((2**bits - 1) * 2**cap)
     zp = int(np.clip(np.rint(np.float64(-lo) / (2**cap * scale)), rng.lo, rng.hi))
-    base = agq.AffineParams(range=rng, scale=float(scale), zero_point=zp)
     cols = x.astype(np.float64)
     alphas = np.zeros(x.shape[1], dtype=np.int64)
     best = np.full(x.shape[1], np.inf)
@@ -195,7 +194,7 @@ def ref_fit_trip(x, bits, cap):
         better = err < best  # strict: ties keep the smaller exponent
         alphas[better] = a
         best[better] = err[better]
-    return agq.TripParams(base=base, alphas=alphas, cap=cap)
+    return agq.TripParams(rng, float(scale), zp, alphas=alphas, cap=cap)
 
 
 def naive_int_gemm(a_codes, w_codes_rows_by_k):

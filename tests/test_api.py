@@ -60,6 +60,8 @@ def test_derived_fields_are_not_settable():
     fields = lambda cls: [f.name for f in dataclasses.fields(cls)]
     assert fields(agq.QuantTensor) == ["codes", "params", "signs"]
     assert fields(agq.Int4GemmParams) == ["act_scale", "act_zero_point", "weight_scales"]
+    assert fields(agq.TripParams) == ["range", "scale", "zero_point", "alphas", "cap"]
+    assert issubclass(agq.TripParams, agq.AffineParams)
     x = np.ones((2, 3), dtype=np.float32)
     with pytest.raises(TypeError):
         agq.QuantTensor(codes=x, params=agq.fit_affine(x, 8), kind="log2")

@@ -97,6 +97,9 @@ class TestConfig:
         lambda: BlockConfig(seed=-1),
         lambda: BlockConfig(seed=1.0),
         lambda: BlockConfig(seed=False),
+        lambda: BlockConfig(sites={"qk": 8}),
+        lambda: BlockConfig(sites={"qk": None}),
+        lambda: BlockConfig(sites={"qk": {"act_bits": 8}}),
     ])
     def test_non_integer_or_out_of_range_fields_rejected(self, make):
         """Each is refused when the config is built, not by a raw TypeError,
@@ -400,8 +403,8 @@ def test_every_trip_cap_runs_with_true_weight_range(sites, cap, monkeypatch):
 def test_forward_does_no_weight_work(sites, monkeypatch):
     """Weights are fitted, quantized and packed in init_block only; a forward
     pass never folds, re-fits, re-quantizes or re-packs them."""
-    names = ("fold_trip_into_weights", "_fit_weight_symmetric",
-             "_quantize_weight_symmetric", "pack_weights_for_gemm")
+    names = ("fold_trip_into_weights", "fit_weight_symmetric",
+             "quantize_weight_symmetric", "pack_weights_for_gemm")
     calls = dict.fromkeys(names, 0)
 
     def counted(name, fn):
@@ -415,7 +418,7 @@ def test_forward_does_no_weight_work(sites, monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     blocks, x = _small_stack(sites)
-    assert calls["_quantize_weight_symmetric"] == calls["pack_weights_for_gemm"] == 8
+    assert calls["quantize_weight_symmetric"] == calls["pack_weights_for_gemm"] == 8
     calls.update(dict.fromkeys(names, 0))
     forward_stack(blocks, x)
     assert calls == dict.fromkeys(names, 0)
@@ -694,6 +697,8 @@ class TestAnalyzeOutliers:
             analyze_outliers(np.empty((0, 3), dtype=np.float32), 3.0)
         with pytest.raises(PipelineError):
             analyze_outliers(np.ones((2, 2), dtype=np.float32), 0.0)
+        with pytest.raises(PipelineError):
+            analyze_outliers(np.ones((2, 2), dtype=np.float32), float("nan"))
 
 
 class TestAttentionLocality:

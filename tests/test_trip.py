@@ -10,7 +10,6 @@ from agq import kernels
 from agq.kernels import pack_weights_for_gemm
 from agq.pipeline import _site_product
 from agq.quantizers import (
-    AffineParams,
     ChannelSymmetricParams,
     CodeRange,
     QuantError,
@@ -168,12 +167,11 @@ def test_dequantize_examples():
 
 
 def test_dequantize_direct_values():
-    from agq.quantizers import AffineParams, CodeRange
+    from agq.quantizers import CodeRange
     from agq.trip import TripParams
     from agq.quantizers import QuantTensor
 
-    base = AffineParams(range=CodeRange(8, signed=False), scale=0.1, zero_point=0)
-    p = TripParams(base=base, alphas=np.array([0, 1]), cap=1)
+    p = TripParams(CodeRange(8, signed=False), 0.1, 0, alphas=np.array([0, 1]), cap=1)
     q = QuantTensor(codes=np.array([[1, 1]]), params=p)
     np.testing.assert_allclose(dequantize_trip(q), [[0.1, 0.2]], rtol=1e-7)
 
@@ -199,7 +197,8 @@ def test_cap_outside_0_to_6_rejected(cap):
         fit_trip(x, 8, cap)
     base = fit_affine(x, 8)
     with pytest.raises(QuantError, match="cap must be in 0..6"):
-        TripParams(base=base, alphas=np.zeros(4, dtype=np.int64), cap=cap)
+        TripParams(base.range, base.scale, base.zero_point,
+                   alphas=np.zeros(4, dtype=np.int64), cap=cap)
 
 
 class TestFolding:
@@ -211,11 +210,10 @@ class TestFolding:
         np.testing.assert_array_equal(fold_trip_into_weights(w, p), w)
 
     def test_single_channel_doubling(self):
-        from agq.quantizers import AffineParams, CodeRange
+        from agq.quantizers import CodeRange
         from agq.trip import TripParams
 
-        base = AffineParams(range=CodeRange(8, signed=False), scale=0.5, zero_point=0)
-        p = TripParams(base=base, alphas=np.array([1]), cap=1)
+        p = TripParams(CodeRange(8, signed=False), 0.5, 0, alphas=np.array([1]), cap=1)
         w = np.array([[1.0, -2.0, 3.0]], dtype=np.float32)
         np.testing.assert_array_equal(fold_trip_into_weights(w, p), 2 * w)
 
@@ -270,12 +268,12 @@ def _trip_site(m, k, n, bits, cap, seed, alphas=None):
     (aq, wq, packed) for ``_site_product``."""
     rng = np.random.default_rng(seed)
     hi = 2**bits - 1
-    base = AffineParams(CodeRange(bits, signed=False), float(rng.uniform(1e-3, 10.0)),
-                        int(rng.integers(0, hi + 1)))
+    scale, zp = float(rng.uniform(1e-3, 10.0)), int(rng.integers(0, hi + 1))
     if alphas is None:
         alphas = rng.integers(0, cap + 1, k)
     aq = QuantTensor(rng.integers(0, hi + 1, (m, k)).astype(np.int32),
-                     TripParams(base=base, alphas=np.asarray(alphas), cap=cap))
+                     TripParams(CodeRange(bits, signed=False), scale, zp,
+                                alphas=np.asarray(alphas), cap=cap))
     w_codes = rng.integers(-8, 8, (k, n)).astype(np.int32)
     wq = QuantTensor(w_codes, ChannelSymmetricParams(CodeRange(4, signed=True),
                                                      rng.uniform(1e-3, 1.0, n)))
@@ -330,7 +328,8 @@ class TestShiftedProduct:
 
 def test_exponent_check_messages_and_empty():
     base = fit_affine(np.zeros((1, 1), dtype=np.float32), 8)
-    assert TripParams(base=base, alphas=np.zeros(0, dtype=np.int64), cap=0).alphas.size == 0
+    affine = (base.range, base.scale, base.zero_point)
+    assert TripParams(*affine, alphas=np.zeros(0, dtype=np.int64), cap=0).alphas.size == 0
     for alphas in ([0, -1], [0, 4]):
         with pytest.raises(QuantError, match="^channel exponents must lie in 0..cap$"):
-            TripParams(base=base, alphas=np.array(alphas), cap=3)
+            TripParams(*affine, alphas=np.array(alphas), cap=3)
