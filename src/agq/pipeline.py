@@ -21,17 +21,18 @@ Bands of BAND_ROWS query rows ``[r0, r1)`` read key columns ``[0, r1)`` only,
 so the zeros above the diagonal are never computed; they run bottom band
 first, so later, smaller buffers reuse the first ones' memory. Bands give
 the bytes of the whole map: the integer qk and attn_v sums are exact in any
-order, each band's softmax rows sum over the full width T, zero-padded
-(numpy's pairwise sum depends on the row length), and the log2 quantizer
-takes the map's maximum, which is exactly 1.0: row 0 is exp(0) / 1, and no
-rounded quotient of non-negative numbers exceeds it. One band of T rows runs
-for FP32 qk or attn_v sites (``gemm_f32`` is not order-exact) and qk scores
-that might overflow float32 (``_finite`` must see them all); only then does
-the softmax's float64 buffer hold every head's whole (T, T) map, twice the
-float32 map the block returns. The qk and attn_v products run per head and
-band, through the public kernels. Per-site MSE records are made only for a
-caller that passes a ``trace`` list, which runs the same bands. The FP32
-reference pass is ``forward_block`` with ``replace(cfg, sites={})``.
+order, softmax row i sums over BAND_ROWS * (i // BAND_ROWS + 1) columns,
+zero-padded, whatever T is (numpy's pairwise sum depends on the row
+length), and the log2 quantizer takes the map's maximum, which is exactly
+1.0: row 0 is exp(0) / 1, and no rounded quotient of non-negative numbers
+exceeds it. One band of T rows runs for FP32 qk or attn_v sites
+(``gemm_f32`` is not order-exact) and qk scores that might overflow float32
+(``_finite`` must see them all); its softmax still runs in BAND_ROWS-row
+slabs, so the softmax's float64 buffer holds at most one band of rows on
+every path. The qk and attn_v products run per head and band, through the
+public kernels. Per-site MSE records are made only for a caller that passes
+a ``trace`` list, which runs the same bands. The FP32 reference pass is
+``forward_block`` with ``replace(cfg, sites={})``.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ SITES = ("linear_transform", "qk", "attn_v", "projection", "fc1", "fc2")
 # Sites whose inputs come after the self-attention product and may run 4-bit.
 POST_ATTENTION_SITES = frozenset({"attn_v", "projection", "fc1", "fc2"})
 BAND_ROWS = 64  # causal row band height of the quantized attention chain
+_FUTURE = np.triu(np.ones((BAND_ROWS, BAND_ROWS), dtype=bool), 1)  # above a band's diagonal
 
 
 class PipelineError(Exception):
@@ -223,26 +225,25 @@ def _silu(x: np.ndarray) -> np.ndarray:
     return (x64 / (1.0 + np.exp(-x64))).astype(np.float32)
 
 
-def _softmax_causal(scores: np.ndarray, past: np.ndarray) -> np.ndarray:
-    """Row softmax over the ``past`` entries (the lower triangle, diagonal
-    included) of a (T, T) map or an (H, T, T) stack of them; the future
-    entries are exactly 0 and never reach ``exp``.
+def _softmax_causal(scores: np.ndarray, r0: int) -> None:
+    """Causal row softmax, in place, of ``scores``: rows ``[r0, r0 + n)`` of
+    a (T, T) map or an (H, T, T) stack against key columns ``[0, r0 + n)``,
+    r0 a multiple of BAND_ROWS and n <= BAND_ROWS. The future entries, all
+    in the last n columns, go to ``exp`` as ``-inf`` and come out +0.0.
 
-    ``past`` may also be rows ``[r0, r1)`` of the (T, T) mask, a causal row
-    band, with ``scores`` holding the band's first r1 columns. The output
-    has the full width T, and each row sums all T entries, zeros included:
-    numpy's pairwise sum depends on the row length, so a band row sums as it
-    does in the whole map.
+    Each row sums over r0 + BAND_ROWS columns of a contiguous float64
+    buffer, zero-padded past its own: row i's width BAND_ROWS * (i //
+    BAND_ROWS + 1) is fixed by its index, not by T, as numpy's pairwise sum
+    depends on the row length.
     """
-    n = scores.shape[-1]
-    band = past[:, :n]
-    row_max = scores.max(axis=-1, keepdims=True, where=band, initial=-np.inf)
-    e = np.zeros(scores.shape[:-1] + past.shape[-1:])
-    e_band = e[..., :n]  # key columns [0, n); the rest stay zero
-    np.subtract(scores, row_max, out=e_band, where=band, dtype=np.float64)
-    np.exp(e_band, out=e_band, where=band)
-    e_band /= e.sum(axis=-1, keepdims=True)
-    return e.astype(np.float32)
+    n = scores.shape[-2]
+    e = np.zeros(scores.shape[:-1] + (r0 + BAND_ROWS,))
+    e_band = e[..., :r0 + n]  # the rest stays zero
+    np.copyto(e_band, scores)  # exact; float64 loops run faster than mixed ones
+    np.copyto(e_band[..., r0:], -np.inf, where=_FUTURE[:n, :n])
+    e_band -= e_band.max(axis=-1, keepdims=True)
+    np.exp(e_band, out=e_band)
+    np.divide(e_band, e.sum(axis=-1, keepdims=True), out=scores)
 
 
 def _mse(x: np.ndarray, dequant: np.ndarray) -> float:
@@ -343,9 +344,8 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
     heads = (_quantize_heads(qkv, 3 * nh, 8)
              if qk_sc.act_bits < 32 or av_sc.act_bits < 32 else None)
 
-    probs = np.empty((nh, t, t), dtype=np.float32)
+    probs = np.zeros((nh, t, t), dtype=np.float32)  # the softmax writes bands only
     ctx = np.empty((t, d), dtype=np.float32)
-    past = np.tri(t, dtype=bool)  # T changes between blocks when pruning
     cols = [slice(h * dh, (h + 1) * dh) for h in range(nh)]
     deq = np.zeros_like(probs) if trace is not None and av_sc.act_bits < 32 else None
     rows = _band_rows(cfg, t, heads)
@@ -360,7 +360,11 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
                 scores[h] = gemm_int_affine(QuantTensor(qh.codes[r0:r1], qh.params),
                                             QuantTensor(kh.codes[:r1].T, kh.params))
         scores /= np.float32(np.sqrt(dh))
-        probs[:, r0:r1] = _softmax_causal(_finite(scores, "qk"), past[r0:r1])
+        _finite(scores, "qk")
+        for s0 in range(r0, r1, BAND_ROWS):  # one slab, or a one-band map's several
+            slab = probs[:, s0:s0 + BAND_ROWS]
+            slab[..., s0 + BAND_ROWS:r1] = 0  # a one-band map's qk scores past the slab
+            _softmax_causal(slab[..., :s0 + BAND_ROWS], s0)
         if av_sc.act_bits == 32:
             for h in range(nh):
                 ctx[r0:r1, cols[h]] = gemm_f32(scores[h], v[:r1, cols[h]])

@@ -91,13 +91,18 @@ def prune_step(x, scores, gamma: float):
     by one importance score per token.
 
     The start token is never pruned. Ties are broken by dropping the later
-    position first. Returns the sliced tensor and the kept indices.
+    position first. Returns the sliced tensor and the kept indices. Raises
+    ``PruneError`` unless gamma lies in [0, 1) and every score is finite.
     """
     x = as_tensor2d(x)
     t = x.shape[0]
     s = np.asarray(scores, dtype=np.float64)
     if len(s) != t:
         raise PruneError(f"score length {len(s)} != token count {t}")
+    if not 0.0 <= gamma < 1.0:
+        raise PruneError(f"prune ratio must be in [0, 1), got {gamma}")
+    if not np.isfinite(s).all():
+        raise PruneError("importance scores must be finite")
     n_drop = math.floor(gamma * (t - 1))
     if n_drop <= 0:
         return x, list(range(t))
@@ -108,10 +113,13 @@ def prune_step(x, scores, gamma: float):
 
 
 def sparsity(kept_fractions, n: int) -> float:
-    """Layer-averaged pruned fraction: 1 - mean of remaining fractions."""
+    """Layer-averaged pruned fraction: 1 - mean of the remaining fractions,
+    one for each of the ``n`` layers, each in (0, 1]."""
     r = np.asarray(list(kept_fractions), dtype=np.float64)
     if r.size == 0:
         raise PruneError("need at least one layer fraction")
-    if np.any(r <= 0) or np.any(r > 1):
+    if r.size != n:
+        raise PruneError(f"{r.size} layer fractions for {n} layers")
+    if not ((r > 0) & (r <= 1)).all():  # NaN fails both
         raise PruneError("remaining fractions must lie in (0, 1]")
     return float(1.0 - r.sum() / n)

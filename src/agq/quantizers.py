@@ -1,11 +1,13 @@
 """Base quantizers: uniform affine and log2, with exact dequantizers.
 
 Activations use unsigned code ranges with a zero point; weights use signed
-symmetric ranges per output channel. All rounding is round-half-to-even
-(``np.rint``) so ties are deterministic across platforms. Every activation
-scale and zero point comes from ``_fit_range``, and every affine, TRIP and
-weight code from ``_codes``. Public functions check their input with
-``as_tensor2d``; the forward pass calls the private cores of those it runs.
+symmetric ranges per output channel. Affine rounding is round-half-to-even
+(``np.rint``) so ties are deterministic across platforms; log2 codes are
+read off ``np.frexp``, which rounds -log2 exactly for float32 inputs, where
+no tie occurs. Every activation scale and zero point comes from
+``_fit_range``, and every affine, TRIP and weight code from ``_codes``.
+Public functions check their input with ``as_tensor2d``; the forward pass
+calls the private cores of those it runs.
 """
 
 from __future__ import annotations
@@ -182,20 +184,29 @@ def _quantize_log2(x: np.ndarray, bits: int, max_abs: float) -> list[QuantTensor
     views of one array. Codes are elementwise, so a row band of an attention
     map quantizes as it would inside the whole map given the map's maximum.
 
-    Exact zeros get the max code with sign 0 so they dequantize to exactly 0;
-    max_abs = 0 (an all-zero ``x``) gives all-zero codes.
+    A code is -log2(|x| / max_abs) rounded to the nearest integer, read off
+    ``frexp`` of the ratio floored at 2^-code_hi: m * 2^ex with m in
+    [0.5, 1) has -log2 = -ex - log2(m), which rounds to -ex + 1 exactly when
+    m < 2^-0.5, so codes lie in [0, code_hi]. That is exact, with no tie,
+    for float32 ``x`` and ``max_abs``: no quotient of two 24-bit mantissas
+    lies within float64 rounding of 2^-0.5 times a power of two. At max_abs
+    1.0 the ratio is |x| itself, in x's dtype. Exact zeros take code_hi with
+    sign 0, so they dequantize to exactly 0; max_abs = 0 (an all-zero ``x``)
+    gives all-zero codes.
     """
     p = Log2Params(bits=bits, max_abs=max_abs)
     signs = np.subtract(x > 0, x < 0, dtype=np.int8)
-    e = x.astype(np.float64)  # one buffer: |x| / max_abs -> -log2 -> code
-    np.abs(e, out=e)
-    e /= max_abs or 1.0
-    # ratios up to 2^-code_hi all take code_hi: flooring there gives exact
-    # zeros code_hi without a mask or log2(0)
-    np.maximum(e, 2.0**-p.code_hi, out=e)
-    np.log2(e, out=e)
-    np.negative(e, out=e)
-    codes = _clip(np.rint(e, out=e), 0, p.code_hi if max_abs else 0).astype(np.int32)
+    if max_abs == 1.0:
+        ratio = np.abs(x)
+    else:
+        ratio = np.abs(x, dtype=np.float64)
+        ratio /= max_abs or 1.0
+    # the floor 1.0 (code 0) serves max_abs = 0, where every ratio is 0
+    np.maximum(ratio, 2.0**-p.code_hi if max_abs else 1.0, out=ratio)
+    m, ex = np.frexp(ratio, out=(ratio, None))
+    # in float64, which rounds 2^-0.5 up past every float32 below it;
+    # float32 rounds it down, to a mantissa that must count as below
+    codes = (m < np.float64(2**-0.5)) - ex
     return [QuantTensor(codes=codes[h], params=p, signs=signs[h]) for h in range(len(x))]
 
 

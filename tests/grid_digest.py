@@ -1,0 +1,81 @@
+"""Print one SHA-256 over the bytes ``forward_stack`` gives on a fixed grid.
+
+    python tests/grid_digest.py [--cases]
+
+Two source trees print the same digest when every case gives them the same
+outputs, attention maps, kept indices and trace records (as JSON), so it
+checks that a change kept the forward pass bit-identical. ``--cases`` also
+prints one digest per case, to count the cases that differ. The cases, each
+run traced and untraced:
+
+- every reference-grid shape, mode and activation quantizer
+  (``helpers.GRID_*``) as a 2-block stack pruned at block 0;
+- the benchmark's three geometries (d_model 64, 4 heads, d_ff 256, TRIP at
+  cap 3): w4a4 with 4 blocks at T = 256, w4a8 with 4 blocks at T = 16, and
+  w4a8 with 8 blocks at T = 128 pruned by beta 0.5 over 2 layers. Their
+  inputs are seeded normals with three large channels.
+
+The file is not a test module; it imports agq from the tree it sits in.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from helpers import GRID_MODES, GRID_QUANTIZERS, GRID_SHAPES, grid_case  # noqa: E402
+
+from agq.pipeline import BlockConfig, forward_stack, init_stack, preset_sites  # noqa: E402
+from agq.pruning import PruneSchedule, default_start_layer, make_schedule  # noqa: E402
+
+
+def cases():
+    """Yield (name, blocks, x, schedule) for every case."""
+    at_block_0 = PruneSchedule(prune_layers=(0,), final_ratio=0.5)
+    for t, d_model, n_heads in GRID_SHAPES:
+        for act_quantizer in GRID_QUANTIZERS:
+            for mode in GRID_MODES:
+                cfg, x = grid_case(mode, act_quantizer, t, d_model, n_heads)
+                yield (f"{mode}-{act_quantizer}-T{t}-d{d_model}-h{n_heads}",
+                       init_stack(cfg, 2), x, at_block_0)
+    for mode, n_blocks, t, schedule in (
+        ("w4a4", 4, 256, None),
+        ("w4a8", 4, 16, None),
+        ("w4a8", 8, 128, make_schedule(8, default_start_layer(8), 0.5, 2)),
+    ):
+        cfg = BlockConfig(d_model=64, n_heads=4, d_ff=256, sites=preset_sites(mode))
+        x = np.random.default_rng(t).standard_normal((t, 64))
+        x[:, [5, 22, 47]] *= 8.0
+        yield (f"{mode}-{n_blocks}x{t}{'-pruned' if schedule else ''}",
+               init_stack(cfg, n_blocks), x.astype(np.float32), schedule)
+
+
+def case_digest(blocks, x, schedule, traced: bool) -> bytes:
+    trace = [] if traced else None
+    out, info = forward_stack(blocks, x, schedule=schedule, trace=trace)
+    h = hashlib.sha256(out.tobytes())
+    for amap in info["maps"]:
+        h.update(amap.probs.tobytes())
+    h.update(json.dumps([info["keeps"], info["kept_global"], trace]).encode())
+    return h.digest()
+
+
+def main(argv) -> int:
+    total, n = hashlib.sha256(), 0
+    for name, blocks, x, schedule in cases():
+        for traced in (False, True):
+            d = case_digest(blocks, x, schedule, traced)
+            total.update(d)
+            n += 1
+            if "--cases" in argv:
+                print(d.hex(), name, "traced" if traced else "untraced")
+    print(total.hexdigest(), f"{n} cases")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -17,6 +17,37 @@ PRUNE_SEEDS = [0, 1, 3, 4, 5, 7, 8, 10, 11, 13, 15, 17, 18, 22, 23, 24, 25, 26, 
 PRUNE_FIXTURE = dict(t=24, n_outlier_tokens=4, beta=0.18, n_blocks=4)
 
 
+# The reference grid: lengths of one band and of several (with their model
+# width and head count), every mode, and both activation quantizers. The
+# "fp32-" modes are w4a8 with that one site at FP32.
+GRID_SHAPES = [
+    (1, 16, 8), (7, 24, 1), (33, 64, 4),  # one band holds every row
+    (65, 32, 2),  # the shortest banded length: a bottom band of 1 row
+    (129, 64, 4),  # 3 bands, the bottom one of 1 row
+    (191, 64, 4),  # 3 bands, the bottom one of 63 rows
+    (192, 32, 2),  # 3 full bands
+    (255, 64, 4),
+    (256, 64, 4),  # the benchmark's geometry: 4 bands
+    (257, 64, 8),  # a one-row band, 8 heads
+    (300, 64, 4),  # a 44-row band
+]
+GRID_MODES = ["fp32", "w4a8", "w4a4", "fp32-qk", "fp32-attn_v"]
+GRID_QUANTIZERS = ["trip", "affine"]
+
+
+def grid_case(mode, act_quantizer, t, d_model, n_heads):
+    """The block config and input of one reference-grid case: seeded by T,
+    with one large input channel."""
+    base, _, fp_site = mode.partition("-")
+    sites = agq.preset_sites("w4a8" if fp_site else base, act_quantizer=act_quantizer)
+    if fp_site:
+        sites[fp_site] = agq.SiteConfig()
+    cfg = agq.BlockConfig(d_model=d_model, n_heads=n_heads, d_ff=32, seed=t, sites=sites)
+    x = np.random.default_rng(t).standard_normal((t, d_model)).astype(np.float32)
+    x[:, 1] *= 20.0
+    return cfg, x
+
+
 def naive_trip_argmin(x, bits, cap):
     """Brute-force per-channel exponent search, independent of fit_trip."""
     lo, hi = float(x.min()), float(x.max())
@@ -38,14 +69,18 @@ def naive_trip_argmin(x, bits, cap):
 
 def ref_softmax_causal(scores):
     """The ``-inf``/``triu_indices`` formulation of the causal row softmax:
-    future entries are set to ``-inf`` and go through ``exp`` to 0."""
+    future entries are set to ``-inf`` and go through ``exp`` to 0. Row i
+    sums over the 64 * (i // 64 + 1) entries of its zero-padded row, a width
+    fixed by its index, not by T."""
     t = scores.shape[0]
     masked = scores.astype(np.float64)
     masked[np.triu_indices(t, k=1)] = -np.inf
     masked -= masked.max(axis=1, keepdims=True)
     e = np.exp(masked)
-    return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
-
+    padded = np.zeros((t, t + 64))
+    padded[:, :t] = e
+    sums = [padded[i, :64 * (i // 64 + 1)].sum() for i in range(t)]
+    return (e / np.array(sums)[:, None]).astype(np.float32)
 
 
 def ref_forward_block(block, x, cfg, trace=None):

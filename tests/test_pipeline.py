@@ -3,6 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from helpers import (
+    GRID_MODES,
+    GRID_QUANTIZERS,
+    GRID_SHAPES,
+    grid_case,
     locality_trial,
     naive_block_forward,
     prune_benefit_trial,
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 
 import agq
 from agq.pipeline import (
+    BAND_ROWS,
     Block,
     BlockConfig,
     PipelineError,
@@ -148,17 +153,21 @@ def test_config_builds_a_runnable_block_or_raises(act_bits, trip_cap, d_model, n
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 300), st.integers(0, 2**32 - 1),
        st.sampled_from([1e-30, 1e-3, 1.0, 30.0, 1e3, 1e30, 3e38]), st.booleans(),
-       st.sampled_from([None, 1, 2, 3]), st.lists(st.integers(1, 299), max_size=5))
-@example(300, 1, 1.0, False, 2, [64, 128, 129, 200, 299])
-@example(256, 2, 30.0, True, None, [128, 192, 255])
+       st.sampled_from([None, 1, 2, 3]), st.lists(st.integers(0, 4), max_size=5))
+@example(300, 1, 1.0, False, 2, [0, 1, 2, 3, 4])
+@example(256, 2, 30.0, True, None, [2, 3])
+@example(16, 3, 1.0, True, 4, [0])
 def test_softmax_equals_minus_inf_oracle(t, seed, amp, ties, heads, cuts):
-    """The masked in-place softmax equals the -inf/triu_indices formulation
+    """The in-place band softmax equals the -inf/triu_indices formulation
     bit for bit, on one (T, T) map (``heads`` None) or on an (H, T, T) stack,
     head by head; ``ties`` draws scores from {-amp, 0, amp}, so most rows
-    have several equal maxima. So does each causal row band ``[r0, r1)``
-    between the ``cuts``, given only its first r1 columns: it returns the
-    oracle's rows r0..r1 at full width, the zeros above the diagonal +0.0.
-    Every map's maximum is exactly 1.0 (row 0), and no band entry exceeds it."""
+    have several equal maxima. The whole map runs as the one-band fallback
+    runs it, band by band in place in a zeroed map; the causal row bands
+    ``[r0, r1)`` that start at the multiples of BAND_ROWS in ``cuts`` (the
+    last one short when BAND_ROWS does not divide T) give the oracle's rows
+    r0..r1 on their own, given only their first r1 columns. The zeros above
+    the diagonal are +0.0, every map's maximum is exactly 1.0 (row 0), and
+    no band entry exceeds it."""
     rng = np.random.default_rng(seed)
     shape = (t, t) if heads is None else (heads, t, t)
     if ties:
@@ -166,17 +175,21 @@ def test_softmax_equals_minus_inf_oracle(t, seed, amp, ties, heads, cuts):
     else:
         scores = np.clip(rng.standard_normal(shape), -4, 4) * (amp / 4)
     scores = scores.astype(np.float32)
-    past = np.tri(t, dtype=bool)
-    probs = _softmax_causal(scores, past)
-    assert probs.dtype == np.float32 and probs.shape == shape
     want = np.stack([ref_softmax_causal(m) for m in scores.reshape(-1, t, t)]).reshape(shape)
+    probs = np.zeros_like(scores)
+    for r0 in range(0, t, BAND_ROWS):
+        band = probs[..., r0:r0 + BAND_ROWS, :r0 + BAND_ROWS]
+        band[...] = scores[..., r0:r0 + BAND_ROWS, :r0 + BAND_ROWS]
+        _softmax_causal(band, r0)
+    assert probs.dtype == np.float32
     assert probs.tobytes() == want.tobytes()
+    assert not np.signbit(probs).any()
     assert (probs.reshape(-1, t, t).max(axis=(1, 2)) == 1.0).all()  # the log2 maximum
-    bounds = [0, *sorted({c for c in cuts if c < t}), t]
-    for r0, r1 in zip(bounds, bounds[1:]):
-        band = _softmax_causal(scores[..., r0:r1, :r1], past[r0:r1])
-        assert band.dtype == np.float32 and band.shape == (*shape[:-2], r1 - r0, t)
-        assert band.tobytes() == want[..., r0:r1, :].tobytes()
+    for r0 in sorted({c * BAND_ROWS for c in cuts if c * BAND_ROWS < t}):
+        r1 = min(r0 + BAND_ROWS, t)
+        band = scores[..., r0:r1, :r1].copy()
+        _softmax_causal(band, r0)
+        assert band.tobytes() == want[..., r0:r1, :r1].tobytes()
         assert (band <= 1.0).all()
 
 
@@ -220,32 +233,16 @@ def test_quantize_heads_equals_per_head_affine(t, n_heads, d_head, bits, seed,
 def _reference_grid(test):
     """Every mode and quantizer, at lengths of one band and of several."""
     for mark in (
-        pytest.mark.parametrize("t,d_model,n_heads", [
-            (1, 16, 8), (7, 24, 1), (33, 64, 4),  # one band holds every row
-            (65, 32, 2),  # the shortest banded length: a bottom band of 1 row
-            (129, 64, 4),  # 3 bands, the bottom one of 1 row
-            (191, 64, 4),  # 3 bands, the bottom one of 63 rows
-            (192, 32, 2),  # 3 full bands
-            (255, 64, 4),
-            (256, 64, 4),  # the benchmark's geometry: 4 bands
-            (257, 64, 8),  # a one-row band, 8 heads
-            (300, 64, 4),  # a 44-row band
-        ]),
-        pytest.mark.parametrize("act_quantizer", ["trip", "affine"]),
-        pytest.mark.parametrize("mode", ["fp32", "w4a8", "w4a4", "fp32-qk", "fp32-attn_v"]),
+        pytest.mark.parametrize("t,d_model,n_heads", GRID_SHAPES),
+        pytest.mark.parametrize("act_quantizer", GRID_QUANTIZERS),
+        pytest.mark.parametrize("mode", GRID_MODES),
     ):
         test = mark(test)
     return test
 
 
 def _equals_per_head_reference(mode, act_quantizer, t, d_model, n_heads, traced):
-    base, _, fp_site = mode.partition("-")
-    sites = preset_sites("w4a8" if fp_site else base, act_quantizer=act_quantizer)
-    if fp_site:
-        sites[fp_site] = SiteConfig()
-    cfg = BlockConfig(d_model=d_model, n_heads=n_heads, d_ff=32, seed=t, sites=sites)
-    x = np.random.default_rng(t).standard_normal((t, d_model)).astype(np.float32)
-    x[:, 1] *= 20.0
+    cfg, x = grid_case(mode, act_quantizer, t, d_model, n_heads)
     block = init_block(cfg)
     trace, ref_trace = ([], []) if traced else (None, None)
     out, amap = forward_block(block, x, trace=trace)
@@ -256,7 +253,7 @@ def _equals_per_head_reference(mode, act_quantizer, t, d_model, n_heads, traced)
     assert trace == ref_trace
     if traced:
         assert [r["site"] for r in trace].count("attn_v") == (
-            n_heads if sites and fp_site != "attn_v" else 0)
+            n_heads if cfg.site("attn_v").act_bits < 32 else 0)
 
 
 @_reference_grid

@@ -141,6 +141,19 @@ class TestPruneStep:
         with pytest.raises(PruneError):
             prune_step(np.zeros((4, 2), dtype=np.float32), np.ones(3), 0.5)
 
+    @pytest.mark.parametrize("scores,gamma", [
+        (np.ones(5), float("nan")),
+        (np.ones(5), float("inf")),
+        (np.ones(5), 2.0),  # would drop every token but the start
+        (np.ones(5), 1.0),
+        (np.ones(5), -0.5),  # would keep every token silently
+        ([0, np.nan, 1, np.nan, 0.5], 0.5),  # NaN scores order arbitrarily
+        ([0, 1, np.inf, 1, 0.5], 0.5),
+    ])
+    def test_unusable_ratio_or_scores(self, scores, gamma):
+        with pytest.raises(PruneError):
+            prune_step(np.zeros((5, 2), dtype=np.float32), scores, gamma)
+
     def test_survivors_keep_order(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((12, 3)).astype(np.float32)
@@ -191,6 +204,11 @@ class TestSparsity:
             sparsity([0.0, 1.0], 2)
         with pytest.raises(PruneError):
             sparsity([1.5], 1)
+        with pytest.raises(PruneError):
+            sparsity([0.5, np.nan], 2)
+        for n in (0, 1, 3):  # one fraction per layer
+            with pytest.raises(PruneError):
+                sparsity([0.5, 1.0], n)
 
 
 @settings(max_examples=100, deadline=None)

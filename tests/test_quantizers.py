@@ -319,6 +319,22 @@ def test_log2_bands_with_the_head_maximum(heads, t, seed, amp, bits, cuts):
             assert got.signs.tobytes() == want.signs[r0:r1, :r1].tobytes()
 
 
+@pytest.mark.parametrize("bits", range(2, 9))
+def test_log2_codes_near_every_rounding_midpoint(bits):
+    """At max_abs 1.0, the pipeline's constant, the ``frexp`` codes and the
+    signs equal the ``np.log2`` rule's over the 2000 float32 values on each
+    side of every midpoint 2^-(k + 1/2) between two codes, k = 0..code_hi,
+    with both signs; the largest magnitude is exactly 1.0."""
+    k = np.arange(2 ** (bits - 1))
+    mid = np.float32(2.0 ** -(k + 0.5)).view(np.int32)
+    near = (mid[:, None] + np.arange(-2000, 2001)).view(np.float32)
+    x = np.concatenate([[1.0], near.ravel(), -near.ravel()]).astype(np.float32)[None]
+    q, ref = quantize_log2(x, bits), ref_quantize_log2(x, bits)
+    assert q.params == ref.params and q.params.max_abs == 1.0
+    assert q.codes.dtype == ref.codes.dtype and q.codes.tobytes() == ref.codes.tobytes()
+    assert q.signs.tobytes() == ref.signs.tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
 def test_affine_codes_in_range(seed, bits):
