@@ -82,7 +82,7 @@ def _validator():
     once per process rather than on every load. JSON Schema counts 2.0 as an
     integer; this validator does not, because numpy and ``range`` refuse a
     float as a count, seed or width."""
-    text = resources.files("agq.schemas").joinpath("run_config.schema.json").read_text()
+    text = resources.files(__package__).joinpath("schemas/run_config.schema.json").read_text()
     schema = json.loads(text)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)

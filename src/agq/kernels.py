@@ -27,6 +27,7 @@ runs in ``agqbench/``; nothing here times itself.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -56,6 +57,18 @@ def check_exact(k: int, max_a: int, max_b: int) -> None:
         raise KernelError(
             f"float64 accumulation not exact: k={k} x {max_a} x {max_b} reaches 2^53"
         )
+
+
+def _nibbles(codes, what: str) -> np.ndarray:
+    """``codes`` as a 2-D integer array of 4-bit codes, else ``KernelError``."""
+    codes = np.asarray(codes)
+    if codes.ndim != 2:
+        raise KernelError(f"expected 2-D {what}")
+    if not np.issubdtype(codes.dtype, np.integer):
+        raise KernelError(f"{what} must be integers, got {codes.dtype}")
+    if codes.size and (codes.min() < 0 or codes.max() > 15):
+        raise KernelError(f"{what} outside nibble range 0..15")
+    return codes
 
 
 def _max_centred(rng, zp: int) -> int:
@@ -130,11 +143,7 @@ class PackedInt4Matrix:
 
 
 def pack_int4(codes) -> PackedInt4Matrix:
-    codes = np.asarray(codes)
-    if codes.ndim != 2:
-        raise KernelError("expected a 2-D code matrix")
-    if codes.size and (codes.min() < 0 or codes.max() > 15):
-        raise KernelError("codes outside nibble range 0..15")
+    codes = _nibbles(codes, "codes")
     rows, cols = codes.shape
     c = codes.astype(np.uint8)
     if rows % 2:
@@ -160,6 +169,10 @@ def lane_multiply(cell: int, act_code: int) -> int:
     ``w_lo * a`` in the low byte and ``w_hi * a`` in the high byte with no
     cross-byte carry (each product is at most 225 < 256).
     """
+    try:  # as Python ints, which a numpy uint8 cell's shift would wrap
+        cell, act_code = operator.index(cell), operator.index(act_code)
+    except TypeError as e:
+        raise KernelError(f"cell and activation code must be integers: {e}") from e
     if not 0 <= act_code <= 15:
         raise KernelError(f"activation code {act_code} outside 0..15")
     if not 0 <= cell <= 255:
@@ -220,11 +233,7 @@ def gemm_int4_raw(a_codes, packed: PackedInt4Matrix, impl: str = "vector") -> np
     dimensions longer than 256 are split into lane-budget-sized groups whose
     sub-lane results are combined in wider integers.
     """
-    a = np.asarray(a_codes)
-    if a.ndim != 2:
-        raise KernelError("expected 2-D activation codes")
-    if a.size and (a.min() < 0 or a.max() > 15):
-        raise KernelError("activation codes outside nibble range 0..15")
+    a = _nibbles(a_codes, "activation codes")
     if a.shape[1] != packed.cols:
         raise KernelError(f"inner dims differ: {a.shape[1]} vs {packed.cols}")
     m, k = a.shape

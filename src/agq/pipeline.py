@@ -13,7 +13,8 @@ GEMM. Nonlinear operators (softmax, layernorm, the gate) always stay FP32.
 Weight codes are quantized and packed once, in ``init_block``; refined
 activations reach them as exact integer shifts (8-bit) or repeated lane
 channels (4-bit), never as a per-call weight re-quantization. Q, K and V are
-quantized in one call per block, each head with its own fit.
+(n_heads, T, d_head) views of the fused output, quantized in one call per
+block, each head with its own fit; every per-head stack is (heads, rows, cols).
 
 The attention chain (qk product, causal softmax, log2 quantizer, attn_v
 product) is one loop over causal row bands of all heads, one body per band.
@@ -293,21 +294,20 @@ def _site_matmul(block: Block, cfg: BlockConfig, name: str, x: np.ndarray,
     return _site_product(aq, block.weight_q[name], block.packed[name])
 
 
-def _band_rows(cfg: BlockConfig, t: int, heads) -> int:
+def _band_rows(cfg: BlockConfig, t: int, q_heads, k_heads) -> int:
     """BAND_ROWS where bands are exact (see the module docstring), else t:
     one band, which up to BAND_ROWS rows is all there is. Bands skip the qk
     scores above the diagonal, so they need proof that none overflows
     float32: head h's scores are at most d_head * hi * s_q * hi * s_k in
-    magnitude, as its unsigned Q and K codes of ``heads`` (the per-head Q,
-    K, V codes) lie within hi of their zero points. Each bound, in float64,
-    must stay below half of float32's largest value.
+    magnitude, as its unsigned codes ``q_heads[h]`` and ``k_heads[h]`` lie
+    within hi of their zero points. Each bound, in float64, must stay below
+    half of float32's largest value.
     """
     if t <= BAND_ROWS or 32 in (cfg.site("qk").act_bits, cfg.site("attn_v").act_bits):
         return t
-    nh = cfg.n_heads
     bound = max(qh.cols * qh.params.range.hi * qh.params.scale
                 * kh.params.range.hi * kh.params.scale
-                for qh, kh in zip(heads[:nh], heads[nh:2 * nh]))
+                for qh, kh in zip(q_heads, k_heads))
     return BAND_ROWS if bound < F32_MAX / 2 else t
 
 
@@ -338,25 +338,24 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
     qk_sc, av_sc = cfg.site("qk"), cfg.site("attn_v")
 
     qkv = _finite(_site_matmul(block, cfg, "linear_transform", x, trace), "linear_transform")
-    q, k, v = np.hsplit(qkv, 3)
-    # one 8-bit fit per head of [q | k | v] (qk runs 8-bit or FP32), so head h
-    # of q, k and v is heads[h], heads[nh + h] and heads[2 * nh + h]
-    heads = (_quantize_heads(qkv, 3 * nh, 8)
-             if qk_sc.act_bits < 32 or av_sc.act_bits < 32 else None)
+    q, k, v = qkv.reshape(t, 3, nh, dh).transpose(1, 2, 0, 3)  # (nh, T, dh) views
+    q_heads = k_heads = v_heads = None
+    if qk_sc.act_bits < 32 or av_sc.act_bits < 32:  # qk runs 8-bit or FP32
+        heads = _quantize_heads(qkv, 3 * nh, 8)  # one 8-bit fit per head of q, k, v
+        q_heads, k_heads, v_heads = heads[:nh], heads[nh:2 * nh], heads[2 * nh:]
 
     probs = np.zeros((nh, t, t), dtype=np.float32)  # the softmax writes bands only
-    ctx = np.empty((t, d), dtype=np.float32)
-    cols = [slice(h * dh, (h + 1) * dh) for h in range(nh)]
+    ctx = np.empty((t, nh, dh), dtype=np.float32)  # a (T, d) buffer, head by head
     deq = np.zeros_like(probs) if trace is not None and av_sc.act_bits < 32 else None
-    rows = _band_rows(cfg, t, heads)
+    rows = _band_rows(cfg, t, q_heads, k_heads)
     for r0 in reversed(range(0, t, rows)):
         r1 = min(r0 + rows, t)
         scores = probs[:, r0:r1, :r1]  # replaced by their softmax
         for h in range(nh):
             if qk_sc.act_bits == 32:
-                scores[h] = gemm_f32(q[r0:r1, cols[h]], k[:r1, cols[h]].T)
+                scores[h] = gemm_f32(q[h, r0:r1], k[h, :r1].T)
             else:
-                qh, kh = heads[h], heads[nh + h]
+                qh, kh = q_heads[h], k_heads[h]
                 scores[h] = gemm_int_affine(QuantTensor(qh.codes[r0:r1], qh.params),
                                             QuantTensor(kh.codes[:r1].T, kh.params))
         scores /= np.float32(np.sqrt(dh))
@@ -367,20 +366,20 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
             _softmax_causal(slab[..., :s0 + BAND_ROWS], s0)
         if av_sc.act_bits == 32:
             for h in range(nh):
-                ctx[r0:r1, cols[h]] = gemm_f32(scores[h], v[:r1, cols[h]])
+                ctx[r0:r1, h] = gemm_f32(scores[h], v[h, :r1])
             continue
         # each map's maximum is exactly 1.0 (see the module docstring)
         for h, probs_q in enumerate(_quantize_log2(scores, av_sc.act_bits, 1.0)):
             if deq is not None:
                 deq[h, r0:r1, :r1] = dequantize_log2(probs_q)
-            vh = heads[2 * nh + h]
-            ctx[r0:r1, cols[h]] = gemm_log2_attnv(probs_q, QuantTensor(vh.codes[:r1], vh.params))
+            vh = v_heads[h]
+            ctx[r0:r1, h] = gemm_log2_attnv(probs_q, QuantTensor(vh.codes[:r1], vh.params))
         del probs_q  # its views would hold the band's log2 codes through the MLP
     if deq is not None:
         trace.extend({"site": "attn_v", "act_bits": av_sc.act_bits,
                       "mse": _mse(probs[h], deq[h])} for h in range(nh))
 
-    proj = _site_matmul(block, cfg, "projection", _finite(ctx, "attn_v"), trace)
+    proj = _site_matmul(block, cfg, "projection", _finite(ctx.reshape(t, d), "attn_v"), trace)
     h1 = _finite(x + proj, "projection")
     a1 = _site_matmul(block, cfg, "fc1", _layernorm(h1), trace)
     m2 = _site_matmul(block, cfg, "fc2", _silu(_finite(a1, "fc1")), trace)
@@ -396,8 +395,9 @@ def forward_stack(blocks: list[Block], x, cfg: BlockConfig | None = None,
     attention map (re-scored at every prune layer).
 
     ``forced_keeps`` replays a previous run's kept indices, which lets an
-    FP reference see exactly the tokens a quantized pruned run saw. Returns
-    (output, info) with per-layer kept indices, kept fractions, sparsity and
+    FP reference see exactly the tokens a quantized pruned run saw; a prune
+    or forced-keep layer outside the stack is an error. Returns (output,
+    info) with per-layer kept indices, kept fractions, sparsity and
     attention maps; ``trace`` gets every block's site records.
 
     ``resume=(hidden, maps)`` skips blocks ``0..len(maps)-1``, run unpruned
@@ -406,10 +406,12 @@ def forward_stack(blocks: list[Block], x, cfg: BlockConfig | None = None,
     x = as_tensor2d(x)
     t0 = x.shape[0]
     done = []
+    layers = set(forced_keeps or ()).union(schedule.prune_layers if schedule else ())
+    if not layers <= set(range(len(blocks))):
+        raise PipelineError(f"prune layers {sorted(layers)} outside 0..{len(blocks) - 1}")
     if resume is not None:
         x, done = as_tensor2d(resume[0]), list(resume[1])
         last = len(done) - 1
-        layers = set(forced_keeps or ()).union(schedule.prune_layers if schedule else ())
         if (not 0 <= last < len(blocks) or min(layers, default=last) < last
                 or x.shape != (t0, (cfg or blocks[last].cfg).d_model)):
             raise PipelineError(f"cannot resume after block {last}")
@@ -458,14 +460,17 @@ class OutlierReport:
 
 
 def analyze_outliers(x, k_sigma: float) -> OutlierReport:
-    """Count, per channel, elements with |x| > mean(|x|) + k_sigma * std(|x|)."""
+    """Count, per channel, elements with |x| > mean(|x|) + k_sigma * std(|x|),
+    a threshold that must be finite."""
     x = as_tensor2d(x)
     if x.size == 0:
         raise PipelineError("cannot analyze empty tensor")
     if not k_sigma > 0:
         raise PipelineError("k_sigma must be positive")
     mag = np.abs(x.astype(np.float64))
-    threshold = float(mag.mean() + k_sigma * mag.std())
+    threshold = float(mag.mean()) + k_sigma * float(mag.std())  # Python floats: no warning
+    if not np.isfinite(threshold):
+        raise PipelineError(f"outlier threshold overflows at k_sigma {k_sigma}")
     counts = (mag > threshold).sum(axis=0)
     order = np.lexsort((np.arange(len(counts)), -counts))
     return OutlierReport(

@@ -45,7 +45,7 @@ def validate_map(m: AttentionMap) -> None:
     if np.any(p[:, upper] != 0):
         raise PruneError("attention map is not causal")
     row_sums = p.sum(axis=2)
-    if np.any(np.abs(row_sums - 1.0) > ROW_SUM_TOL):
+    if not np.all(np.abs(row_sums - 1.0) <= ROW_SUM_TOL):  # NaN fails too
         raise PruneError("attention rows do not sum to 1")
 
 
@@ -68,16 +68,20 @@ class PruneSchedule:
 
 
 def make_schedule(n: int, start_layer: int, beta: float, m: int) -> PruneSchedule:
-    """Place m prune layers evenly from start_layer to the last layer."""
+    """Place m prune layers evenly from start_layer to the last layer; their
+    spacing is at least 1, so the rounded layers are distinct."""
+    for name, value in (("n", n), ("start_layer", start_layer), ("m", m)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise PruneError(f"{name} must be an integer, got {value!r}")
     if not 0.0 <= beta < 1.0:
         raise PruneError(f"final ratio must be in [0, 1), got {beta}")
     if m < 1:
         raise PruneError("need at least one prune layer")
+    if start_layer < 0:
+        raise PruneError(f"start layer must be non-negative, got {start_layer}")
     if start_layer + m > n:
         raise PruneError(f"cannot fit {m} prune layers starting at {start_layer} in {n}")
-    layers = np.unique(np.round(np.linspace(start_layer, n - 1, m)).astype(int))
-    if len(layers) != m:  # rounding collision; fall back to consecutive slots
-        layers = np.arange(start_layer, start_layer + m)
+    layers = np.round(np.linspace(start_layer, n - 1, m)).astype(int)
     return PruneSchedule(prune_layers=tuple(int(l) for l in layers), final_ratio=beta)
 
 

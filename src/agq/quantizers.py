@@ -5,7 +5,8 @@ symmetric ranges per output channel. Affine rounding is round-half-to-even
 (``np.rint``) so ties are deterministic across platforms; log2 codes are
 read off ``np.frexp``, which rounds -log2 exactly for float32 inputs, where
 no tie occurs. Every activation scale and zero point comes from
-``_fit_range``, and every affine, TRIP and weight code from ``_codes``.
+``_fit_range`` over a (heads, rows, cols) stack (one tensor ``x`` is
+``x[None]``), and every affine, TRIP and weight code from ``_codes``.
 Public functions check their input with ``as_tensor2d``; the forward pass
 calls the private cores of those it runs.
 """
@@ -110,15 +111,15 @@ def _clip(x: np.ndarray, lo, hi) -> np.ndarray:
 
 
 def _fit_range(heads: np.ndarray, bits: int, cap: int = 0):
-    """Min/max fit of each head ``heads[:, h]`` of a (rows, heads, cols) stack
+    """Min/max fit of each head ``heads[h]`` of a (heads, rows, cols) stack
     to unsigned ``bits``-bit codes. Returns the code range, the scales over
     2^cap (exact this far above the subnormals) and the zero points (floats)
     of the cap-0 scales, so a TRIP base shares the affine zero point."""
     if heads.size == 0:
         raise QuantError("cannot fit quantizer on empty tensor")
     rng = CodeRange(bits, signed=False)
-    lo = heads.min(axis=(0, 2)).astype(np.float64)
-    scale = np.maximum(heads.max(axis=(0, 2)) - lo, SCALE_EPS) / (2**bits - 1)
+    lo = heads.min(axis=(1, 2)).astype(np.float64)
+    scale = np.maximum(heads.max(axis=(1, 2)) - lo, SCALE_EPS) / (2**bits - 1)
     zp = _clip(np.rint(-lo / scale), rng.lo, rng.hi)
     return rng, scale / 2**cap, zp
 
@@ -143,7 +144,7 @@ def _reconstruct(codes: np.ndarray, zero_point, steps) -> np.ndarray:
 
 def fit_affine(x, bits: int) -> AffineParams:
     """Layer-wise unsigned affine parameters from the min/max of ``x``."""
-    rng, scale, zp = _fit_range(as_tensor2d(x)[:, None], bits)
+    rng, scale, zp = _fit_range(as_tensor2d(x)[None], bits)
     return AffineParams(range=rng, scale=float(scale[0]), zero_point=int(zp[0]))
 
 
@@ -153,12 +154,11 @@ def quantize_affine(x, p: AffineParams) -> QuantTensor:
 
 def _quantize_heads(x: np.ndarray, n_heads: int, bits: int) -> list[QuantTensor]:
     """Head h of ``x``'s equal column blocks as ``quantize_affine(x_h,
-    fit_affine(x_h, bits))``, all heads in one rint and clip; each head's
-    codes are a view of one (T, n_heads, d_head) array."""
-    heads = x.reshape(x.shape[0], n_heads, x.shape[1] // n_heads)
+    fit_affine(x_h, bits))``, all in one rint and clip of x's (heads, T, cols) view."""
+    heads = x.reshape(x.shape[0], n_heads, x.shape[1] // n_heads).transpose(1, 0, 2)
     rng, scale, zp = _fit_range(heads, bits)
-    codes = _codes(heads, scale[:, None], zp[:, None], rng)
-    return [QuantTensor(codes[:, h], AffineParams(rng, float(s), int(z)))
+    codes = _codes(heads, scale[:, None, None], zp[:, None, None], rng)
+    return [QuantTensor(codes[h], AffineParams(rng, float(s), int(z)))
             for h, (s, z) in enumerate(zip(scale, zp))]
 
 

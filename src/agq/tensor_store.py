@@ -72,18 +72,31 @@ def save_store(store: dict[str, np.ndarray], path) -> None:
     """Write a name -> tensor mapping to ``path``.
 
     Names are serialized in lexicographic order so output bytes are
-    deterministic for a given store.
+    deterministic for a given store. Anything the format cannot hold (a name
+    that is not a UTF-8 string of 1..256 bytes, a value that is not a finite
+    2-D float32 or uint8 array) raises a :class:`StoreError`.
     """
+    bad = [name for name in store if not isinstance(name, str)]
+    if bad:  # before sorting, which a mix of str and other keys would break
+        raise StoreError(f"tensor name {bad[0]!r} is not a string")
     chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(store))]
     for name in sorted(store):
-        raw = name.encode("utf-8")
+        try:
+            raw = name.encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise StoreError(f"tensor name {name!r} is not UTF-8: {e.reason}") from e
         if not 1 <= len(raw) <= 256:
             raise StoreError(f"tensor name length {len(raw)} outside 1..256 bytes")
         t = store[name]
-        t = as_tensor2d(t, dtype=t.dtype)
+        if not isinstance(t, np.ndarray):
+            raise StoreError(f"tensor {name!r} is a {type(t).__name__}, not a numpy array")
         dtype_code = _DTYPE_TO_CODE.get(t.dtype)
         if dtype_code is None:
             raise StoreError(f"unsupported dtype {t.dtype}")
+        try:
+            t = as_tensor2d(t, dtype=t.dtype)
+        except ValueError as e:
+            raise StoreError(f"tensor {name!r}: {e}") from e
         chunks.append(struct.pack("<H", len(raw)))
         chunks.append(raw)
         chunks.append(struct.pack("<BII", dtype_code, t.shape[0], t.shape[1]))

@@ -78,7 +78,7 @@ def _fit_trip(x: np.ndarray, bits: int, cap: int) -> TripParams:
     """
     if not 0 <= cap <= MAX_TRIP_CAP:
         raise QuantError(f"cap must be in 0..{MAX_TRIP_CAP}, got {cap}")
-    rng, scales, zps = _fit_range(x[:, None], bits, cap)
+    rng, scales, zps = _fit_range(x[None], bits, cap)
     scale, zp = float(scales[0]), int(zps[0])
     if cap == 0:
         return TripParams(rng, scale, zp, alphas=np.zeros(x.shape[1], dtype=np.int64), cap=0)

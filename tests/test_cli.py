@@ -1,6 +1,10 @@
 import json
+import shutil
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,6 +336,14 @@ def good_store(tmp_path, width=64, dtype=np.float32):
     return str(path)
 
 
+def normal_store(tmp_path):
+    """An 8 x 64 input of 10x standard normals: |x| has a non-zero spread."""
+    x = 10 * np.random.default_rng(0).standard_normal((8, 64)).astype(np.float32)
+    path = tmp_path / "normal.agqt"
+    save_store({"input": x}, path)
+    return str(path)
+
+
 def raw_config(path, data: bytes):
     path.write_bytes(data)
     return str(path)
@@ -427,6 +439,9 @@ EXIT_CASES = [
     ("input-width-mismatch", lambda p: ["analyze", "--config", write_config(p / "c.json"),
                                         "--in", good_store(p, width=32),
                                         "--input", "input"], 3),
+    ("k-sigma-threshold-overflows", lambda p: ["analyze", "--config", write_config(
+        p / "c.json", analysis={"k_sigma": 1e308}),
+        "--in", normal_store(p), "--input", "input"], 3),
     ("threshold-missed", lambda p: ["eval", "--config", write_config(
         p / "c.json", quantization={"mode": "w4a8"},
         thresholds={"min_cosine": 0.9999})], 4),
@@ -450,6 +465,34 @@ def test_integral_float_is_not_an_integer(runner, tmp_path, overrides):
     assert r.exit_code == 1
     assert r.stderr.startswith("config error: schema: ")
     assert r.stderr.rstrip().endswith(".0 is not of type 'integer'")
+
+
+def test_renamed_copy_reads_its_own_schema(tmp_path):
+    """A copy of the package imported under another name, with ``agq``
+    itself unimportable, validates configs against the copy's schema."""
+    copy = tmp_path / "agq_copy"
+    shutil.copytree(Path(agq.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    schema_path = copy / "schemas" / "run_config.schema.json"
+    schema = json.loads(schema_path.read_text())
+    schema["properties"]["sequence_length"]["maximum"] = 7
+    schema_path.write_text(json.dumps(schema))
+    good, bad = write_config(tmp_path / "good.json"), write_config(
+        tmp_path / "bad.json", sequence_length=8)
+    script = (
+        "import sys\n"
+        "sys.modules['agq'] = None  # any import of agq fails\n"
+        "from agq_copy import cli\n"
+        "print(cli._validator().schema['properties']['sequence_length']['maximum'])\n"
+        f"print(cli.load_config({good!r})['seed'])\n"
+        "try:\n"
+        f"    cli.load_config({bad!r})\n"
+        "except cli.ConfigError as e:\n"
+        "    print(e)\n")
+    r = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                       text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["7", "0", "schema: 8 is greater than the maximum of 7"]
 
 
 # A fuzzed run: a small config (valid or not) and a store of finite values,

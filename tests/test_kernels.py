@@ -210,6 +210,20 @@ class TestPacking:
             pack_int4(np.array([[16]]))
         with pytest.raises(KernelError):
             pack_int4(np.array([[-1]]))
+        for codes in ([[1.7, 2.2]], np.array([[1.0, 2.0]]), np.array([[np.nan]]),
+                      np.array([[True]])):
+            with pytest.raises(KernelError, match="integers"):
+                pack_int4(codes)
+
+    def test_non_integer_activation_codes(self):
+        packed = pack_int4([[3], [1]])
+        for codes in ([[1.5]], np.array([[1.0]]), np.array([[np.nan]])):
+            with pytest.raises(KernelError, match="integers"):
+                gemm_int4_raw(codes, packed)
+            with pytest.raises(KernelError, match="integers"):
+                gemm_int4_packed(codes, packed, Int4GemmParams(1.0, 0, np.ones(2)))
+        np.testing.assert_array_equal(gemm_int4_raw(np.array([[2]], np.uint8), packed),
+                                      [[6, 2]])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_roundtrip(self, seed):
@@ -245,6 +259,10 @@ class TestLaneMultiply:
             lane_multiply(0x53, 16)
         with pytest.raises(KernelError):
             lane_multiply(256, 1)
+        for cell, act in ((17, 2.5), (17.0, 2), (17, np.float32(2))):
+            with pytest.raises(KernelError, match="integers"):
+                lane_multiply(cell, act)
+        assert lane_multiply(np.uint8(0x53), np.int64(7)) == 8981
 
 
 class TestLaneAccumulator:

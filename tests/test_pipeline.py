@@ -35,7 +35,7 @@ from agq.pipeline import (
     make_outlier_input,
     preset_sites,
 )
-from agq.pruning import AttentionMap
+from agq.pruning import AttentionMap, PruneError, PruneSchedule
 from agq.quantizers import _quantize_heads, fit_affine, quantize_affine
 
 
@@ -201,8 +201,8 @@ def test_softmax_equals_minus_inf_oracle(t, seed, amp, ties, heads, cuts):
 @example(t=5, n_heads=4, d_head=2, bits=8, seed=1, const_head=True, outliers=False)
 def test_quantize_heads_equals_per_head_affine(t, n_heads, d_head, bits, seed,
                                                const_head, outliers):
-    """One pass over all heads of the K block of a fused QKV output (an
-    ``np.hsplit`` view) equals fitting and quantizing each head on its own,
+    """One pass over all heads of the K block of a fused QKV output (a
+    strided column view) equals fitting and quantizing each head on its own,
     and a head's transposed codes equal quantizing K^T. ``const_head`` makes
     one head constant (the ``SCALE_EPS`` fit); ``outliers`` plants +-1e30."""
     rng = np.random.default_rng(seed)
@@ -577,6 +577,20 @@ class TestForwardStack:
         _, replay = forward_stack(blocks, x, forced_keeps=keeps)
         assert replay["kept_global"] == info["kept_global"]
 
+    @pytest.mark.parametrize("keywords", [
+        dict(schedule=agq.make_schedule(8, 2, 0.5, 2)),  # layers (2, 7)
+        dict(schedule=PruneSchedule(prune_layers=(-1, 3), final_ratio=0.5)),
+        dict(forced_keeps={9: [0, 1]}),
+        dict(forced_keeps={-1: [0, 1]}),
+    ], ids=["schedule-past-end", "schedule-negative", "keep-past-end", "keep-negative"])
+    def test_prune_layers_outside_the_stack_rejected(self, keywords):
+        """A prune or forced-keep layer that no block has is an error, not
+        silently skipped."""
+        blocks = init_stack(BlockConfig(d_model=16, n_heads=2, d_ff=16, seed=4), 4)
+        x = np.random.default_rng(4).standard_normal((6, 16)).astype(np.float32)
+        with pytest.raises(PipelineError, match="outside 0..3"):
+            forward_stack(blocks, x, **keywords)
+
 
 def _assert_same_run(got, want):
     """Two ``forward_stack`` results agree bit for bit."""
@@ -696,6 +710,9 @@ class TestAnalyzeOutliers:
             analyze_outliers(np.ones((2, 2), dtype=np.float32), 0.0)
         with pytest.raises(PipelineError):
             analyze_outliers(np.ones((2, 2), dtype=np.float32), float("nan"))
+        x = np.random.default_rng(0).standard_normal((8, 4)).astype(np.float32)
+        with pytest.raises(PipelineError, match="overflows"):
+            analyze_outliers(x * 10, 1e308)
 
 
 class TestAttentionLocality:
@@ -723,6 +740,13 @@ class TestAttentionLocality:
 
     def test_single_token(self):
         assert attention_locality(AttentionMap(probs=np.ones((2, 1, 1)))) == 1.0
+
+    def test_nan_map_rejected(self):
+        p = np.tril(np.ones((1, 4, 4)))
+        p /= p.sum(axis=2, keepdims=True)
+        p[0, 2, 1] = np.nan
+        with pytest.raises(PruneError, match="sum to 1"):
+            attention_locality(AttentionMap(probs=p))
 
 
 @settings(max_examples=150, deadline=None)

@@ -63,6 +63,10 @@ class TestScoreTokens:
         p = np.tril(np.ones((1, 3, 3)))
         with pytest.raises(PruneError):
             validate_map(AttentionMap(probs=p))
+        nan = uniform_causal(3).probs
+        nan[0, 1, 0] = np.nan  # below the diagonal, so only the row sum sees it
+        with pytest.raises(PruneError, match="sum to 1"):
+            validate_map(AttentionMap(probs=nan))
 
 
 class TestMakeSchedule:
@@ -104,6 +108,23 @@ class TestMakeSchedule:
             make_schedule(4, 0, 0.3, 0)
         with pytest.raises(PruneError):
             make_schedule(4, 3, 0.3, 2)
+        for args in ((4, -1, 0.5, 2), (4.5, 1, 0.5, 2), (4, 1.0, 0.5, 2), (4, 1, 0.5, 2.0),
+                     (4, 1, 0.5, True), (True, 0, 0.5, 1), (4, False, 0.5, 1)):
+            with pytest.raises(PruneError):
+                make_schedule(*args)
+
+    def test_every_valid_schedule_has_m_distinct_layers(self):
+        """Exhaustively for n <= 64: m distinct increasing layers from
+        start_layer to the last, as the spacing (n - 1 - start) / (m - 1)
+        is at least 1."""
+        for n in range(1, 65):
+            for start in range(n):
+                for m in range(1, n - start + 1):
+                    layers = make_schedule(n, start, 0.5, m).prune_layers
+                    assert len(layers) == m
+                    assert all(type(layer) is int for layer in layers)
+                    assert layers[0] == start and layers[-1] == (n - 1 if m > 1 else start)
+                    assert all(a < b for a, b in zip(layers, layers[1:]))
 
     def test_default_start_layer(self):
         assert default_start_layer(4) == 1

@@ -70,24 +70,24 @@ def test_fit_range_equals_per_head_scalar_fit(heads, shape, seed, amp, bits, cap
     ``r / (N * 2^cap)``, with the zero point of the cap-0 step, and at cap 0
     they are ``fit_affine`` of that head alone; one head may be constant."""
     rng = np.random.default_rng(seed)
-    x = np.clip(rng.standard_normal((shape[0], heads, shape[1])) + rng.uniform(-2, 2), -4, 4)
+    x = np.clip(rng.standard_normal((heads, shape[0], shape[1])) + rng.uniform(-2, 2), -4, 4)
     x = (x * (amp / 4)).astype(np.float32)
     if constant:
-        x[:, rng.integers(heads)] = x.flat[0]
+        x[rng.integers(heads)] = x.flat[0]
     code_range, scales, zps = _fit_range(x, bits, cap)
     assert code_range == CodeRange(bits, signed=False)
     assert scales.shape == zps.shape == (heads,)
     for h in range(heads):
-        lo, hi = float(x[:, h].min()), float(x[:, h].max())
+        lo, hi = float(x[h].min()), float(x[h].max())
         scale = max(hi - lo, SCALE_EPS) / ((2**bits - 1) * 2**cap)
         zp = min(max(np.rint(-lo / (2**cap * scale)), 0), 2**bits - 1)
         assert (float(scales[h]), float(zps[h])) == (scale, zp)
-        p = fit_affine(x[:, h], bits)
+        p = fit_affine(x[h], bits)
         assert (p.scale, p.zero_point) == (float(scales[h]) * 2**cap, int(zps[h]))
 
 
 def test_fit_range_empty_rejected():
-    for shape in ((0, 2, 3), (4, 2, 0), (4, 0, 3)):
+    for shape in ((2, 0, 3), (2, 4, 0), (0, 4, 3)):
         with pytest.raises(QuantError, match="empty tensor"):
             _fit_range(np.empty(shape, dtype=np.float32), 8)
 

@@ -63,6 +63,30 @@ def test_names_sorted(tmp_path):
     assert blob.index(b"\x01\x00a") < blob.index(b"\x01\x00b")
 
 
+GOOD_TENSOR = np.ones((2, 3), dtype=np.float32)
+
+
+@pytest.mark.parametrize("store", [
+    {"x\ud800": GOOD_TENSOR},  # a lone surrogate has no UTF-8 form
+    {1: GOOD_TENSOR},
+    {1: GOOD_TENSOR, "b": GOOD_TENSOR},
+    {"x": [[1.0, 2.0]]},
+    {"x": np.ones((2, 3, 4), dtype=np.float32)},
+    {"x": np.ones(3, dtype=np.float32)},
+    {"x": np.full((2, 2), np.nan, dtype=np.float32)},
+    {"x": GOOD_TENSOR.astype(np.float64)},
+    {"": GOOD_TENSOR},
+    {"x" * 257: GOOD_TENSOR},
+], ids=["surrogate-name", "int-name", "mixed-names", "list-value", "3-D", "1-D", "nan",
+        "float64", "empty-name", "long-name"])
+def test_save_refuses_with_store_error(tmp_path, store):
+    """What the format cannot hold raises a StoreError, and nothing is written."""
+    path = tmp_path / "s.agqt"
+    with pytest.raises(StoreError):
+        save_store(store, path)
+    assert not path.exists()
+
+
 def test_truncated_payload(tmp_path):
     path = tmp_path / "t.agqt"
     save_store({"x": np.zeros((4, 4), dtype=np.float32)}, path)
