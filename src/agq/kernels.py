@@ -7,11 +7,17 @@ two isolated 8-bit products per 16-bit multiply, dual 16-bit sub-lane
 accumulation), and a shift-based GEMM for log2-quantized attention
 probabilities.
 
-The integer paths run as float64 BLAS matmuls of integer codes, centred on
-their zero points except in the lane model. That is exact while every
-partial sum is an integer below 2^53 in magnitude: ``check_exact`` bounds it
-from the code ranges and zero points in the quantization params (not from
-the data) and raises ``KernelError`` beyond it.
+The integer paths run as BLAS matmuls of integer codes, centred on their
+zero points except in the lane model. A float GEMM of integers is exact, in
+any summation order and with FMA, while every partial sum is an integer the
+float holds: below 2^24 in magnitude for float32, below 2^53 for float64.
+``check_exact`` bounds that sum from the code ranges and zero points in the
+quantization params (not from the data) and picks the narrowest exact
+width; beyond 2^53 it raises ``KernelError``. The affine and log2 GEMMs run
+in that width, chosen per call, and scale their sums in float64. The bound
+holds only for integer codes inside their params' range: float codes raise
+``KernelError``, and codes outside the range were never supported. The lane
+GEMM's register words and the packed epilogue stay in float64.
 
 The packed path ships two implementations: a scalar per-element model that is
 the semantic reference, and the default, which must be bit-identical to it.
@@ -37,6 +43,7 @@ from .quantizers import QuantTensor
 from .tensor_store import as_tensor2d
 
 MAX_LANE_ADDITIONS = 256  # 256 * 225 = 57600 < 2^16 keeps sub-lanes isolated
+EXACT_F32_LIMIT = 2**24  # every integer of smaller magnitude is a float32
 EXACT_F64_LIMIT = 2**53  # every integer of smaller magnitude is a float64
 
 
@@ -48,15 +55,26 @@ class AccumulatorBudgetError(KernelError):
     """More than 256 additions on one lane accumulator."""
 
 
-def check_exact(k: int, max_a: int, max_b: int) -> None:
-    """Raise ``KernelError`` unless a float64 GEMM is exact: inner dimension
-    ``k`` and operand magnitudes at most ``max_a`` and ``max_b``. Every
-    partial sum is then an integer below 2^53, in any summation order.
+def check_exact(k: int, max_a: int, max_b: int) -> type:
+    """The narrowest float dtype in which a GEMM of integers is exact: inner
+    dimension ``k`` and operand magnitudes at most ``max_a`` and ``max_b``
+    bound every partial sum by ``k * max_a * max_b``. That is float32 below
+    2^24 and float64 below 2^53; past 2^53 raise ``KernelError``.
     """
-    if k * max_a * max_b >= EXACT_F64_LIMIT:
+    bound = k * max_a * max_b
+    if bound < EXACT_F32_LIMIT:
+        return np.float32
+    if bound >= EXACT_F64_LIMIT:
         raise KernelError(
             f"float64 accumulation not exact: k={k} x {max_a} x {max_b} reaches 2^53"
         )
+    return np.float64
+
+
+def _integer(codes: np.ndarray, what: str) -> None:
+    """Raise ``KernelError`` unless ``codes`` has an integer dtype."""
+    if codes.dtype.kind not in "iu":
+        raise KernelError(f"{what} must be integers, got {codes.dtype}")
 
 
 def _nibbles(codes, what: str) -> np.ndarray:
@@ -64,8 +82,7 @@ def _nibbles(codes, what: str) -> np.ndarray:
     codes = np.asarray(codes)
     if codes.ndim != 2:
         raise KernelError(f"expected 2-D {what}")
-    if not np.issubdtype(codes.dtype, np.integer):
-        raise KernelError(f"{what} must be integers, got {codes.dtype}")
+    _integer(codes, what)
     if codes.size and (codes.min() < 0 or codes.max() > 15):
         raise KernelError(f"{what} outside nibble range 0..15")
     return codes
@@ -101,7 +118,9 @@ def gemm_int_affine(aq: QuantTensor, wq: QuantTensor) -> np.ndarray:
     ``(a - zp_a) @ (b - zp_b)``, scaled once. For refined codes the pipeline
     passes weight codes shifted left by each row's exponent, with a
     ``CodeRange`` shift that bounds them; the exact integer sum, scaled once,
-    is then dequantize_trip(aq) @ w_deq in exact arithmetic.
+    is then dequantize_trip(aq) @ w_deq in exact arithmetic. The GEMM runs
+    in ``check_exact``'s width (float32 while k times the largest centred
+    codes stays below 2^24) and its integer sum is scaled in float64.
     """
     if aq.kind not in ("affine", "trip"):
         raise KernelError(f"activation side must be affine/trip codes, got {aq.kind}")
@@ -114,9 +133,12 @@ def gemm_int_affine(aq: QuantTensor, wq: QuantTensor) -> np.ndarray:
         zp_b, s_b = 0, wq.params.scales
     else:
         zp_b, s_b = wq.params.zero_point, wq.params.scale
-    check_exact(aq.cols, _max_centred(aq.params.range, zp_a),
-                _max_centred(wq.params.range, zp_b))
-    raw = (aq.codes - np.float64(zp_a)) @ (wq.codes - np.float64(zp_b))
+    _integer(aq.codes, "activation codes")
+    _integer(wq.codes, "weight-side codes")
+    dt = check_exact(aq.cols, _max_centred(aq.params.range, zp_a),
+                     _max_centred(wq.params.range, zp_b))
+    raw = np.subtract(aq.codes, zp_a, dtype=dt) @ np.subtract(wq.codes, zp_b, dtype=dt)
+    raw = raw.astype(np.float64, copy=False)
     raw *= aq.params.scale * s_b
     return raw.astype(np.float32)
 
@@ -294,9 +316,10 @@ def gemm_log2_attnv(probs_q: QuantTensor, vq: QuantTensor) -> np.ndarray:
 
     Each probability dequantizes to sign * max_abs * 2^-code; the products
     are accumulated as integer v_code * 2^(Ks - code) with Ks the max code,
-    then scaled once by max_abs * s_v * 2^-Ks. Exact while k * 2^Ks times
-    the largest centred value code stays below 2^53 (any k for 4-bit log2,
-    Ks = 7).
+    then scaled once by max_abs * s_v * 2^-Ks in float64. The bound on the
+    integer sum is k * 2^Ks times the largest centred value code: the GEMM
+    runs in float32 below 2^24 (k <= 514 for 4-bit log2, Ks = 7, against
+    8-bit values) and in float64 below 2^53 (any k at Ks = 7).
     """
     if probs_q.kind != "log2":
         raise KernelError(f"expected log2 probabilities, got {probs_q.kind}")
@@ -304,9 +327,13 @@ def gemm_log2_attnv(probs_q: QuantTensor, vq: QuantTensor) -> np.ndarray:
         raise KernelError(f"expected affine values, got {vq.kind}")
     if probs_q.cols != vq.rows:
         raise KernelError(f"inner dims differ: {probs_q.cols} vs {vq.rows}")
+    _integer(probs_q.codes, "log2 codes")
+    _integer(probs_q.signs, "log2 signs")
+    _integer(vq.codes, "value codes")
     ks = probs_q.params.code_hi
-    check_exact(probs_q.cols, 2**ks, _max_centred(vq.params.range, vq.params.zero_point))
-    lhs = np.ldexp(probs_q.signs.astype(np.float64), ks - probs_q.codes)
-    acc = lhs @ (vq.codes - np.float64(vq.params.zero_point))
-    scale = probs_q.params.max_abs * vq.params.scale * 2.0**-ks
-    return (acc * scale).astype(np.float32)
+    dt = check_exact(probs_q.cols, 2**ks, _max_centred(vq.params.range, vq.params.zero_point))
+    lhs = np.ldexp(probs_q.signs.astype(dt), ks - probs_q.codes)
+    acc = lhs @ np.subtract(vq.codes, vq.params.zero_point, dtype=dt)
+    acc = acc.astype(np.float64, copy=False)
+    acc *= probs_q.params.max_abs * vq.params.scale * 2.0**-ks
+    return acc.astype(np.float32)

@@ -39,11 +39,13 @@ class AttentionMap:
 
 
 def validate_map(m: AttentionMap) -> None:
-    """Reject non-causal or non-normalized maps."""
+    """Reject non-causal, negative or non-normalized maps."""
     p = m.probs
     upper = np.triu(np.ones((m.tokens, m.tokens), dtype=bool), k=1)
     if np.any(p[:, upper] != 0):
         raise PruneError("attention map is not causal")
+    if np.any(p < 0):
+        raise PruneError("attention map has negative probabilities")
     row_sums = p.sum(axis=2)
     if not np.all(np.abs(row_sums - 1.0) <= ROW_SUM_TOL):  # NaN fails too
         raise PruneError("attention rows do not sum to 1")

@@ -190,7 +190,8 @@ def _quantize_log2(x: np.ndarray, bits: int, max_abs: float) -> list[QuantTensor
     m < 2^-0.5, so codes lie in [0, code_hi]. That is exact, with no tie,
     for float32 ``x`` and ``max_abs``: no quotient of two 24-bit mantissas
     lies within float64 rounding of 2^-0.5 times a power of two. At max_abs
-    1.0 the ratio is |x| itself, in x's dtype. Exact zeros take code_hi with
+    1.0 the ratio is |x| itself, in x's dtype, and the test m < 2^-0.5
+    runs in that dtype too. Exact zeros take code_hi with
     sign 0, so they dequantize to exactly 0; max_abs = 0 (an all-zero ``x``)
     gives all-zero codes.
     """
@@ -204,9 +205,10 @@ def _quantize_log2(x: np.ndarray, bits: int, max_abs: float) -> list[QuantTensor
     # the floor 1.0 (code 0) serves max_abs = 0, where every ratio is 0
     np.maximum(ratio, 2.0**-p.code_hi if max_abs else 1.0, out=ratio)
     m, ex = np.frexp(ratio, out=(ratio, None))
-    # in float64, which rounds 2^-0.5 up past every float32 below it;
-    # float32 rounds it down, to a mantissa that must count as below
-    codes = (m < np.float64(2**-0.5)) - ex
+    if m.dtype == np.float32:  # float32 rounds 2^-0.5 down, to a mantissa below it
+        codes = (m <= np.float32(2**-0.5)) - ex
+    else:  # float64 rounds it up past every float32 below it
+        codes = (m < 2**-0.5) - ex
     return [QuantTensor(codes=codes[h], params=p, signs=signs[h]) for h in range(len(x))]
 
 

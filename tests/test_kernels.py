@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import agq
 from agq.kernels import (
+    EXACT_F32_LIMIT,
     EXACT_F64_LIMIT,
     MAX_LANE_ADDITIONS,
     AccumulatorBudgetError,
@@ -45,6 +46,19 @@ from agq.trip import fit_trip, fold_trip_into_weights, quantize_trip
 # tiny to near-float32-max values (the codes, not the values, bound the sums).
 shapes = st.tuples(st.integers(1, 9), st.integers(1, 300), st.integers(1, 9))
 amplitudes = st.sampled_from([1e-30, 1e-3, 1.0, 1e3, 1e30, 3e38])
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The dtypes ``check_exact`` returns to the kernels, in call order."""
+    seen = []
+
+    def spy(*args):
+        seen.append(check_exact(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(agq.kernels, "check_exact", spy)
+    return seen
 
 
 def _normal(rng, shape, amplitude):
@@ -189,6 +203,46 @@ class TestGemmIntAffine:
                 np.testing.assert_array_equal(gemm_int_affine(aq, bq),
                                               int64_gemm_int_affine(aq, bq))
                 assert bounds == [(k, max(zp_a, 255 - zp_a), max_b)]
+
+    def test_float_codes_rejected(self):
+        # a float GEMM of these returned [[nan]]: no integer bound holds
+        rng8 = CodeRange(8, signed=False)
+        aq = QuantTensor(np.array([[0.5, 2.25]]), AffineParams(rng8, 1.0, 0))
+        bq = QuantTensor(np.array([[1.5], [np.nan]]), AffineParams(rng8, 1.0, 0))
+        int_a = QuantTensor(np.array([[1, 2]], dtype=np.int32), aq.params)
+        int_b = QuantTensor(np.array([[1], [2]], dtype=np.int32), bq.params)
+        for a, b in ((aq, bq), (aq, int_b), (int_a, bq)):
+            with pytest.raises(KernelError, match="integers"):
+                gemm_int_affine(a, b)
+        w = QuantTensor(np.ones((2, 1)), ChannelSymmetricParams(CodeRange(4, signed=True),
+                                                                 np.ones(1)))
+        with pytest.raises(KernelError, match="integers"):
+            gemm_int_affine(int_a, w)
+
+    @pytest.mark.parametrize("k,width", [(258, np.float32), (259, np.float64)])
+    def test_worst_case_sums_at_the_float32_bound(self, k, width, widths):
+        """Affine against affine with zero points 0 and 255: every centred
+        code at magnitude 255, so k * 255^2 is reached exactly. It is below
+        2^24 at k = 258 and past it at k = 259, where the odd sum 16,841,475
+        has no float32. Rows of one sign and rows alternating between full
+        magnitude and 0 match the int64 oracle bit for bit."""
+        rng8 = CodeRange(8, signed=False)
+        assert (k * 255 * 255 < EXACT_F32_LIMIT) == (width is np.float32)
+        a = np.full((3, k), 255, dtype=np.int32)
+        a[1, 1::2] = 0
+        a[2, 0::2] = 0
+        b = np.full((k, 3), 255, dtype=np.int32)
+        b[::2, 1] = 0
+        b[k // 2:, 2] = 0
+        for zp_a in (0, 255):
+            for zp_b in (0, 255):
+                aq = QuantTensor(a if zp_a == 0 else 255 - a, AffineParams(rng8, 0.5, zp_a))
+                bq = QuantTensor(b if zp_b == 0 else 255 - b, AffineParams(rng8, 0.25, zp_b))
+                got = gemm_int_affine(aq, bq)
+                np.testing.assert_array_equal(got, int64_gemm_int_affine(aq, bq))
+                sign = 1 if zp_a == zp_b else -1
+                assert got[0, 0] == np.float32(sign * k * 255 * 255 * 0.125)
+        assert widths == [width] * 4
 
 
 class TestPacking:
@@ -435,6 +489,43 @@ class TestGemmLog2AttnV:
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, expect)
 
+    def test_float_codes_and_signs_rejected(self):
+        # a float GEMM against these value codes returned [[1.75]]
+        pq = quantize_log2(np.ones((1, 2), dtype=np.float32), 4)
+        rng8 = CodeRange(8, signed=False)
+        vq = QuantTensor(np.array([[0.5], [1.25]]), AffineParams(rng8, 1.0, 0))
+        int_v = QuantTensor(np.array([[1], [2]], dtype=np.int32), vq.params)
+        float_codes = QuantTensor(pq.codes.astype(np.float64), pq.params, pq.signs)
+        float_signs = QuantTensor(pq.codes, pq.params, pq.signs.astype(np.float32))
+        for p, v in ((pq, vq), (float_codes, int_v), (float_signs, int_v)):
+            with pytest.raises(KernelError, match="integers"):
+                gemm_log2_attnv(p, v)
+
+    @pytest.mark.parametrize("k,width", [(514, np.float32), (515, np.float64)])
+    def test_worst_case_sums_at_the_float32_bound(self, k, width, widths):
+        """4-bit log2 (Ks = 7) at code 0 against value codes 255 from zero
+        point 0: every term is 2^7 * 255, and k * 2^7 * 255 is below 2^24 at
+        k = 514, past it at k = 515. Rows of one sign and rows of alternating
+        signs match the int64 oracle bit for bit."""
+        assert (k * 2**7 * 255 < EXACT_F32_LIMIT) == (width is np.float32)
+        probs = np.ones((4, k), dtype=np.float32)
+        probs[1] = -1.0
+        probs[2, 1::2] = -1.0
+        probs[3, : k // 2] *= -1.0
+        pq = quantize_log2(probs, 4)
+        assert pq.params.code_hi == 7 and not pq.codes.any()
+        codes = np.full((k, 3), 255, dtype=np.int32)
+        codes[1::2, 1] = 0
+        codes[: k // 3, 2] = 0
+        for zp in (0, 255):
+            vq = QuantTensor(codes if zp == 0 else 255 - codes,
+                             AffineParams(CodeRange(8, signed=False), 0.5, zp))
+            got = gemm_log2_attnv(pq, vq)
+            np.testing.assert_array_equal(got, int64_gemm_log2_attnv(pq, vq))
+            sign = 1 if zp == 0 else -1
+            assert got[0, 0] == np.float32(sign * k * 255 * 0.5)
+        assert widths == [width] * 2
+
     # 6-bit log2 codes reach Ks = 31: exact in float64 while k * 2^31 * 255 < 2^53
     K_EXACT_6BIT = (EXACT_F64_LIMIT - 1) // (2**31 * 255)
 
@@ -476,3 +567,16 @@ class TestCheckExact:
         check_exact(2**20, 2**16, 2**16)  # 2^52
         with pytest.raises(KernelError):
             check_exact(2**21, 2**16, 2**16)  # 2^53
+
+    def test_narrowest_exact_width(self):
+        assert EXACT_F32_LIMIT == 2**24 and EXACT_F64_LIMIT == 2**53
+        assert check_exact(0, 255, 255) is np.float32
+        assert check_exact(1, 1, 2**24 - 1) is np.float32  # just below 2^24
+        assert check_exact(258, 255, 255) is np.float32  # 16,776,450
+        assert check_exact(1, 1, 2**24) is np.float64  # at 2^24
+        assert check_exact(2**8, 2**8, 2**8) is np.float64
+        assert check_exact(1, 1, 2**53 - 1) is np.float64  # just below 2^53
+        with pytest.raises(KernelError, match="2\\^53"):
+            check_exact(1, 1, 2**53)  # at 2^53
+        with pytest.raises(KernelError, match="2\\^53"):
+            check_exact(2**27, 2**13, 2**13)

@@ -7,6 +7,8 @@ from helpers import (
     GRID_QUANTIZERS,
     GRID_SHAPES,
     grid_case,
+    int64_gemm_int_affine,
+    int64_gemm_log2_attnv,
     locality_trial,
     naive_block_forward,
     prune_benefit_trial,
@@ -394,6 +396,43 @@ def test_every_trip_cap_runs_with_true_weight_range(sites, cap, monkeypatch):
         assert max(hi for *_, hi in seen) > 7
 
 
+def test_forward_picks_each_gemm_width_and_stays_exact(monkeypatch):
+    """A w4a8 pass at TRIP cap 6, d_ff 256 and T = 600 runs its integer
+    GEMMs at both widths: fc2's bound 256 * 255 * 512 and attn_v's bands
+    reaching r1 >= 515 need float64, the other sites fit float32. Every
+    kernel call equals its int64 oracle bit for bit."""
+    widths = []
+    calls = dict.fromkeys(("gemm_int_affine", "gemm_log2_attnv"), 0)
+    check_exact = agq.kernels.check_exact
+
+    def spy(*args):
+        widths.append(check_exact(*args))
+        return widths[-1]
+
+    def checked(name, kernel, oracle):
+        def wrapper(*args):
+            out = kernel(*args)
+            np.testing.assert_array_equal(out, oracle(*args))
+            calls[name] += 1
+            return out
+        return wrapper
+
+    monkeypatch.setattr(agq.kernels, "check_exact", spy)
+    for name, oracle in (("gemm_int_affine", int64_gemm_int_affine),
+                         ("gemm_log2_attnv", int64_gemm_log2_attnv)):
+        monkeypatch.setattr(agq.pipeline, name,
+                            checked(name, getattr(agq.pipeline, name), oracle))
+    cfg = BlockConfig(d_ff=256, sites=preset_sites("w4a8", trip_cap=6), seed=3)
+    x = np.random.default_rng(3).standard_normal((600, cfg.d_model)).astype(np.float32)
+    out, _ = forward_block(init_block(cfg), x)
+    assert np.isfinite(out).all()
+    # 4 weight sites, 4 heads x 10 bands of qk and of attn_v
+    assert calls == {"gemm_int_affine": 4 + 40, "gemm_log2_attnv": 40}
+    assert len(widths) == 84 and set(widths) == {np.float32, np.float64}
+    # linear_transform's 64 * 255 * 512 < 2^24 <= fc2's 256 * 128 * 512
+    assert widths[0] is np.float32 and widths[-1] is np.float64
+
+
 @pytest.mark.parametrize("sites", [preset_sites("w4a8"), preset_sites("w4a4"),
                                    preset_sites("w4a4", act_quantizer="affine"),
                                    _lane_sites(6)])
@@ -746,6 +785,12 @@ class TestAttentionLocality:
         p /= p.sum(axis=2, keepdims=True)
         p[0, 2, 1] = np.nan
         with pytest.raises(PruneError, match="sum to 1"):
+            attention_locality(AttentionMap(probs=p))
+
+    def test_negative_map_rejected(self):
+        # rows sum to 1, yet without the check the locality would read 2.0
+        p = np.array([[[1.0, 0, 0], [2, -1, 0], [3, -1, -1]]])
+        with pytest.raises(PruneError, match="negative"):
             attention_locality(AttentionMap(probs=p))
 
 

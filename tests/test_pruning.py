@@ -68,6 +68,13 @@ class TestScoreTokens:
         with pytest.raises(PruneError, match="sum to 1"):
             validate_map(AttentionMap(probs=nan))
 
+    def test_rejects_negative_probabilities(self):
+        # causal rows that sum to 1 through negative entries
+        neg = AttentionMap(probs=np.array([[[1.0, 0, 0], [2, -1, 0], [3, -1, -1]]]))
+        for check in (validate_map, score_tokens):
+            with pytest.raises(PruneError, match="negative"):
+                check(neg)
+
 
 class TestMakeSchedule:
     def test_gamma_example(self):

@@ -335,6 +335,21 @@ def test_log2_codes_near_every_rounding_midpoint(bits):
     assert q.signs.tobytes() == ref.signs.tobytes()
 
 
+@pytest.mark.parametrize("bits", [4, 8])
+def test_log2_float32_threshold_equals_float64_on_every_float32(bits):
+    """The float32 ratios' mantissa test (``m <= float32(2^-0.5)``) gives the
+    float64 test's codes on every float32 in [2^-9, 1], 75,497,473 values:
+    each exponent's whole mantissa range, and the floor 2^-7 at 4 bits."""
+    lo = int(np.float32(2.0**-9).view(np.uint32))
+    hi = int(np.float32(1.0).view(np.uint32)) + 1
+    step = 1 << 22
+    for a in range(lo, hi, step):
+        x = np.arange(a, min(a + step, hi), dtype=np.uint32).view(np.float32)[None, None]
+        (q32,) = _quantize_log2(x, bits, 1.0)
+        (q64,) = _quantize_log2(x.astype(np.float64), bits, 1.0)
+        np.testing.assert_array_equal(q32.codes, q64.codes)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
 def test_affine_codes_in_range(seed, bits):
