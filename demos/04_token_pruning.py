@@ -1,7 +1,8 @@
 """Attention-guided token pruning with a progressive cascade schedule.
 
-A token's importance is how much attention later tokens pay to it via the
-start-token column of the attention map. The cascade prunes at m layers with
+A token's importance is how much attention it pays to the start token, the
+first of the three per-row statistics (``AttentionStats``) a block pass
+returns. The cascade prunes at m layers with
 a per-layer ratio gamma chosen so the survivors after all stages equal
 1 - beta of the input, and the start token is never dropped.
 """
@@ -24,8 +25,11 @@ rng = np.random.default_rng(3)
 t, heads = 40, 2
 probs = np.tril(rng.uniform(0.05, 1.0, (heads, t, t)))
 probs /= probs.sum(axis=2, keepdims=True)
-amap = agq.AttentionMap(probs=probs)
-scores = agq.score_tokens(amap)  # one float per token
+# column 0 and the two sub-diagonals; rows without such a token read 0
+stats = agq.AttentionStats(start=probs[:, :, 0],
+                           prev1=np.pad(probs.diagonal(-1, 1, 2), ((0, 0), (1, 0))),
+                           prev2=np.pad(probs.diagonal(-2, 1, 2), ((0, 0), (2, 0))))
+scores = agq.score_tokens(stats)  # one float per token
 print(f"\nimportance scores: {[f'{s:.3f}' for s in scores]}")
 
 x = rng.standard_normal((t, 4)).astype(np.float32)

@@ -7,7 +7,8 @@ packed lane GEMM), and prints per-site quantization MSE plus the divergence
 of each preset from the FP32 reference. The FP32 reference is the same
 block with every site at the default FP32 config, and the MSEs come from the
 trace list ``forward_block`` fills when one is passed. Also shows the two
-analysis passes: per-channel outlier counts and the attention locality index.
+analysis passes: per-channel outlier counts and the attention locality index,
+read off the attention statistics each block pass returns.
 """
 
 from dataclasses import replace
@@ -47,10 +48,10 @@ cfg = agq.BlockConfig(sites=agq.preset_sites("w4a8", act_quantizer="affine"),
                       seed=seed)
 block = agq.init_block(cfg)
 stripe = agq.make_stripe_input(block, t=16, seed=seed + 1000)
-_, fp_map = agq.forward_block(block, stripe, replace(cfg, sites={}))
-_, q_map = agq.forward_block(block, stripe, cfg)
+_, fp_stats = agq.forward_block(block, stripe, replace(cfg, sites={}))
+_, q_stats = agq.forward_block(block, stripe, cfg)
 print(f"\nstart-token-stripe fixture, locality index "
       f"(mass on the two previous positions):")
-print(f"  FP32:      {agq.attention_locality(fp_map):.4f}")
-print(f"  quantized: {agq.attention_locality(q_map):.4f}  "
+print(f"  FP32:      {agq.attention_locality(fp_stats):.4f}")
+print(f"  quantized: {agq.attention_locality(q_stats):.4f}  "
       f"(outliers crush the stripe, attention turns local)")

@@ -46,7 +46,7 @@ from .pipeline import (
     preset_sites,
 )
 from .pruning import (
-    AttentionMap,
+    AttentionStats,
     PruneSchedule,
     default_start_layer,
     make_schedule,

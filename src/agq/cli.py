@@ -155,7 +155,8 @@ def _schedule(cfg: dict):
 
 def _store_input(path: str, name: str) -> np.ndarray:
     """Float32 store tensor ``name`` as forward-pass input, at most the schema's
-    ``sequence_length`` maximum of rows, as each head's attention map is rows^2."""
+    ``sequence_length`` maximum of rows, as an FP32 or traced pass holds a
+    rows^2 buffer per head."""
     x = tensor_store.load_store(path).get(name)
     if x is None:
         raise tensor_store.StoreError(f"tensor {name!r} not in store")
@@ -227,8 +228,8 @@ def analyze(config_path, in_path, input_name):
     k_sigma = cfg.get("analysis", {}).get("k_sigma", 3.0)
     report_out = pipeline.analyze_outliers(x, k_sigma)
     block = pipeline.init_block(_block_config(cfg))
-    _, fp_map = pipeline.forward_block(block, x, replace(block.cfg, sites={}))
-    _, q_map = pipeline.forward_block(block, x)
+    _, fp_stats = pipeline.forward_block(block, x, replace(block.cfg, sites={}))
+    _, q_stats = pipeline.forward_block(block, x)
     report = {
         "outliers": {
             "k_sigma": k_sigma,
@@ -236,8 +237,8 @@ def analyze(config_path, in_path, input_name):
             "counts": report_out.counts.tolist(),
             "ranked_channels": report_out.ranked_channels.tolist(),
         },
-        "locality_fp": pipeline.attention_locality(fp_map),
-        "locality_q": pipeline.attention_locality(q_map),
+        "locality_fp": pipeline.attention_locality(fp_stats),
+        "locality_q": pipeline.attention_locality(q_stats),
     }
     _emit(report, cfg)
     csv_path = cfg.get("output", {}).get("csv")
@@ -307,7 +308,7 @@ def eval_cmd(config_path, in_path, seed):
 
 def _unpruned_pass(blocks, x, run_cfg, split, trace=None):
     out, info = pipeline.forward_stack(blocks[:split], x, run_cfg, trace=trace)
-    state, records = (out, info["maps"]), list(trace or ())
+    state, records = (out, info["attention"]), list(trace or ())
     return pipeline.forward_stack(blocks, x, run_cfg, trace=trace, resume=state), state, records
 
 
@@ -316,8 +317,8 @@ def _eval_record(name, q_out, q_info, q_sites, fp_out, fp_info) -> dict:
         "name": name,
         "cosine": pipeline.cosine_similarity(q_out, fp_out),
         "sparsity": q_info["sparsity"],
-        "locality_fp": pipeline.attention_locality(fp_info["maps"][-1]),
-        "locality_q": pipeline.attention_locality(q_info["maps"][-1]),
+        "locality_fp": pipeline.attention_locality(fp_info["attention"][-1]),
+        "locality_q": pipeline.attention_locality(q_info["attention"][-1]),
         "sites": q_sites,
     }
 

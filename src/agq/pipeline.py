@@ -17,23 +17,27 @@ channels (4-bit), never as a per-call weight re-quantization. Q, K and V are
 block, each head with its own fit; every per-head stack is (heads, rows, cols).
 
 The attention chain (qk product, causal softmax, log2 quantizer, attn_v
-product) is one loop over causal row bands of all heads, one body per band.
-Bands of BAND_ROWS query rows ``[r0, r1)`` read key columns ``[0, r1)`` only,
-so the zeros above the diagonal are never computed; they run bottom band
-first, so later, smaller buffers reuse the first ones' memory. Bands give
-the bytes of the whole map: the integer qk and attn_v sums are exact in any
-order, softmax row i sums over BAND_ROWS * (i // BAND_ROWS + 1) columns,
-zero-padded, whatever T is (numpy's pairwise sum depends on the row
-length), and the log2 quantizer takes the map's maximum, which is exactly
-1.0: row 0 is exp(0) / 1, and no rounded quotient of non-negative numbers
-exceeds it. One band of T rows runs for FP32 qk or attn_v sites
+product) is one loop over causal row bands of all heads, one body per band,
+in one (heads, BAND_ROWS, T) buffer. Bands of BAND_ROWS query rows ``[r0,
+r1)`` read key columns ``[0, r1)`` only, so the zeros above the diagonal are
+never computed; they run bottom band first, so later, smaller temporaries
+reuse the first ones' memory. No (heads, T, T) map is kept: each band
+writes its rows of the ``AttentionStats`` (the probabilities on token 0 and
+on the two previous tokens) from its own softmax. Bands give the bytes of a
+whole-map pass: the integer qk and attn_v sums are exact in any order,
+softmax row i sums over BAND_ROWS * (i // BAND_ROWS + 1) columns,
+zero-padded, whatever T is (numpy's pairwise sum depends on the row length),
+and the log2 quantizer takes the map's maximum, which is exactly 1.0: row 0
+is exp(0) / 1, and no rounded quotient of non-negative numbers exceeds it. One band of T rows runs for FP32 qk or attn_v sites
 (``gemm_f32`` is not order-exact) and qk scores that might overflow float32
-(``_finite`` must see them all); its softmax still runs in BAND_ROWS-row
-slabs, so the softmax's float64 buffer holds at most one band of rows on
-every path. The qk and attn_v products run per head and band, through the
-public kernels. Per-site MSE records are made only for a caller that passes
-a ``trace`` list, which runs the same bands. The FP32 reference pass is
-``forward_block`` with ``replace(cfg, sites={})``.
+(``_finite`` must see them all), in a (heads, T, T) buffer; its softmax
+still runs in BAND_ROWS-row slabs, so the softmax's float64 buffer holds at
+most one band of rows on every path. The qk and attn_v products run per head
+and band, through the public kernels. Per-site MSE records are made only for
+a caller that passes a ``trace`` list, which runs the same bands; the attn_v
+record needs each head's whole (T, T) error, so only a traced quantized pass
+holds a (heads, T, T) buffer. The FP32 reference pass is ``forward_block``
+with ``replace(cfg, sites={})``.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from .kernels import (
     pack_weights_for_gemm,
 )
 from .pruning import (
-    AttentionMap,
+    AttentionStats,
     PruneSchedule,
     prune_step,
     score_tokens,
@@ -321,7 +325,8 @@ def _finite(x: np.ndarray, stage: str) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")  # overflow is reported by _finite
 def forward_block(block: Block, x, cfg: BlockConfig | None = None,
                   trace: list | None = None):
-    """One decoder block pass; returns (output, AttentionMap).
+    """One decoder block pass; returns (output, AttentionStats): per head, each
+    query row's softmax probability on token 0 and on the two previous tokens.
 
     Each quantized site appends a ``{"site", "act_bits", "mse"}`` record
     (attn_v one per head, over its whole map) to ``trace``, if given, in pass order.
@@ -344,13 +349,15 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
         heads = _quantize_heads(qkv, 3 * nh, 8)  # one 8-bit fit per head of q, k, v
         q_heads, k_heads, v_heads = heads[:nh], heads[nh:2 * nh], heads[2 * nh:]
 
-    probs = np.zeros((nh, t, t), dtype=np.float32)  # the softmax writes bands only
     ctx = np.empty((t, nh, dh), dtype=np.float32)  # a (T, d) buffer, head by head
-    deq = np.zeros_like(probs) if trace is not None and av_sc.act_bits < 32 else None
+    stats = np.zeros((3, nh, t), dtype=np.float32)
+    start, prev1, prev2 = stats
+    err = np.zeros((nh, t, t)) if trace is not None and av_sc.act_bits < 32 else None
     rows = _band_rows(cfg, t, q_heads, k_heads)
+    band = np.empty((nh, rows, t), dtype=np.float32)
     for r0 in reversed(range(0, t, rows)):
         r1 = min(r0 + rows, t)
-        scores = probs[:, r0:r1, :r1]  # replaced by their softmax
+        scores = band[:, :r1 - r0, :r1]  # replaced by their softmax
         for h in range(nh):
             if qk_sc.act_bits == 32:
                 scores[h] = gemm_f32(q[h, r0:r1], k[h, :r1].T)
@@ -360,31 +367,36 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
                                             QuantTensor(kh.codes[:r1].T, kh.params))
         scores /= np.float32(np.sqrt(dh))
         _finite(scores, "qk")
-        for s0 in range(r0, r1, BAND_ROWS):  # one slab, or a one-band map's several
-            slab = probs[:, s0:s0 + BAND_ROWS]
-            slab[..., s0 + BAND_ROWS:r1] = 0  # a one-band map's qk scores past the slab
+        for s0 in range(r0, r1, BAND_ROWS):  # one slab, or a one-band pass's several
+            slab = scores[:, s0 - r0:s0 - r0 + BAND_ROWS]
+            slab[..., s0 + BAND_ROWS:] = 0  # a one-band pass's qk scores past the slab
             _softmax_causal(slab[..., :s0 + BAND_ROWS], s0)
+        start[:, r0:r1] = scores[..., 0]
+        prev1[:, max(r0, 1):r1] = scores.diagonal(r0 - 1, 1, 2)
+        prev2[:, max(r0, 2):r1] = scores.diagonal(r0 - 2, 1, 2)
         if av_sc.act_bits == 32:
             for h in range(nh):
                 ctx[r0:r1, h] = gemm_f32(scores[h], v[h, :r1])
             continue
         # each map's maximum is exactly 1.0 (see the module docstring)
         for h, probs_q in enumerate(_quantize_log2(scores, av_sc.act_bits, 1.0)):
-            if deq is not None:
-                deq[h, r0:r1, :r1] = dequantize_log2(probs_q)
+            if err is not None:
+                np.subtract(scores[h], dequantize_log2(probs_q), out=err[h, r0:r1, :r1],
+                            dtype=np.float64)
             vh = v_heads[h]
             ctx[r0:r1, h] = gemm_log2_attnv(probs_q, QuantTensor(vh.codes[:r1], vh.params))
         del probs_q  # its views would hold the band's log2 codes through the MLP
-    if deq is not None:
+    if err is not None:  # each head's mean over its whole map, as _mse takes it
+        np.square(err, out=err)
         trace.extend({"site": "attn_v", "act_bits": av_sc.act_bits,
-                      "mse": _mse(probs[h], deq[h])} for h in range(nh))
+                      "mse": float(err[h].mean())} for h in range(nh))
 
     proj = _site_matmul(block, cfg, "projection", _finite(ctx.reshape(t, d), "attn_v"), trace)
     h1 = _finite(x + proj, "projection")
     a1 = _site_matmul(block, cfg, "fc1", _layernorm(h1), trace)
     m2 = _site_matmul(block, cfg, "fc2", _silu(_finite(a1, "fc1")), trace)
     out = _finite(h1 + m2, "fc2")
-    return out, AttentionMap(probs=probs)
+    return out, AttentionStats(*stats)
 
 
 def forward_stack(blocks: list[Block], x, cfg: BlockConfig | None = None,
@@ -392,15 +404,16 @@ def forward_stack(blocks: list[Block], x, cfg: BlockConfig | None = None,
                   forced_keeps: dict[int, list[int]] | None = None,
                   trace: list | None = None, resume: tuple | None = None):
     """Run a block stack, pruning at schedule layers from each layer's own
-    attention map (re-scored at every prune layer).
+    attention statistics (re-scored at every prune layer).
 
     ``forced_keeps`` replays a previous run's kept indices, which lets an
     FP reference see exactly the tokens a quantized pruned run saw; a prune
-    or forced-keep layer outside the stack is an error. Returns (output,
-    info) with per-layer kept indices, kept fractions, sparsity and
-    attention maps; ``trace`` gets every block's site records.
+    or forced-keep layer outside the stack is an error, and so is a forced
+    keep index past the rows its block has. Returns (output, info) with
+    per-layer kept indices, kept fractions, sparsity and ``AttentionStats``
+    (``info["attention"]``); ``trace`` gets every block's site records.
 
-    ``resume=(hidden, maps)`` skips blocks ``0..len(maps)-1``, run unpruned
+    ``resume=(hidden, stats)`` skips blocks ``0..len(stats)-1``, run unpruned
     on ``x`` with output ``hidden``, but prunes after the last; indices stay global.
     """
     x = as_tensor2d(x)
@@ -416,20 +429,21 @@ def forward_stack(blocks: list[Block], x, cfg: BlockConfig | None = None,
                 or x.shape != (t0, (cfg or blocks[last].cfg).d_model)):
             raise PipelineError(f"cannot resume after block {last}")
     kept_global = list(range(t0))
-    info = {"keeps": [], "kept_fractions": [], "maps": []}
+    info = {"keeps": [], "kept_fractions": [], "attention": []}
     for i, block in enumerate(blocks):
+        local = (forced_keeps or {}).get(i)
         try:
-            x, amap = ((x, done[i]) if i < len(done) else
-                       forward_block(block, x, cfg or block.cfg, trace=trace))
-        except PipelineError as e:
+            x, stats = ((x, done[i]) if i < len(done) else
+                        forward_block(block, x, cfg or block.cfg, trace=trace))
+            if local is not None:
+                x = slice_rows(x, local)
+        except (PipelineError, ValueError) as e:  # ValueError: slice_rows refused a keep
             raise PipelineError(f"block {i}: {e}") from e
-        info["maps"].append(amap)
-        local = list(range(x.shape[0]))
-        if forced_keeps is not None and i in forced_keeps:
-            local = forced_keeps[i]
-            x = slice_rows(x, local)
-        elif schedule is not None and i in schedule.prune_layers:
-            x, local = prune_step(x, score_tokens(amap), schedule.per_layer_ratio)
+        info["attention"].append(stats)
+        if local is None:
+            local = list(range(x.shape[0]))
+            if schedule is not None and i in schedule.prune_layers:
+                x, local = prune_step(x, score_tokens(stats), schedule.per_layer_ratio)
         kept_global = [kept_global[j] for j in local]
         info["keeps"].append(local)
         info["kept_fractions"].append(x.shape[0] / t0)
@@ -480,20 +494,18 @@ def analyze_outliers(x, k_sigma: float) -> OutlierReport:
     )
 
 
-def attention_locality(m: AttentionMap) -> float:
+def attention_locality(s: AttentionStats) -> float:
     """Mean probability mass on the two immediately previous positions.
 
     High values indicate the local/triangular pattern; a start-token stripe
     drives the index toward zero for tokens beyond the window.
     """
-    validate_map(m)
-    t = m.tokens
+    validate_map(s)
+    t = s.tokens
     if t < 2:
         return 1.0
     # in row order, as np.sum rounds otherwise
-    rows = np.arange(1, t)
-    near = np.ascontiguousarray(m.probs[:, rows, rows - 1].T)
-    near[1:] += m.probs[:, rows[1:], rows[1:] - 2].T
+    near = np.ascontiguousarray((s.prev1[:, 1:] + s.prev2[:, 1:]).T)
     total = 0.0
     for mean in near.mean(axis=1).tolist():
         total += mean

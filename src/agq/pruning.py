@@ -1,9 +1,11 @@
 """Activation-aware token pruning.
 
 Token importance is the attention probability each token assigns to the
-start token (position 0), averaged over heads. A progressive schedule prunes
-at m layers with per-layer ratio gamma = 1 - (1 - beta)^(1/m) so cumulative
-survivors equal 1 - beta; sparsity is the layer-averaged pruned fraction.
+start token (position 0), averaged over heads. A block pass hands back only
+the per-row entries its readers use, as ``AttentionStats``, never a
+(heads, T, T) map. A progressive schedule prunes at m layers with per-layer
+ratio gamma = 1 - (1 - beta)^(1/m) so cumulative survivors equal 1 - beta;
+sparsity is the layer-averaged pruned fraction.
 """
 
 from __future__ import annotations
@@ -15,53 +17,54 @@ import numpy as np
 
 from .tensor_store import as_tensor2d, slice_rows
 
-ROW_SUM_TOL = 1e-4
-
 
 class PruneError(Exception):
     pass
 
 
 @dataclass(frozen=True)
-class AttentionMap:
-    """Per-head causal probability matrices, shape (heads, T, T)."""
+class AttentionStats:
+    """Three (heads, T) arrays of each query row i's attention probability on
+    token 0, on token i - 1 and on token i - 2; 0 where that token does not
+    exist."""
 
-    probs: np.ndarray
+    start: np.ndarray
+    prev1: np.ndarray
+    prev2: np.ndarray
 
     def __post_init__(self):
-        p = self.probs
-        if p.ndim != 3 or p.shape[1] != p.shape[2]:
-            raise PruneError("attention map must be (heads, T, T)")
+        if self.start.ndim != 2 or not self.start.shape == self.prev1.shape == self.prev2.shape:
+            raise PruneError("attention statistics must be three (heads, T) arrays")
 
     @property
     def tokens(self) -> int:
-        return self.probs.shape[1]
+        return self.start.shape[1]
 
 
-def validate_map(m: AttentionMap) -> None:
-    """Reject non-causal, negative or non-normalized maps."""
-    p = m.probs
-    upper = np.triu(np.ones((m.tokens, m.tokens), dtype=bool), k=1)
-    if np.any(p[:, upper] != 0):
-        raise PruneError("attention map is not causal")
-    if np.any(p < 0):
-        raise PruneError("attention map has negative probabilities")
-    row_sums = p.sum(axis=2)
-    if not np.all(np.abs(row_sums - 1.0) <= ROW_SUM_TOL):  # NaN fails too
-        raise PruneError("attention rows do not sum to 1")
+def validate_map(s: AttentionStats) -> None:
+    """Reject statistics outside [0, 1], NaN included."""
+    for a in (s.start, s.prev1, s.prev2):
+        if not ((a >= 0) & (a <= 1)).all():
+            raise PruneError("attention probabilities outside [0, 1]")
 
 
-def score_tokens(m: AttentionMap) -> np.ndarray:
+def score_tokens(s: AttentionStats) -> np.ndarray:
     """Head-mean of each token's attention probability on position 0: its
     start-token attentivity, in [0, 1]."""
-    validate_map(m)
-    return m.probs[:, :, 0].mean(axis=0)
+    validate_map(s)
+    return s.start.mean(axis=0)
 
 
 @dataclass(frozen=True)
 class PruneSchedule:
     prune_layers: tuple[int, ...]
     final_ratio: float  # beta: cumulative fraction pruned after all stages
+
+    def __post_init__(self):
+        if not 0.0 <= self.final_ratio < 1.0:
+            raise PruneError(f"final ratio must be in [0, 1), got {self.final_ratio}")
+        if not self.prune_layers:
+            raise PruneError("need at least one prune layer")
 
     @property
     def per_layer_ratio(self) -> float:
@@ -75,15 +78,12 @@ def make_schedule(n: int, start_layer: int, beta: float, m: int) -> PruneSchedul
     for name, value in (("n", n), ("start_layer", start_layer), ("m", m)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise PruneError(f"{name} must be an integer, got {value!r}")
-    if not 0.0 <= beta < 1.0:
-        raise PruneError(f"final ratio must be in [0, 1), got {beta}")
-    if m < 1:
-        raise PruneError("need at least one prune layer")
     if start_layer < 0:
         raise PruneError(f"start layer must be non-negative, got {start_layer}")
     if start_layer + m > n:
         raise PruneError(f"cannot fit {m} prune layers starting at {start_layer} in {n}")
-    layers = np.round(np.linspace(start_layer, n - 1, m)).astype(int)
+    # m < 1 places no layer, which PruneSchedule refuses
+    layers = np.round(np.linspace(start_layer, n - 1, max(m, 0))).astype(int)
     return PruneSchedule(prune_layers=tuple(int(l) for l in layers), final_ratio=beta)
 
 

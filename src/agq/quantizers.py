@@ -28,10 +28,6 @@ class QuantError(Exception):
     pass
 
 
-class KindMismatchError(QuantError):
-    """QuantTensor passed to a dequantizer of the wrong kind."""
-
-
 @dataclass(frozen=True)
 class CodeRange:
     bits: int
@@ -43,14 +39,11 @@ class CodeRange:
             raise QuantError(f"bits must be in 2..8, got {self.bits}")
         if self.shift < 0:
             raise QuantError(f"shift must be non-negative, got {self.shift}")
-
-    @property
-    def lo(self) -> int:
-        return -(2 ** (self.bits - 1)) << self.shift if self.signed else 0
-
-    @property
-    def hi(self) -> int:
-        return (2 ** (self.bits - 1) - 1 if self.signed else 2**self.bits - 1) << self.shift
+        # the code bounds, set once: kernels read them on every call
+        half = 2 ** (self.bits - 1)
+        lo, hi = (-half, half - 1) if self.signed else (0, 2 * half - 1)
+        object.__setattr__(self, "lo", lo << self.shift)
+        object.__setattr__(self, "hi", hi << self.shift)
 
 
 @dataclass(frozen=True)
@@ -164,7 +157,7 @@ def _quantize_heads(x: np.ndarray, n_heads: int, bits: int) -> list[QuantTensor]
 
 def dequantize_affine(q: QuantTensor) -> np.ndarray:
     if q.kind != "affine":
-        raise KindMismatchError(f"expected affine tensor, got {q.kind}")
+        raise QuantError(f"expected affine tensor, got {q.kind}")
     return _reconstruct(q.codes, q.params.zero_point, q.params.scale)
 
 
@@ -214,7 +207,7 @@ def _quantize_log2(x: np.ndarray, bits: int, max_abs: float) -> list[QuantTensor
 
 def dequantize_log2(q: QuantTensor) -> np.ndarray:
     if q.kind != "log2":
-        raise KindMismatchError(f"expected log2 tensor, got {q.kind}")
+        raise QuantError(f"expected log2 tensor, got {q.kind}")
     p = q.params
     out = q.signs * p.max_abs
     np.ldexp(out, -q.codes, out=out)  # times 2^-code, exact: a power of two
@@ -251,5 +244,5 @@ def quantize_weight_symmetric(w, p: ChannelSymmetricParams) -> QuantTensor:
 
 def dequantize_weight_symmetric(q: QuantTensor) -> np.ndarray:
     if q.kind != "weight":
-        raise KindMismatchError(f"expected weight tensor, got {q.kind}")
+        raise QuantError(f"expected weight tensor, got {q.kind}")
     return (q.codes.astype(np.float64) * q.params.scales[None, :]).astype(np.float32)

@@ -20,34 +20,21 @@ _DTYPE_TO_CODE = {np.dtype(np.float32): 0, np.dtype(np.uint8): 1}
 
 
 class StoreError(Exception):
-    """Base class for tensor-store failures."""
-
-
-class BadMagicError(StoreError):
-    """File does not start with the AGQT magic bytes."""
-
-
-class TruncatedPayloadError(StoreError):
-    """File ended before the declared payload was read."""
-
-
-class DimensionOverflowError(StoreError):
-    """Tensor would exceed the 2^31-element cap."""
+    """A tensor-store failure: bad magic, a truncated file, a tensor past the
+    element cap or any other malformed or unwritable content."""
 
 
 def as_tensor2d(data, dtype=np.float32) -> np.ndarray:
     """Validate and return a 2-D contiguous array of the given dtype.
 
-    Raises ValueError on non-2-D input, non-finite float values, or tensors
-    larger than the element cap.
+    Raises ValueError on non-2-D input or non-finite float values, and
+    StoreError on tensors larger than the element cap.
     """
     arr = np.ascontiguousarray(data, dtype=dtype)
     if arr.ndim != 2:
         raise ValueError(f"expected 2-D tensor, got {arr.ndim}-D")
     if arr.size > MAX_ELEMENTS:
-        raise DimensionOverflowError(
-            f"tensor has {arr.size} elements, cap is {MAX_ELEMENTS}"
-        )
+        raise StoreError(f"tensor has {arr.size} elements, cap is {MAX_ELEMENTS}")
     if np.issubdtype(arr.dtype, np.floating) and not np.all(np.isfinite(arr)):
         raise ValueError("tensor contains NaN or Inf")
     return arr
@@ -115,12 +102,12 @@ def load_store(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as f:
         blob = f.read()
     if blob[:4] != MAGIC:
-        raise BadMagicError(f"bad magic {blob[:4]!r}")
+        raise StoreError(f"bad magic {blob[:4]!r}")
     off = 4
     try:
         version, count = struct.unpack_from("<II", blob, off)
     except struct.error as e:
-        raise TruncatedPayloadError("header truncated") from e
+        raise StoreError("header truncated") from e
     if version != FORMAT_VERSION:
         raise StoreError(f"unsupported format version {version}")
     off += 8
@@ -130,13 +117,13 @@ def load_store(path) -> dict[str, np.ndarray]:
             (name_len,) = struct.unpack_from("<H", blob, off)
             off += 2
             if len(blob) < off + name_len:
-                raise TruncatedPayloadError("name truncated")
+                raise StoreError("name truncated")
             raw_name = blob[off : off + name_len]
             off += name_len
             dtype_code, rows, cols = struct.unpack_from("<BII", blob, off)
             off += 9
         except struct.error as e:
-            raise TruncatedPayloadError("tensor header truncated") from e
+            raise StoreError("tensor header truncated") from e
         if not 1 <= name_len <= 256:
             raise StoreError(f"tensor name length {name_len} outside 1..256 bytes")
         try:
@@ -147,11 +134,11 @@ def load_store(path) -> dict[str, np.ndarray]:
         if dtype is None:
             raise StoreError(f"unknown dtype code {dtype_code}")
         if rows * cols > MAX_ELEMENTS:
-            raise DimensionOverflowError(f"{rows}x{cols} exceeds element cap")
+            raise StoreError(f"{rows}x{cols} exceeds element cap")
         nbytes = rows * cols * np.dtype(dtype).itemsize
         payload = blob[off : off + nbytes]
         if len(payload) < nbytes:
-            raise TruncatedPayloadError(f"payload for {name!r} truncated")
+            raise StoreError(f"payload for {name!r} truncated")
         off += nbytes
         if name in store:
             raise StoreError(f"duplicate tensor name {name!r}")

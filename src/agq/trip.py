@@ -24,7 +24,6 @@ import numpy as np
 
 from .quantizers import (
     AffineParams,
-    KindMismatchError,
     QuantError,
     QuantTensor,
     _clip,
@@ -113,7 +112,7 @@ def _quantize_trip(x: np.ndarray, p: TripParams) -> QuantTensor:
 
 def dequantize_trip(q: QuantTensor) -> np.ndarray:
     if q.kind != "trip":
-        raise KindMismatchError(f"expected trip tensor, got {q.kind}")
+        raise QuantError(f"expected trip tensor, got {q.kind}")
     return _reconstruct(q.codes, q.params.zero_point, q.params.steps)
 
 

@@ -3,7 +3,7 @@
     python tests/grid_digest.py [--cases]
 
 Two source trees print the same digest when every case gives them the same
-outputs, attention maps, kept indices and trace records (as JSON), so it
+outputs, attention statistics, kept indices and trace records (as JSON), so it
 checks that a change kept the forward pass bit-identical. ``--cases`` also
 prints one digest per case, to count the cases that differ. The cases, each
 run traced and untraced:
@@ -27,7 +27,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from helpers import GRID_MODES, GRID_QUANTIZERS, GRID_SHAPES, grid_case  # noqa: E402
+from helpers import GRID_MODES, GRID_QUANTIZERS, GRID_SHAPES, grid_case, stats_bytes  # noqa: E402
 
 from agq.pipeline import BlockConfig, forward_stack, init_stack, preset_sites  # noqa: E402
 from agq.pruning import PruneSchedule, default_start_layer, make_schedule  # noqa: E402
@@ -58,8 +58,8 @@ def case_digest(blocks, x, schedule, traced: bool) -> bytes:
     trace = [] if traced else None
     out, info = forward_stack(blocks, x, schedule=schedule, trace=trace)
     h = hashlib.sha256(out.tobytes())
-    for amap in info["maps"]:
-        h.update(amap.probs.tobytes())
+    for stats in info["attention"]:
+        h.update(stats_bytes(stats))
     h.update(json.dumps([info["keeps"], info["kept_global"], trace]).encode())
     return h.digest()
 

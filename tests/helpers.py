@@ -124,17 +124,37 @@ def ref_forward_block(block, x, cfg, trace=None):
     return h1 + site("fc2", _silu(site("fc1", _layernorm(h1)))), probs
 
 
-def ref_attention_locality(m):
-    """The per-row loop formulation of ``attention_locality``: each row's
-    window is summed per head, averaged over heads and added as a float."""
-    agq.pruning.validate_map(m)
-    t = m.tokens
+def stats_of(probs):
+    """The ``AttentionStats`` of a (heads, T, T) map, read entry by entry:
+    row i's column 0, column i - 1 and column i - 2, 0 where that column does
+    not exist."""
+    heads, t, _ = probs.shape
+    start, prev1, prev2 = np.zeros((3, heads, t), dtype=probs.dtype)
+    for i in range(t):
+        start[:, i] = probs[:, i, 0]
+        if i >= 1:
+            prev1[:, i] = probs[:, i, i - 1]
+        if i >= 2:
+            prev2[:, i] = probs[:, i, i - 2]
+    return agq.AttentionStats(start, prev1, prev2)
+
+
+def stats_bytes(s):
+    """The bytes of all three statistics, to compare two passes exactly."""
+    return b"".join(a.tobytes() for a in (s.start, s.prev1, s.prev2))
+
+
+def ref_attention_locality(probs):
+    """The per-row loop formulation of ``attention_locality`` on a (heads,
+    T, T) map: each row's window is summed per head, averaged over heads and
+    added as a float."""
+    t = probs.shape[1]
     if t < 2:
         return 1.0
     total = 0.0
     for i in range(1, t):
         lo = max(0, i - 2)
-        total += float(m.probs[:, i, lo:i].sum(axis=1).mean())
+        total += float(probs[:, i, lo:i].sum(axis=1).mean())
     return total / (t - 1)
 
 
@@ -353,6 +373,6 @@ def locality_trial(seed):
                           seed=seed)
     block = agq.init_block(cfg)
     x = agq.make_stripe_input(block, t=16, seed=seed + 1000)
-    _, fp_map = agq.forward_block(block, x, replace(cfg, sites={}))
-    _, q_map = agq.forward_block(block, x, cfg)
-    return agq.attention_locality(fp_map), agq.attention_locality(q_map)
+    _, fp_stats = agq.forward_block(block, x, replace(cfg, sites={}))
+    _, q_stats = agq.forward_block(block, x, cfg)
+    return agq.attention_locality(fp_stats), agq.attention_locality(q_stats)

@@ -18,7 +18,7 @@ from agq.quantizers import _quantize_heads
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC_NAMES = [
-    "AccumulatorBudgetError", "AffineParams", "AttentionMap", "Block", "BlockConfig",
+    "AccumulatorBudgetError", "AffineParams", "AttentionStats", "Block", "BlockConfig",
     "ChannelSymmetricParams", "CodeRange", "Int4GemmParams", "LaneAccumulator",
     "Log2Params", "OutlierReport", "POST_ATTENTION_SITES", "PackedInt4Matrix",
     "PipelineError", "PruneSchedule", "QuantError", "QuantTensor", "SITES",

@@ -194,7 +194,7 @@ class TestEval:
 def test_store_rows_bounded_by_sequence_length(runner, monkeypatch, tmp_path, command):
     """A store input may hold as many rows as the schema lets
     ``sequence_length`` have (256); one more row is a one-line store error
-    (exit 2) before any forward pass, not an attention map that may not fit."""
+    (exit 2) before any forward pass, not a T x T buffer per head that may not fit."""
     limit = agq.cli._validator().schema["properties"]["sequence_length"]["maximum"]
     assert limit == 256
     cfg = write_config(tmp_path / "cfg.json", quantization={"mode": "w4a8"},

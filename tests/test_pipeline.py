@@ -15,6 +15,8 @@ from helpers import (
     ref_attention_locality,
     ref_forward_block,
     ref_softmax_causal,
+    stats_bytes,
+    stats_of,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -37,7 +39,7 @@ from agq.pipeline import (
     make_outlier_input,
     preset_sites,
 )
-from agq.pruning import AttentionMap, PruneError, PruneSchedule
+from agq.pruning import PruneError, PruneSchedule
 from agq.quantizers import _quantize_heads, fit_affine, quantize_affine
 
 
@@ -148,8 +150,8 @@ def test_config_builds_a_runnable_block_or_raises(act_bits, trip_cap, d_model, n
     except PipelineError:
         return
     x = np.random.default_rng(0).standard_normal((3, cfg.d_model)).astype(np.float32)
-    out, amap = forward_block(init_block(cfg), x)
-    assert out.shape == x.shape and amap.probs.shape == (cfg.n_heads, 3, 3)
+    out, stats = forward_block(init_block(cfg), x)
+    assert out.shape == x.shape and stats.start.shape == (cfg.n_heads, 3)
 
 
 @settings(max_examples=80, deadline=None)
@@ -247,11 +249,11 @@ def _equals_per_head_reference(mode, act_quantizer, t, d_model, n_heads, traced)
     cfg, x = grid_case(mode, act_quantizer, t, d_model, n_heads)
     block = init_block(cfg)
     trace, ref_trace = ([], []) if traced else (None, None)
-    out, amap = forward_block(block, x, trace=trace)
+    out, stats = forward_block(block, x, trace=trace)
     ref_out, ref_probs = ref_forward_block(block, x, cfg, trace=ref_trace)
     assert out.tobytes() == ref_out.tobytes()
-    assert amap.probs.tobytes() == ref_probs.tobytes()
-    assert (amap.probs.max(axis=(1, 2)) == 1.0).all()  # the log2 quantizer's maximum
+    assert stats_bytes(stats) == stats_bytes(stats_of(ref_probs))
+    assert (stats.start[:, 0] == 1.0).all()  # the log2 quantizer's maximum
     assert trace == ref_trace
     if traced:
         assert [r["site"] for r in trace].count("attn_v") == (
@@ -263,7 +265,7 @@ def test_forward_block_equals_per_head_reference(mode, act_quantizer, t, d_model
     """One Q/K/V quantization per block and banded softmax and log2
     quantization of all heads at once give the bytes and trace records of a
     loop that quantizes every head's slices and runs every head's softmax on
-    its whole map. A trace runs the same bands as a bare pass, and its
+    its whole map, and that map's attention statistics. A trace runs the same bands as a bare pass, and its
     attn_v records, over each whole map, are the reference's. The ``fp32-``
     modes are w4a8 with that one site at FP32."""
     _equals_per_head_reference(mode, act_quantizer, t, d_model, n_heads, traced=True)
@@ -297,7 +299,7 @@ def test_qk_overflow_bound_decides_the_bands(monkeypatch, amp, bands):
 
     monkeypatch.setattr(agq.pipeline, "gemm_int_affine", spy)
     try:
-        out, amap = forward_block(block, x)
+        out, stats = forward_block(block, x)
     except PipelineError as e:
         out, error = None, str(e)
     assert set(qk_calls) == {256 // bands}  # the query rows of each band
@@ -309,7 +311,7 @@ def test_qk_overflow_bound_decides_the_bands(monkeypatch, amp, bands):
         else:
             ref_out, ref_probs = ref_forward_block(block, x, cfg)
             assert out.tobytes() == ref_out.tobytes()
-            assert amap.probs.tobytes() == ref_probs.tobytes()
+            assert stats_bytes(stats) == stats_bytes(stats_of(ref_probs))
             assert len(qk_calls) == bands * cfg.n_heads
 
 
@@ -469,14 +471,8 @@ class TestForwardFP:
     def test_single_token_map(self):
         b = init_block(BlockConfig(seed=0))
         x = np.random.default_rng(0).standard_normal((1, 64)).astype(np.float32)
-        _, amap = fp_pass(b, x)
-        np.testing.assert_array_equal(amap.probs, np.ones((4, 1, 1)))
-
-    def test_rows_normalized(self):
-        b = init_block(BlockConfig(seed=1))
-        x = np.random.default_rng(1).standard_normal((9, 64)).astype(np.float32)
-        _, amap = fp_pass(b, x)
-        np.testing.assert_allclose(amap.probs.sum(axis=2), 1.0, atol=1e-5)
+        _, stats = fp_pass(b, x)
+        assert stats_bytes(stats) == stats_bytes(stats_of(np.ones((4, 1, 1), np.float32)))
 
     def test_matches_naive_reference(self):
         b = init_block(BlockConfig(seed=2))
@@ -562,15 +558,15 @@ class TestQuantizedPass:
         b = init_block(cfg)
         x = np.random.default_rng(0).standard_normal((8, 64)).astype(np.float32)
         records = []
-        out, amap = forward_block(b, x, trace=records)
-        fp_out, fp_map = fp_pass(b, x)
+        out, stats = forward_block(b, x, trace=records)
+        fp_out, fp_stats = fp_pass(b, x)
         assert records
         for entry in records:
             assert {"site", "act_bits", "mse"} <= set(entry)
             assert entry["mse"] >= 0
         assert -1.0 <= cosine_similarity(out, fp_out) <= 1.0
-        assert 0.0 <= attention_locality(fp_map) <= 1.0
-        assert 0.0 <= attention_locality(amap) <= 1.0
+        assert 0.0 <= attention_locality(fp_stats) <= 1.0
+        assert 0.0 <= attention_locality(stats) <= 1.0
 
 
 class TestForwardStack:
@@ -616,18 +612,21 @@ class TestForwardStack:
         _, replay = forward_stack(blocks, x, forced_keeps=keeps)
         assert replay["kept_global"] == info["kept_global"]
 
-    @pytest.mark.parametrize("keywords", [
-        dict(schedule=agq.make_schedule(8, 2, 0.5, 2)),  # layers (2, 7)
-        dict(schedule=PruneSchedule(prune_layers=(-1, 3), final_ratio=0.5)),
-        dict(forced_keeps={9: [0, 1]}),
-        dict(forced_keeps={-1: [0, 1]}),
-    ], ids=["schedule-past-end", "schedule-negative", "keep-past-end", "keep-negative"])
-    def test_prune_layers_outside_the_stack_rejected(self, keywords):
+    @pytest.mark.parametrize("keywords,match", [
+        (dict(schedule=agq.make_schedule(8, 2, 0.5, 2)), "outside 0..3"),  # layers (2, 7)
+        (dict(schedule=PruneSchedule(prune_layers=(-1, 3), final_ratio=0.5)), "outside 0..3"),
+        (dict(forced_keeps={9: [0, 1]}), "outside 0..3"),
+        (dict(forced_keeps={-1: [0, 1]}), "outside 0..3"),
+        (dict(forced_keeps={1: [9]}), "^block 1: row index 9 out of range for 6 rows$"),
+    ], ids=["schedule-past-end", "schedule-negative", "keep-past-end", "keep-negative",
+            "keep-row-past-end"])
+    def test_prune_layers_outside_the_stack_rejected(self, keywords, match):
         """A prune or forced-keep layer that no block has is an error, not
-        silently skipped."""
+        silently skipped; so is a forced keep of a row its block does not
+        have, named by its block as a failing block is."""
         blocks = init_stack(BlockConfig(d_model=16, n_heads=2, d_ff=16, seed=4), 4)
         x = np.random.default_rng(4).standard_normal((6, 16)).astype(np.float32)
-        with pytest.raises(PipelineError, match="outside 0..3"):
+        with pytest.raises(PipelineError, match=match):
             forward_stack(blocks, x, **keywords)
 
 
@@ -635,15 +634,15 @@ def _assert_same_run(got, want):
     """Two ``forward_stack`` results agree bit for bit."""
     (out, info), (want_out, want_info) = got, want
     assert out.tobytes() == want_out.tobytes()
-    assert [m.probs.tobytes() for m in info["maps"]] == [
-        m.probs.tobytes() for m in want_info["maps"]]
+    assert [stats_bytes(s) for s in info["attention"]] == [
+        stats_bytes(s) for s in want_info["attention"]]
     for key in ("keeps", "kept_global", "kept_fractions", "sparsity"):
         assert info[key] == want_info[key], key
 
 
 class TestResume:
-    """``resume=(hidden, maps)`` continues after the blocks that made
-    ``maps``; the result equals the unresumed pass bit for bit."""
+    """``resume=(hidden, stats)`` continues after the blocks that made
+    ``stats``; the result equals the unresumed pass bit for bit."""
 
     N_BLOCKS = 4
 
@@ -664,7 +663,7 @@ class TestResume:
         want = forward_stack(blocks, x, schedule=schedule, trace=records)
         prefix_records = []
         pre_out, pre_info = forward_stack(blocks[:split], x, trace=prefix_records)
-        state = (pre_out, pre_info["maps"])
+        state = (pre_out, pre_info["attention"])
         resumed_records = list(prefix_records)
         got = forward_stack(blocks, x, schedule=schedule, trace=resumed_records, resume=state)
         _assert_same_run(got, want)
@@ -677,19 +676,19 @@ class TestResume:
         fp_out, fp_info = forward_stack(blocks[:split], x, fp_cfg)
         _assert_same_run(
             forward_stack(blocks, x, fp_cfg, forced_keeps=keeps,
-                          resume=(fp_out, fp_info["maps"])),
+                          resume=(fp_out, fp_info["attention"])),
             forward_stack(blocks, x, fp_cfg, forced_keeps=keeps))
 
     # name -> forward_stack keywords, given the state after blocks 0..2
     INVALID = {
-        "prune-layer-skipped": lambda out, maps: dict(
-            schedule=agq.make_schedule(4, 1, 0.5, 2), resume=(out, maps)),
-        "forced-keep-skipped": lambda out, maps: dict(
-            forced_keeps={1: [0, 1]}, resume=(out, maps)),
-        "more-maps-than-blocks": lambda out, maps: dict(resume=(out, maps + maps[:2])),
-        "no-maps": lambda out, maps: dict(resume=(out, [])),
-        "too-few-rows": lambda out, maps: dict(resume=(out[:-1], maps)),
-        "wrong-width": lambda out, maps: dict(resume=(np.hstack([out, out]), maps)),
+        "prune-layer-skipped": lambda out, stats: dict(
+            schedule=agq.make_schedule(4, 1, 0.5, 2), resume=(out, stats)),
+        "forced-keep-skipped": lambda out, stats: dict(
+            forced_keeps={1: [0, 1]}, resume=(out, stats)),
+        "more-stats-than-blocks": lambda out, stats: dict(resume=(out, stats + stats[:2])),
+        "no-stats": lambda out, stats: dict(resume=(out, [])),
+        "too-few-rows": lambda out, stats: dict(resume=(out[:-1], stats)),
+        "wrong-width": lambda out, stats: dict(resume=(np.hstack([out, out]), stats)),
     }
 
     @pytest.mark.parametrize("name", sorted(INVALID))
@@ -697,7 +696,7 @@ class TestResume:
         blocks, x, _ = self._stack("w4a8", "affine")
         out, info = forward_stack(blocks[:3], x)
         with pytest.raises(PipelineError, match="resume"):
-            forward_stack(blocks, x, **self.INVALID[name](out, info["maps"]))
+            forward_stack(blocks, x, **self.INVALID[name](out, info["attention"]))
 
     def test_decision_layer_may_be_the_last_resumed_block(self):
         blocks, x, _ = self._stack("w4a8", "affine")
@@ -705,7 +704,7 @@ class TestResume:
         out, info = forward_stack(blocks[:2], x)
         _assert_same_run(
             forward_stack(blocks, x, schedule=schedule, forced_keeps={3: [0]},
-                          resume=(out, info["maps"])),
+                          resume=(out, info["attention"])),
             forward_stack(blocks, x, schedule=schedule, forced_keeps={3: [0]}))
 
     def test_errors_number_blocks_globally(self, monkeypatch):
@@ -717,7 +716,7 @@ class TestResume:
 
         monkeypatch.setattr(agq.pipeline, "forward_block", fail)
         with pytest.raises(PipelineError, match="^block 2: stage failed$"):
-            forward_stack(blocks, x, resume=(out, info["maps"]))
+            forward_stack(blocks, x, resume=(out, info["attention"]))
 
 
 class TestAnalyzeOutliers:
@@ -761,53 +760,54 @@ class TestAttentionLocality:
         p[0, 0, 0] = 1.0
         for i in range(1, t):
             p[0, i, i - 1] = 1.0
-        assert attention_locality(AttentionMap(probs=p)) == pytest.approx(1.0)
+        assert attention_locality(stats_of(p)) == pytest.approx(1.0)
 
     def test_stripe_extreme(self):
         t = 8
         p = np.zeros((1, t, t))
         p[0, :, 0] = 1.0
         # only i = 1, 2 have column 0 inside the window
-        assert attention_locality(AttentionMap(probs=p)) == pytest.approx(2 / (t - 1))
+        assert attention_locality(stats_of(p)) == pytest.approx(2 / (t - 1))
 
     def test_uniform_causal_closed_form(self):
         t = 8
         p = np.tril(np.ones((1, t, t)))
         p /= p.sum(axis=2, keepdims=True)
         expect = np.mean([min(2, i) / (i + 1) for i in range(1, t)])
-        assert attention_locality(AttentionMap(probs=p)) == pytest.approx(expect)
+        assert attention_locality(stats_of(p)) == pytest.approx(expect)
 
     def test_single_token(self):
-        assert attention_locality(AttentionMap(probs=np.ones((2, 1, 1)))) == 1.0
+        assert attention_locality(stats_of(np.ones((2, 1, 1)))) == 1.0
 
     def test_nan_map_rejected(self):
         p = np.tril(np.ones((1, 4, 4)))
         p /= p.sum(axis=2, keepdims=True)
         p[0, 2, 1] = np.nan
-        with pytest.raises(PruneError, match="sum to 1"):
-            attention_locality(AttentionMap(probs=p))
+        with pytest.raises(PruneError, match=r"outside \[0, 1\]"):
+            attention_locality(stats_of(p))
 
     def test_negative_map_rejected(self):
         # rows sum to 1, yet without the check the locality would read 2.0
         p = np.array([[[1.0, 0, 0], [2, -1, 0], [3, -1, -1]]])
-        with pytest.raises(PruneError, match="negative"):
-            attention_locality(AttentionMap(probs=p))
+        with pytest.raises(PruneError, match=r"outside \[0, 1\]"):
+            attention_locality(stats_of(p))
 
 
 @settings(max_examples=150, deadline=None)
 @given(t=st.integers(1, 80), heads=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
        sparse=st.booleans(), f64=st.booleans())
 def test_locality_equals_row_loop(t, heads, seed, sparse, f64):
-    """The gathered locality equals the per-row loop bit for bit; ``sparse``
-    zeroes most entries, so many rows are near one-hot."""
+    """The locality of a map's statistics equals the per-row loop over the
+    map bit for bit; ``sparse`` zeroes most entries, so many rows are near
+    one-hot."""
     rng = np.random.default_rng(seed)
     w = rng.exponential(size=(heads, t, t)) * np.tri(t)
     if sparse:
         w *= rng.random((heads, t, t)) < 0.2
         w[:, np.arange(t), np.arange(t)] += 1e-3
     p = w / w.sum(axis=2, keepdims=True)
-    m = AttentionMap(probs=p if f64 else p.astype(np.float32))
-    assert attention_locality(m) == ref_attention_locality(m)
+    p = p if f64 else p.astype(np.float32)
+    assert attention_locality(stats_of(p)) == ref_attention_locality(p)
 
 
 class TestEmpiricalRegressions:

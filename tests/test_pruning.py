@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from helpers import stats_of
 from hypothesis import strategies as st
 
 from agq.pruning import (
-    AttentionMap,
+    AttentionStats,
     PruneError,
     PruneSchedule,
     default_start_layer,
@@ -19,7 +20,7 @@ from agq.pruning import (
 def uniform_causal(t, heads=1):
     p = np.tril(np.ones((t, t)))
     p /= p.sum(axis=1, keepdims=True)
-    return AttentionMap(probs=np.broadcast_to(p, (heads, t, t)).copy())
+    return stats_of(np.broadcast_to(p, (heads, t, t)))
 
 
 class TestScoreTokens:
@@ -31,14 +32,14 @@ class TestScoreTokens:
         t = 5
         p = np.zeros((1, t, t))
         p[:, :, 0] = 1.0
-        scores = score_tokens(AttentionMap(probs=p))
+        scores = score_tokens(stats_of(p))
         np.testing.assert_array_equal(scores, 1.0)
 
     def test_direct_readoff(self):
         p = np.array(
             [[[1.0, 0.0, 0.0], [0.6, 0.4, 0.0], [0.2, 0.3, 0.5]]]
         )
-        scores = score_tokens(AttentionMap(probs=p))
+        scores = score_tokens(stats_of(p))
         np.testing.assert_allclose(scores, [1.0, 0.6, 0.2])
 
     def test_start_score_is_one(self):
@@ -50,30 +51,34 @@ class TestScoreTokens:
         t, h = 6, 4
         p = np.tril(rng.uniform(0.1, 1.0, (h, t, t)))
         p /= p.sum(axis=2, keepdims=True)
-        m = AttentionMap(probs=p)
-        perm = AttentionMap(probs=p[[2, 0, 3, 1]])
+        m = stats_of(p)
+        perm = stats_of(p[[2, 0, 3, 1]])
         np.testing.assert_allclose(score_tokens(m), score_tokens(perm))
 
-    def test_rejects_non_causal(self):
-        p = np.full((1, 3, 3), 1 / 3)
-        with pytest.raises(PruneError):
-            validate_map(AttentionMap(probs=p))
-
     def test_rejects_unnormalized(self):
-        p = np.tril(np.ones((1, 3, 3)))
-        with pytest.raises(PruneError):
-            validate_map(AttentionMap(probs=p))
-        nan = uniform_causal(3).probs
-        nan[0, 1, 0] = np.nan  # below the diagonal, so only the row sum sees it
-        with pytest.raises(PruneError, match="sum to 1"):
-            validate_map(AttentionMap(probs=nan))
+        """Each of the three statistics is checked: an entry above 1 or NaN
+        is refused, as neither is a probability."""
+        for field in ("start", "prev1", "prev2"):
+            for bad in (1.5, np.nan):
+                s = uniform_causal(3)
+                getattr(s, field)[0, 2] = bad
+                with pytest.raises(PruneError, match=r"outside \[0, 1\]"):
+                    validate_map(s)
+        validate_map(stats_of(np.ones((1, 1, 1))))  # 1 itself is a probability
 
     def test_rejects_negative_probabilities(self):
         # causal rows that sum to 1 through negative entries
-        neg = AttentionMap(probs=np.array([[[1.0, 0, 0], [2, -1, 0], [3, -1, -1]]]))
+        neg = stats_of(np.array([[[1.0, 0, 0], [2, -1, 0], [3, -1, -1]]]))
         for check in (validate_map, score_tokens):
-            with pytest.raises(PruneError, match="negative"):
+            with pytest.raises(PruneError, match=r"outside \[0, 1\]"):
                 check(neg)
+
+    def test_rejects_mismatched_shapes(self):
+        s = uniform_causal(3)
+        with pytest.raises(PruneError, match="three"):
+            AttentionStats(s.start, s.prev1[:, :2], s.prev2)
+        with pytest.raises(PruneError, match="three"):
+            AttentionStats(s.start[0], s.prev1[0], s.prev2[0])
 
 
 class TestMakeSchedule:
@@ -109,8 +114,15 @@ class TestMakeSchedule:
                 assert abs((1 - g) ** m - (1 - beta)) <= 1e-9
 
     def test_errors(self):
+        """make_schedule and a directly built PruneSchedule refuse the same
+        final ratios and an empty layer list."""
+        for layers, beta in (((), 0.5), ((1,), 1.0), ((1,), -0.1), ((1,), np.nan)):
+            with pytest.raises(PruneError):
+                PruneSchedule(prune_layers=layers, final_ratio=beta)
         with pytest.raises(PruneError):
             make_schedule(4, 0, 1.0, 1)
+        with pytest.raises(PruneError):
+            make_schedule(4, 0, 0.3, -1)
         with pytest.raises(PruneError):
             make_schedule(4, 0, 0.3, 0)
         with pytest.raises(PruneError):
@@ -250,7 +262,7 @@ def test_prune_step_properties(gamma, heads, seed, t):
     rng = np.random.default_rng(seed)
     p = np.tril(rng.uniform(0.01, 1.0, (heads, t, t)))
     p /= p.sum(axis=2, keepdims=True)
-    scores = score_tokens(AttentionMap(probs=p))
+    scores = score_tokens(stats_of(p))
     assert scores[0] == pytest.approx(1.0)
     assert scores.min() >= 0 and scores.max() <= 1
     x = rng.standard_normal((t, 3)).astype(np.float32)

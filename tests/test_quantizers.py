@@ -8,7 +8,6 @@ from agq.quantizers import (
     SCALE_EPS,
     AffineParams,
     CodeRange,
-    KindMismatchError,
     Log2Params,
     QuantError,
     _codes,
@@ -168,7 +167,7 @@ class TestDequantizeAffine:
 
     def test_kind_mismatch(self):
         q = quantize_log2(t2d([1.0, 0.5]), 4)
-        with pytest.raises(KindMismatchError):
+        with pytest.raises(QuantError, match="^expected affine tensor, got log2$"):
             dequantize_affine(q)
 
 
@@ -215,7 +214,7 @@ class TestLog2:
 
     def test_kind_mismatch(self):
         q = quantize_affine(t2d([1.0]), fit_affine(t2d([0.0, 1.0]), 8))
-        with pytest.raises(KindMismatchError):
+        with pytest.raises(QuantError, match="^expected log2 tensor, got affine$"):
             dequantize_log2(q)
 
     @pytest.mark.parametrize("bits", [0, 1, 9, 16, -1])

@@ -15,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from helpers import stats_bytes
 
 import agq
 from agq.cli import main
@@ -183,7 +184,7 @@ def test_diagnostics_run_only_for_a_trace(monkeypatch, act_quantizer):
 def test_trace_records_without_changing_the_pass(mode, act_quantizer):
     """With ``trace=[]`` each quantized block appends its 4 weight-site
     records and one attn_v record per head, in pass order; the output,
-    attention maps and kept indices equal the bare pass's. At T = 256 the
+    attention statistics and kept indices equal the bare pass's. At T = 256 the
     two blocks up to the prune run causal row bands, traced or not."""
     n_blocks = 3
     cfg = BlockConfig(sites=preset_sites(mode, act_quantizer=act_quantizer))
@@ -200,8 +201,8 @@ def test_trace_records_without_changing_the_pass(mode, act_quantizer):
         bare_out, bare_info = forward_stack(blocks, x, schedule=schedule)
         assert out.tobytes() == bare_out.tobytes()
         assert info["keeps"] == bare_info["keeps"]
-        assert [m.probs.tobytes() for m in info["maps"]] == [
-            m.probs.tobytes() for m in bare_info["maps"]]
+        assert [stats_bytes(s) for s in info["attention"]] == [
+            stats_bytes(s) for s in bare_info["attention"]]
         assert "sites" not in info
         assert [(r["site"], r["act_bits"]) for r in records] == per_block * n_blocks
         assert all(r["mse"] >= 0.0 for r in records)
