@@ -66,6 +66,7 @@ from .pruning import (
 from .quantizers import (
     F32_MAX,
     ChannelSymmetricParams,
+    CodeRange,
     QuantTensor,
     _quantize_heads,
     _quantize_log2,
@@ -189,11 +190,13 @@ class Block:
     # shift these codes (8-bit sites) or repeat lane channels (4-bit sites).
     weight_q: dict[str, QuantTensor]
     packed: dict[str, PackedInt4Matrix]  # weight_q codes + weight_zero_point, output-major
+    shifted: dict[str, tuple[ChannelSymmetricParams, ...]]  # _shifted_params of weight_q params
 
 
 def init_block(cfg: BlockConfig) -> Block:
     """Deterministic scaled-normal weights plus their 4-bit codes, quantized
-    and packed once here and never per call.
+    and packed, and their code ranges shifted for each TRIP cap, once here
+    and never per call.
 
     Draws wq, wk, wv, wo, w1, w2 in that order; the first three are stored
     as the one fused (d, 3d) linear-transform weight.
@@ -211,7 +214,16 @@ def init_block(cfg: BlockConfig) -> Block:
     zp = Int4GemmParams.weight_zero_point
     packed = {name: pack_weights_for_gemm((wq.codes + zp).astype(np.uint8))
               for name, wq in weight_q.items()}
-    return Block(cfg=cfg, weights=weights, weight_q=weight_q, packed=packed)
+    shifted = {name: _shifted_params(wq.params) for name, wq in weight_q.items()}
+    return Block(cfg=cfg, weights=weights, weight_q=weight_q, packed=packed, shifted=shifted)
+
+
+def _shifted_params(p: ChannelSymmetricParams) -> tuple[ChannelSymmetricParams, ...]:
+    """``p`` with its code range shifted left by c, at index c in
+    0..MAX_TRIP_CAP: the params of an 8-bit TRIP site's shifted weights."""
+    bits, signed = p.range.bits, p.range.signed
+    return (p,) + tuple(ChannelSymmetricParams(CodeRange(bits, signed, shift=c), p.scales)
+                        for c in range(1, MAX_TRIP_CAP + 1))
 
 
 def init_stack(cfg: BlockConfig, n_blocks: int) -> list[Block]:
@@ -222,12 +234,18 @@ def _layernorm(x: np.ndarray) -> np.ndarray:
     x64 = x.astype(np.float64)
     mu = x64.mean(axis=1, keepdims=True)
     var = x64.var(axis=1, keepdims=True)
-    return ((x64 - mu) / np.sqrt(var + 1e-5)).astype(np.float32)
+    x64 -= mu
+    x64 /= np.sqrt(var + 1e-5)
+    return x64.astype(np.float32)
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    x64 = x.astype(np.float64)
-    return (x64 / (1.0 + np.exp(-x64))).astype(np.float32)
+    d = x.astype(np.float64)
+    np.negative(d, out=d)
+    np.exp(d, out=d)
+    d += 1.0
+    np.divide(x, d, out=d)  # float32 x widens exactly
+    return d.astype(np.float32)
 
 
 def _softmax_causal(scores: np.ndarray, r0: int) -> None:
@@ -259,19 +277,19 @@ def _mse(x: np.ndarray, dequant: np.ndarray) -> float:
     return float(d.mean())
 
 
-def _site_product(aq: QuantTensor, wq: QuantTensor, packed: PackedInt4Matrix) -> np.ndarray:
+def _site_product(aq: QuantTensor, wq: QuantTensor, packed: PackedInt4Matrix,
+                  shifted: tuple[ChannelSymmetricParams, ...]) -> np.ndarray:
     """Quantized activations ``aq`` times a site's 4-bit weight codes ``wq``,
     which ``packed`` holds as nibbles. TRIP exponents act on integers only,
-    exactly: 8-bit codes meet weight row c shifted left by alpha_c, and 4-bit
-    codes stay nibbles in the lane GEMM, with channel c counted
+    exactly: 8-bit codes meet weight row c shifted left by alpha_c, under
+    the params ``shifted[cap]`` (``shifted`` is ``_shifted_params(wq.params)``),
+    and 4-bit codes stay nibbles in the lane GEMM, with channel c counted
     2^(alpha_c - min alpha) times and the scale times 2^min alpha. At cap 0
     the exponents are all 0 and the codes meet the weights as they are."""
     p = aq.params
     if p.range.bits == 8:
         if p.cap:
-            shifted = ChannelSymmetricParams(range=replace(wq.params.range, shift=p.cap),
-                                             scales=wq.params.scales)
-            wq = QuantTensor(wq.codes << p.alphas.astype(np.int32)[:, None], shifted)
+            wq = QuantTensor(wq.codes << p.alphas.astype(np.int32)[:, None], shifted[p.cap])
         return gemm_int_affine(aq, wq)
     codes, scale = aq.codes.astype(np.uint8), p.scale
     if p.cap:
@@ -295,7 +313,7 @@ def _site_matmul(block: Block, cfg: BlockConfig, name: str, x: np.ndarray,
     if trace is not None:
         trace.append({"site": name, "act_bits": sc.act_bits,
                       "mse": _mse(x, dequantize_trip(aq))})
-    return _site_product(aq, block.weight_q[name], block.packed[name])
+    return _site_product(aq, block.weight_q[name], block.packed[name], block.shifted[name])
 
 
 def _band_rows(cfg: BlockConfig, t: int, q_heads, k_heads) -> int:

@@ -5,8 +5,11 @@ an integer exponent alpha_c in {0..K} so its effective step is 2^alpha_c * s.
 So ``TripParams`` is an ``AffineParams`` (code range, s, zero point) plus the
 exponents and their cap K, fitted and validated as one object.
 The exponents are chosen per channel by exhaustively minimizing the L2
-round-trip reconstruction error, every exponent in one broadcast pass over a
-(cap+1, T, C) buffer that sums rows in the order of a per-exponent loop. The
+round-trip reconstruction error, every exponent at once, in row bands of at
+most 2^15 elements per exponent (a single channel is one band): one
+(cap+1, rows, C) buffer, reused from band to band, whose column sums carry
+over so that rows add in the order of a per-exponent loop over the whole
+input. The
 pipeline applies them as exact integer work on the plain 4-bit weight codes:
 an 8-bit site shifts weight row c left by alpha_c, and a 4-bit site counts
 channel c 2^(alpha_c - min alpha) times in the lane GEMM. At cap 0 every
@@ -34,6 +37,9 @@ from .quantizers import (
 from .tensor_store import as_tensor2d
 
 MAX_TRIP_CAP = 6  # largest channel exponent, as in the run-config schema
+# Elements per exponent in one band of the exponent search: at cap 3 its
+# (cap+1, rows, C) float64 buffer is 1 MiB, in a per-core L2.
+_BAND_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -83,16 +89,28 @@ def _fit_trip(x: np.ndarray, bits: int, cap: int) -> TripParams:
         return TripParams(rng, scale, zp, alphas=np.zeros(x.shape[1], dtype=np.int64), cap=0)
 
     # x / (2^a * s) is exactly (x / s) * 2^-a, so divide by s once; codes are
-    # kept shifted by -zp, and one buffer holds them, the residuals and squares
+    # kept shifted by -zp, and one band buffer holds them, the residuals and
+    # squares. Each band adds the column sums so far into its first row:
+    # numpy then sums the band's rows in order (for C >= 2; one column is
+    # summed pairwise, so it stays one band), the rounding of one pass.
+    t, c = x.shape
+    rows = t if c == 1 else max(1, _BAND_ELEMENTS // c)
     a = np.arange(cap + 1)[:, None, None]
-    base_steps = x.astype(np.float64)
-    base_steps /= scale
-    r = np.multiply(base_steps, np.ldexp(1.0, -a))
-    _clip(np.rint(r, out=r), rng.lo - zp, rng.hi - zp)
-    r *= np.ldexp(scale, a)  # the steps 2^a * s
-    np.subtract(x, r, out=r)
-    np.square(r, out=r)
-    err = np.add.reduce(r, axis=1)  # row a: channel errors at exponent a
+    inv_steps, steps = np.ldexp(1.0, -a), np.ldexp(scale, a)
+    buf = np.empty((cap + 1, min(rows, t), c))
+    err = None
+    for r0 in range(0, t, rows):
+        xb = x[r0:r0 + rows]
+        base_steps = xb.astype(np.float64)
+        base_steps /= scale
+        r = np.multiply(base_steps, inv_steps, out=buf[:, :len(xb)])
+        _clip(np.rint(r, out=r), rng.lo - zp, rng.hi - zp)
+        r *= steps
+        np.subtract(xb, r, out=r)
+        np.square(r, out=r)
+        if err is not None:
+            r[:, 0] += err
+        err = np.add.reduce(r, axis=1)  # row a: channel errors at exponent a
     np.sqrt(err, out=err)  # what np.linalg.norm(axis=0) computes
     alphas = err.argmin(axis=0).astype(np.int64)  # first minimum: ties keep the smaller exponent
     return TripParams(rng, scale, zp, alphas=alphas, cap=cap)

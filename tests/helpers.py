@@ -83,14 +83,28 @@ def ref_softmax_causal(scores):
     return (e / np.array(sums)[:, None]).astype(np.float32)
 
 
+def ref_layernorm(x):
+    """Row-wise layernorm, out of place in float64, narrowed to float32."""
+    x64 = x.astype(np.float64)
+    mu = x64.mean(axis=1, keepdims=True)
+    var = x64.var(axis=1, keepdims=True)
+    return ((x64 - mu) / np.sqrt(var + 1e-5)).astype(np.float32)
+
+
+def ref_silu(x):
+    """``x / (1 + exp(-x))``, out of place in float64, narrowed to float32."""
+    x64 = x.astype(np.float64)
+    return (x64 / (1.0 + np.exp(-x64))).astype(np.float32)
+
+
 def ref_forward_block(block, x, cfg, trace=None):
     """``forward_block`` with a per-head attention loop: each head fits and
     quantizes its own q, k^T and v slices through the public quantizers and
     runs its own softmax and log2 quantization on the whole (T, T) map,
-    raising as the pipeline does if a qk score overflows. The weight sites,
-    layernorm, gate and MSE are the pipeline's own; ``trace`` gets the same
-    records."""
-    from agq.pipeline import _layernorm, _mse, _silu, _site_matmul
+    raising as the pipeline does if a qk score overflows. The weight sites
+    and MSE are the pipeline's own, layernorm and gate are ``ref_layernorm``
+    and ``ref_silu``; ``trace`` gets the same records."""
+    from agq.pipeline import _mse, _site_matmul
 
     site = functools.partial(_site_matmul, block, cfg, trace=trace)
     t, d = x.shape
@@ -121,7 +135,7 @@ def ref_forward_block(block, x, cfg, trace=None):
         ctx[:, sl] = agq.gemm_log2_attnv(probs_q,
                                          agq.quantize_affine(vh, agq.fit_affine(vh, 8)))
     h1 = x + site("projection", ctx)
-    return h1 + site("fc2", _silu(site("fc1", _layernorm(h1)))), probs
+    return h1 + site("fc2", ref_silu(site("fc1", ref_layernorm(h1)))), probs
 
 
 def stats_of(probs):

@@ -14,6 +14,8 @@ from helpers import (
     prune_benefit_trial,
     ref_attention_locality,
     ref_forward_block,
+    ref_layernorm,
+    ref_silu,
     ref_softmax_causal,
     stats_bytes,
     stats_of,
@@ -28,6 +30,8 @@ from agq.pipeline import (
     BlockConfig,
     PipelineError,
     SiteConfig,
+    _layernorm,
+    _silu,
     _softmax_causal,
     analyze_outliers,
     attention_locality,
@@ -195,6 +199,22 @@ def test_softmax_equals_minus_inf_oracle(t, seed, amp, ties, heads, cuts):
         _softmax_causal(band, r0)
         assert band.tobytes() == want[..., r0:r1, :r1].tobytes()
         assert (band <= 1.0).all()
+
+
+@pytest.mark.parametrize("shape", [(1, 64), (37, 256), (1024, 2048)])
+def test_nonlinearities_equal_out_of_place_oracles(shape):
+    """The in-place layernorm and SiLU equal their out-of-place formulas bit
+    for bit, on random rows of every magnitude and on extreme and constant
+    rows."""
+    rng = np.random.default_rng(shape[0])
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    x[0, :6] = [0.0, -0.0, 90.0, -90.0, 1e4, -1e4]
+    for value in (0.0, -0.0, 90.0, -90.0, 1e4, -1e4)[:len(x) - 1]:
+        x[1 + int(rng.integers(len(x) - 1))] = value  # constant rows
+    x = x.astype(np.float32)
+    with np.errstate(over="ignore"):  # exp(1e4) is inf in both, as in forward_block
+        assert _layernorm(x).tobytes() == ref_layernorm(x).tobytes()
+        assert _silu(x).tobytes() == ref_silu(x).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -460,6 +480,21 @@ def test_forward_does_no_weight_work(sites, monkeypatch):
     calls.update(dict.fromkeys(names, 0))
     forward_stack(blocks, x)
     assert calls == dict.fromkeys(names, 0)
+
+
+@pytest.mark.parametrize("cap", range(1, 7))
+def test_shifted_weight_params_made_in_init_block(cap, monkeypatch):
+    """Every cap's shifted weight params are made by init_block, so a pass
+    at any cap, even one the block was not built with, builds none."""
+    block = init_block(BlockConfig(sites=preset_sites("w4a8", trip_cap=0), seed=cap))
+    x = np.random.default_rng(cap).standard_normal((8, 64)).astype(np.float32)
+    cfg = replace(block.cfg, sites=preset_sites("w4a8", trip_cap=cap))
+    want, _ = forward_block(block, x, cfg)
+    built = []
+    monkeypatch.setattr(agq.pipeline, "ChannelSymmetricParams",
+                        lambda *args, **kwargs: built.append(args))
+    got, _ = forward_block(block, x, cfg)
+    assert built == [] and got.tobytes() == want.tobytes()
 
 
 def fp_pass(b, x):

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from agq import kernels
 from agq.kernels import pack_weights_for_gemm
-from agq.pipeline import _site_product
+from agq.pipeline import _shifted_params, _site_product
 from agq.quantizers import (
     ChannelSymmetricParams,
     CodeRange,
@@ -263,6 +264,51 @@ def test_fit_equals_norm_loop_oracle(shape, seed, amp, bits, cap, on_grid):
     np.testing.assert_array_equal(p.alphas, ref.alphas)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 700), st.sampled_from([1, 2, 3, 130, 256, 700]), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-30, 1e-3, 1.0, 1e3, 1e30, 3e38]), st.integers(2, 8),
+       st.integers(0, 6), st.booleans())
+@example(700, 700, 0, 1.0, 4, 6, False)  # 46-row bands, a 10-row last one
+@example(700, 130, 1, 3e38, 8, 3, True)  # 252-row bands
+@example(257, 256, 2, 1e-30, 4, 3, True)  # 128-row bands, a 1-row last one
+@example(700, 1, 3, 1.0, 8, 6, False)  # one column: one band, summed pairwise
+@example(40000, 1, 4, 1e3, 4, 6, False)  # past 2^15 rows, still one band
+def test_banded_fit_equals_norm_loop_oracle(t, c, seed, amp, bits, cap, on_grid):
+    """Fits past one band of 2^15 elements per exponent carry their column
+    sums from band to band and still equal the oracle bit for bit."""
+    test_fit_equals_norm_loop_oracle.hypothesis.inner_test((t, c), seed, amp, bits, cap,
+                                                           on_grid)
+
+
+@pytest.mark.parametrize("contiguous", [True, False])
+@pytest.mark.parametrize("c", [1, 2, 3, 130])
+def test_numpy_sums_rows_in_order(c, contiguous):
+    """The banded fit relies on this: for C >= 2, ``np.add.reduce(r,
+    axis=1)`` over an (A, n, C) array, contiguous or a row slice, adds the
+    rows in order, so a running sum added into a band's first row rounds
+    as one pass. A single column is summed pairwise instead."""
+    rng = np.random.default_rng(c)
+    r = rng.standard_normal((4, 705, c)) * 10.0 ** rng.integers(-8, 8, (4, 705, c))
+    r = np.ascontiguousarray(r[:, :700]) if contiguous else r[:, :700]
+    in_order = r[:, 0].copy()
+    for row in r[:, 1:].transpose(1, 0, 2):
+        in_order += row
+    assert np.array_equal(np.add.reduce(r, axis=1), in_order) == (c >= 2)
+
+
+def test_fit_memory_stays_in_one_band():
+    """A (1024, 256) fit at cap 3 holds one 1 MiB band buffer, not the whole
+    8 MiB (cap+1, T, C) float64 stack."""
+    x = np.random.default_rng(0).standard_normal((1024, 256)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        fit_trip(x, 4, cap=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def _trip_site(m, k, n, bits, cap, seed, alphas=None):
     """Random TRIP activation codes against random 4-bit weight codes, as
     (aq, wq, packed) for ``_site_product``."""
@@ -290,7 +336,7 @@ class TestShiftedProduct:
     @example(m=3, k=70, n=5, bits=4, cap=6, seed=0)  # repeated k far past 256
     def test_equals_int64_oracle(self, m, k, n, bits, cap, seed):
         aq, wq, packed = _trip_site(m, k, n, bits, cap, seed)
-        got = _site_product(aq, wq, packed)
+        got = _site_product(aq, wq, packed, _shifted_params(wq.params))
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, ref_trip_product(aq, wq))
 
@@ -303,16 +349,16 @@ class TestShiftedProduct:
         raw = kernels.gemm_int4_raw
         monkeypatch.setattr(kernels, "gemm_int4_raw",
                             lambda a, p, **kw: inner.append(p.cols) or raw(a, p, **kw))
-        got = _site_product(aq, wq, packed)
+        got = _site_product(aq, wq, packed, _shifted_params(wq.params))
         assert inner == [20 + 20 * 2**cap] and inner[0] > kernels.MAX_LANE_ADDITIONS
         np.testing.assert_array_equal(got, ref_trip_product(aq, wq))
 
     def test_lane_path_equals_scalar_lane_model(self, monkeypatch):
         aq, wq, packed = _trip_site(2, 5, 3, 4, 2, 9, alphas=[2, 0, 1, 2, 1])
-        vector = _site_product(aq, wq, packed)
+        vector = _site_product(aq, wq, packed, _shifted_params(wq.params))
         monkeypatch.setattr(kernels, "gemm_int4_raw",
                             functools.partial(kernels.gemm_int4_raw, impl="scalar"))
-        scalar = _site_product(aq, wq, packed)
+        scalar = _site_product(aq, wq, packed, _shifted_params(wq.params))
         np.testing.assert_array_equal(scalar, vector)
         np.testing.assert_array_equal(scalar, ref_trip_product(aq, wq))
 
