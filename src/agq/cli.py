@@ -155,8 +155,8 @@ def _schedule(cfg: dict):
 
 def _store_input(path: str, name: str) -> np.ndarray:
     """Float32 store tensor ``name`` as forward-pass input, at most the schema's
-    ``sequence_length`` maximum of rows, as an FP32 or traced pass holds a
-    rows^2 buffer per head."""
+    ``sequence_length`` maximum of rows, as a traced pass holds a rows^2
+    buffer per head."""
     x = tensor_store.load_store(path).get(name)
     if x is None:
         raise tensor_store.StoreError(f"tensor {name!r} not in store")

@@ -18,21 +18,21 @@ block, each head with its own fit; every per-head stack is (heads, rows, cols).
 
 The attention chain (qk product, causal softmax, log2 quantizer, attn_v
 product) is one loop over causal row bands of all heads, one body per band,
-in one (heads, BAND_ROWS, T) buffer. Bands of BAND_ROWS query rows ``[r0,
-r1)`` read key columns ``[0, r1)`` only, so the zeros above the diagonal are
-never computed; they run bottom band first, so later, smaller temporaries
-reuse the first ones' memory. No (heads, T, T) map is kept: each band
-writes its rows of the ``AttentionStats`` (the probabilities on token 0 and
-on the two previous tokens) from its own softmax. Bands give the bytes of a
-whole-map pass: the integer qk and attn_v sums are exact in any order,
-softmax row i sums over BAND_ROWS * (i // BAND_ROWS + 1) columns,
-zero-padded, whatever T is (numpy's pairwise sum depends on the row length),
-and the log2 quantizer takes the map's maximum, which is exactly 1.0: row 0
-is exp(0) / 1, and no rounded quotient of non-negative numbers exceeds it. One band of T rows runs for FP32 qk or attn_v sites
-(``gemm_f32`` is not order-exact) and qk scores that might overflow float32
-(``_finite`` must see them all), in a (heads, T, T) buffer; its softmax
-still runs in BAND_ROWS-row slabs, so the softmax's float64 buffer holds at
-most one band of rows on every path. The qk and attn_v products run per head
+in one (heads, BAND_ROWS, T) buffer, at every site precision. Bands of
+BAND_ROWS query rows ``[r0, r1)`` read key columns ``[0, r1)`` only, so the
+scores right of a band's diagonal block are never computed, and those above
+the diagonal inside it are zeroed before the qk finiteness check: only
+causal scores can make a block raise, and each output row depends only on
+its own and earlier rows. Bands run bottom band first, so later, smaller
+temporaries reuse the first ones' memory. No (heads, T, T) map is kept: each
+band writes its rows of the ``AttentionStats`` (the probabilities on token 0
+and on the two previous tokens) from its own softmax. Bands give the bytes of a whole-map pass: the
+integer qk and attn_v sums are exact in any order, ``gemm_f32`` adds exact
+float32 products in float64 in k order, softmax row i sums over BAND_ROWS *
+(i // BAND_ROWS + 1) columns, zero-padded, whatever T is (numpy's pairwise
+sum depends on the row length), and the log2 quantizer takes the map's
+maximum, which is exactly 1.0: row 0 is exp(0) / 1, and no rounded quotient
+of non-negative numbers exceeds it. The qk and attn_v products run per head
 and band, through the public kernels. Per-site MSE records are made only for
 a caller that passes a ``trace`` list, which runs the same bands; the attn_v
 record needs each head's whole (T, T) error, so only a traced quantized pass
@@ -64,7 +64,6 @@ from .pruning import (
     validate_map,
 )
 from .quantizers import (
-    F32_MAX,
     ChannelSymmetricParams,
     CodeRange,
     QuantTensor,
@@ -80,7 +79,7 @@ from .trip import MAX_TRIP_CAP, _fit_trip, _quantize_trip, dequantize_trip
 SITES = ("linear_transform", "qk", "attn_v", "projection", "fc1", "fc2")
 # Sites whose inputs come after the self-attention product and may run 4-bit.
 POST_ATTENTION_SITES = frozenset({"attn_v", "projection", "fc1", "fc2"})
-BAND_ROWS = 64  # causal row band height of the quantized attention chain
+BAND_ROWS = 64  # causal row band height of the attention chain
 _FUTURE = np.triu(np.ones((BAND_ROWS, BAND_ROWS), dtype=bool), 1)  # above a band's diagonal
 
 
@@ -88,13 +87,17 @@ class PipelineError(Exception):
     pass
 
 
-def _int_field(cfg, name: str, ok, says: str) -> None:
-    """Keep field ``name`` of the frozen ``cfg`` as a Python int (numpy's narrow
-    ones overflow later); raise on a bool, a float or a value ``ok`` refuses."""
-    value = getattr(cfg, name)
+def _integer(name: str, value, ok, says: str) -> int:
+    """``value`` as a Python int (numpy's narrow ones overflow later); raise
+    on a bool, a float or a value ``ok`` refuses."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not ok(value):
         raise PipelineError(f"{name} must be {says}, got {value!r}")
-    object.__setattr__(cfg, name, int(value))
+    return int(value)
+
+
+def _int_field(cfg, name: str, ok, says: str) -> None:
+    """Keep field ``name`` of the frozen ``cfg`` as a checked Python int."""
+    object.__setattr__(cfg, name, _integer(name, getattr(cfg, name), ok, says))
 
 
 @dataclass(frozen=True)
@@ -227,6 +230,7 @@ def _shifted_params(p: ChannelSymmetricParams) -> tuple[ChannelSymmetricParams, 
 
 
 def init_stack(cfg: BlockConfig, n_blocks: int) -> list[Block]:
+    n_blocks = _integer("n_blocks", n_blocks, lambda v: v >= 1, "an integer >= 1")
     return [init_block(replace(cfg, seed=cfg.seed + i)) for i in range(n_blocks)]
 
 
@@ -316,23 +320,6 @@ def _site_matmul(block: Block, cfg: BlockConfig, name: str, x: np.ndarray,
     return _site_product(aq, block.weight_q[name], block.packed[name], block.shifted[name])
 
 
-def _band_rows(cfg: BlockConfig, t: int, q_heads, k_heads) -> int:
-    """BAND_ROWS where bands are exact (see the module docstring), else t:
-    one band, which up to BAND_ROWS rows is all there is. Bands skip the qk
-    scores above the diagonal, so they need proof that none overflows
-    float32: head h's scores are at most d_head * hi * s_q * hi * s_k in
-    magnitude, as its unsigned codes ``q_heads[h]`` and ``k_heads[h]`` lie
-    within hi of their zero points. Each bound, in float64, must stay below
-    half of float32's largest value.
-    """
-    if t <= BAND_ROWS or 32 in (cfg.site("qk").act_bits, cfg.site("attn_v").act_bits):
-        return t
-    bound = max(qh.cols * qh.params.range.hi * qh.params.scale
-                * kh.params.range.hi * kh.params.scale
-                for qh, kh in zip(q_heads, k_heads))
-    return BAND_ROWS if bound < F32_MAX / 2 else t
-
-
 def _finite(x: np.ndarray, stage: str) -> np.ndarray:
     """Pass ``x`` on, or raise if a stage overflowed float32 into Inf/NaN."""
     if not np.isfinite(x).all():
@@ -371,10 +358,9 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
     stats = np.zeros((3, nh, t), dtype=np.float32)
     start, prev1, prev2 = stats
     err = np.zeros((nh, t, t)) if trace is not None and av_sc.act_bits < 32 else None
-    rows = _band_rows(cfg, t, q_heads, k_heads)
-    band = np.empty((nh, rows, t), dtype=np.float32)
-    for r0 in reversed(range(0, t, rows)):
-        r1 = min(r0 + rows, t)
+    band = np.empty((nh, min(t, BAND_ROWS), t), dtype=np.float32)
+    for r0 in reversed(range(0, t, BAND_ROWS)):
+        r1 = min(r0 + BAND_ROWS, t)
         scores = band[:, :r1 - r0, :r1]  # replaced by their softmax
         for h in range(nh):
             if qk_sc.act_bits == 32:
@@ -384,11 +370,9 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
                 scores[h] = gemm_int_affine(QuantTensor(qh.codes[r0:r1], qh.params),
                                             QuantTensor(kh.codes[:r1].T, kh.params))
         scores /= np.float32(np.sqrt(dh))
+        np.copyto(scores[..., r0:], 0, where=_FUTURE[:r1 - r0, :r1 - r0])  # read by no output
         _finite(scores, "qk")
-        for s0 in range(r0, r1, BAND_ROWS):  # one slab, or a one-band pass's several
-            slab = scores[:, s0 - r0:s0 - r0 + BAND_ROWS]
-            slab[..., s0 + BAND_ROWS:] = 0  # a one-band pass's qk scores past the slab
-            _softmax_causal(slab[..., :s0 + BAND_ROWS], s0)
+        _softmax_causal(scores, r0)
         start[:, r0:r1] = scores[..., 0]
         prev1[:, max(r0, 1):r1] = scores.diagonal(r0 - 1, 1, 2)
         prev2[:, max(r0, 2):r1] = scores.diagonal(r0 - 2, 1, 2)
@@ -473,6 +457,9 @@ def forward_stack(blocks: list[Block], x, cfg: BlockConfig | None = None,
 def cosine_similarity(a, b) -> float:
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
+    if a.size != b.size:
+        raise PipelineError(f"cosine_similarity inputs must be the same size, "
+                            f"got {a.size} and {b.size}")
     denom = np.linalg.norm(a) * np.linalg.norm(b)
     if denom == 0:
         return 1.0 if np.array_equal(a, b) else 0.0
@@ -533,11 +520,15 @@ def attention_locality(s: AttentionStats) -> float:
 def make_outlier_input(t: int, d: int, outlier_channels, outlier_tokens,
                        amplitude: float = 16.0, seed: int = 0) -> np.ndarray:
     """Synthetic activations: bounded inliers plus large fixed-channel
-    outliers injected into the given (intended low-importance) tokens."""
+    outliers injected into the given (intended low-importance) tokens, each
+    index within the rows or columns it names."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, size=(t, d)).astype(np.float32)
-    for tok in outlier_tokens:
-        for ch in outlier_channels:
+    index = lambda name, i, n: _integer(name, i, lambda v: 0 <= v < n, f"an index in 0..{n - 1}")
+    tokens = [index("outlier_tokens", i, t) for i in outlier_tokens]
+    channels = [index("outlier_channels", i, d) for i in outlier_channels]
+    for tok in tokens:
+        for ch in channels:
             x[tok, ch] = amplitude
     return x
 

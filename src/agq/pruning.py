@@ -72,12 +72,17 @@ class PruneSchedule:
         return 1.0 - (1.0 - self.final_ratio) ** (1.0 / len(self.prune_layers))
 
 
+def _integers(**values) -> None:
+    """Raise unless every value is an integer; a bool or a float is not."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise PruneError(f"{name} must be an integer, got {value!r}")
+
+
 def make_schedule(n: int, start_layer: int, beta: float, m: int) -> PruneSchedule:
     """Place m prune layers evenly from start_layer to the last layer; their
     spacing is at least 1, so the rounded layers are distinct."""
-    for name, value in (("n", n), ("start_layer", start_layer), ("m", m)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise PruneError(f"{name} must be an integer, got {value!r}")
+    _integers(n=n, start_layer=start_layer, m=m)
     if start_layer < 0:
         raise PruneError(f"start layer must be non-negative, got {start_layer}")
     if start_layer + m > n:
@@ -88,8 +93,12 @@ def make_schedule(n: int, start_layer: int, beta: float, m: int) -> PruneSchedul
 
 
 def default_start_layer(n: int) -> int:
-    """Early layers attend locally, so pruning starts a quarter of the way in."""
-    return max(1, n // 4)
+    """Early layers attend locally, so pruning starts a quarter of the way
+    into a stack of n >= 1 layers."""
+    _integers(n=n)
+    if n < 1:
+        raise PruneError(f"n must be at least 1, got {n}")
+    return max(1, int(n) // 4)
 
 
 def prune_step(x, scores, gamma: float):

@@ -13,7 +13,10 @@ run traced and untraced:
 - the benchmark's three geometries (d_model 64, 4 heads, d_ff 256, TRIP at
   cap 3): w4a4 with 4 blocks at T = 256, w4a8 with 4 blocks at T = 16, and
   w4a8 with 8 blocks at T = 128 pruned by beta 0.5 over 2 layers. Their
-  inputs are seeded normals with three large channels.
+  inputs are seeded normals with three large channels;
+- the FP32 passes the benchmark runs on those geometries: each one's
+  ``replace(cfg, sites={})`` pass, and the 8-block pass with the pruned
+  run's kept indices as forced keeps.
 
 The file is not a test module; it imports agq from the tree it sits in.
 """
@@ -21,6 +24,7 @@ The file is not a test module; it imports agq from the tree it sits in.
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +38,15 @@ from agq.pruning import PruneSchedule, default_start_layer, make_schedule  # noq
 
 
 def cases():
-    """Yield (name, blocks, x, schedule) for every case."""
+    """Yield (name, blocks, x, forward_stack keywords) for every case."""
     at_block_0 = PruneSchedule(prune_layers=(0,), final_ratio=0.5)
     for t, d_model, n_heads in GRID_SHAPES:
         for act_quantizer in GRID_QUANTIZERS:
             for mode in GRID_MODES:
                 cfg, x = grid_case(mode, act_quantizer, t, d_model, n_heads)
                 yield (f"{mode}-{act_quantizer}-T{t}-d{d_model}-h{n_heads}",
-                       init_stack(cfg, 2), x, at_block_0)
+                       init_stack(cfg, 2), x, {"schedule": at_block_0})
+    fp32 = []  # run last, so the earlier cases keep their order and digests
     for mode, n_blocks, t, schedule in (
         ("w4a4", 4, 256, None),
         ("w4a8", 4, 16, None),
@@ -50,13 +55,21 @@ def cases():
         cfg = BlockConfig(d_model=64, n_heads=4, d_ff=256, sites=preset_sites(mode))
         x = np.random.default_rng(t).standard_normal((t, 64))
         x[:, [5, 22, 47]] *= 8.0
-        yield (f"{mode}-{n_blocks}x{t}{'-pruned' if schedule else ''}",
-               init_stack(cfg, n_blocks), x.astype(np.float32), schedule)
+        name, blocks, x = f"{mode}-{n_blocks}x{t}", init_stack(cfg, n_blocks), x.astype(np.float32)
+        fp_cfg = replace(cfg, sites={})
+        fp32.append((f"{name}-fp32", blocks, x, {"cfg": fp_cfg}))
+        yield f"{name}{'-pruned' if schedule else ''}", blocks, x, {"schedule": schedule}
+        if schedule is not None:
+            keeps = forward_stack(blocks, x, schedule=schedule)[1]["keeps"]
+            forced = {i: keeps[i] for i in schedule.prune_layers}
+            fp32.append((f"{name}-fp32-forced", blocks, x,
+                         {"cfg": fp_cfg, "forced_keeps": forced}))
+    yield from fp32
 
 
-def case_digest(blocks, x, schedule, traced: bool) -> bytes:
+def case_digest(blocks, x, kwargs, traced: bool) -> bytes:
     trace = [] if traced else None
-    out, info = forward_stack(blocks, x, schedule=schedule, trace=trace)
+    out, info = forward_stack(blocks, x, trace=trace, **kwargs)
     h = hashlib.sha256(out.tobytes())
     for stats in info["attention"]:
         h.update(stats_bytes(stats))
@@ -66,9 +79,9 @@ def case_digest(blocks, x, schedule, traced: bool) -> bytes:
 
 def main(argv) -> int:
     total, n = hashlib.sha256(), 0
-    for name, blocks, x, schedule in cases():
+    for name, blocks, x, kwargs in cases():
         for traced in (False, True):
-            d = case_digest(blocks, x, schedule, traced)
+            d = case_digest(blocks, x, kwargs, traced)
             total.update(d)
             n += 1
             if "--cases" in argv:

@@ -101,7 +101,8 @@ def ref_forward_block(block, x, cfg, trace=None):
     """``forward_block`` with a per-head attention loop: each head fits and
     quantizes its own q, k^T and v slices through the public quantizers and
     runs its own softmax and log2 quantization on the whole (T, T) map,
-    raising as the pipeline does if a qk score overflows. The weight sites
+    raising as the pipeline does if a causal qk score (on or below the
+    diagonal) is not finite; no output reads the others. The weight sites
     and MSE are the pipeline's own, layernorm and gate are ``ref_layernorm``
     and ``ref_silu``; ``trace`` gets the same records."""
     from agq.pipeline import _mse, _site_matmul
@@ -122,7 +123,7 @@ def ref_forward_block(block, x, cfg, trace=None):
                 agq.quantize_affine(qh, agq.fit_affine(qh, qk.act_bits)),
                 agq.quantize_affine(kt, agq.fit_affine(kt, qk.act_bits)))
         scores /= np.float32(np.sqrt(dh))
-        if not np.isfinite(scores).all():
+        if not np.isfinite(np.tril(scores)).all():
             raise agq.PipelineError("non-finite activations after qk")
         probs[h] = ref_softmax_causal(scores)
         if av.act_bits == 32:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -113,10 +114,16 @@ class TestConfig:
         lambda: BlockConfig(sites={"qk": 8}),
         lambda: BlockConfig(sites={"qk": None}),
         lambda: BlockConfig(sites={"qk": {"act_bits": 8}}),
+        lambda: init_stack(BlockConfig(), -1),
+        lambda: init_stack(BlockConfig(), 1.5),
+        lambda: make_outlier_input(4, 4, [9], [0]),
+        lambda: make_outlier_input(4, 4, [-1], [0]),
+        lambda: make_outlier_input(4, 4, [0], [4]),
     ])
     def test_non_integer_or_out_of_range_fields_rejected(self, make):
-        """Each is refused when the config is built, not by a raw TypeError,
-        ValueError or ZeroDivisionError in a later forward pass."""
+        """Each is refused when the config or stack is built, not by a raw
+        TypeError, ValueError or ZeroDivisionError in a later forward pass, an
+        IndexError, an empty stack or a negative index read from the end."""
         with pytest.raises(PipelineError, match="must be"):
             make()
 
@@ -169,8 +176,8 @@ def test_softmax_equals_minus_inf_oracle(t, seed, amp, ties, heads, cuts):
     """The in-place band softmax equals the -inf/triu_indices formulation
     bit for bit, on one (T, T) map (``heads`` None) or on an (H, T, T) stack,
     head by head; ``ties`` draws scores from {-amp, 0, amp}, so most rows
-    have several equal maxima. The whole map runs as the one-band fallback
-    runs it, band by band in place in a zeroed map; the causal row bands
+    have several equal maxima. The whole map runs band by band, in place in
+    a zeroed map; the causal row bands
     ``[r0, r1)`` that start at the multiples of BAND_ROWS in ``cuts`` (the
     last one short when BAND_ROWS does not divide T) give the oracle's rows
     r0..r1 on their own, given only their first r1 columns. The zeros above
@@ -294,17 +301,17 @@ def test_forward_block_equals_per_head_reference(mode, act_quantizer, t, d_model
 @_reference_grid
 def test_untraced_forward_block_equals_per_head_reference(mode, act_quantizer, t, d_model,
                                                           n_heads):
-    """Without a trace too, quantized qk and attn_v sites longer than
-    BAND_ROWS run in causal row bands, and still give the reference's bytes."""
+    """Without a trace too, qk and attn_v sites at every precision run in
+    causal row bands past BAND_ROWS, and still give the reference's bytes."""
     _equals_per_head_reference(mode, act_quantizer, t, d_model, n_heads, traced=False)
 
 
-@pytest.mark.parametrize("amp,bands", [(1e18, 4), (1e19, 1), (3e19, 1)])
-def test_qk_overflow_bound_decides_the_bands(monkeypatch, amp, bands):
-    """At T=256 a block runs 4 bands only while no qk score can overflow
-    float32, since bands never compute the scores above the diagonal. Past
-    that bound it runs one band: at 1e19 that still passes, at 3e19 it
-    raises on the overflowing scores as the whole-map reference does."""
+@pytest.mark.parametrize("amp", [1e18, 1e19, 3e19])
+def test_qk_scores_run_in_bands_at_every_amplitude(monkeypatch, amp):
+    """At T=256 a block runs 4 bands at every input amplitude, since bands
+    never compute the qk scores above the diagonal and only causal scores
+    are checked: up to 1e19 it gives the whole-map reference's bytes, and at
+    3e19 it raises on the overflowing causal scores as the reference does."""
     cfg = BlockConfig(sites=preset_sites("w4a4"), seed=256)
     block = init_block(cfg)
     x = np.random.default_rng(256).standard_normal((256, cfg.d_model)).clip(-4, 4)
@@ -322,17 +329,69 @@ def test_qk_overflow_bound_decides_the_bands(monkeypatch, amp, bands):
         out, stats = forward_block(block, x)
     except PipelineError as e:
         out, error = None, str(e)
-    assert set(qk_calls) == {256 // bands}  # the query rows of each band
+    assert set(qk_calls) == {BAND_ROWS}  # the query rows of each band
     with np.errstate(over="ignore", invalid="ignore"):  # the overflow under test
-        if out is None:
+        if amp > 1e19:
+            assert out is None and error == "non-finite activations after qk"
             with pytest.raises(PipelineError, match="non-finite activations after qk"):
                 ref_forward_block(block, x, cfg)
-            assert error == "non-finite activations after qk"
         else:
             ref_out, ref_probs = ref_forward_block(block, x, cfg)
             assert out.tobytes() == ref_out.tobytes()
             assert stats_bytes(stats) == stats_bytes(stats_of(ref_probs))
-            assert len(qk_calls) == bands * cfg.n_heads
+            assert len(qk_calls) == 4 * cfg.n_heads
+
+
+@pytest.mark.parametrize("qk_bits", [8, 32])
+@pytest.mark.parametrize("t", [2, 64, 200])
+def test_only_causal_qk_scores_are_checked(monkeypatch, qk_bits, t):
+    """A non-finite qk score above the diagonal of a band's diagonal block
+    changes nothing, as no output reads it; a -inf on the diagonal raises,
+    although its softmax probability would come out 0 like a future one's.
+    The spy writes into every qk product: ``gemm_int_affine`` at an 8-bit qk
+    site, ``gemm_f32`` (the one call with d_head inner columns) at FP32."""
+    sites = preset_sites("w4a8")
+    if qk_bits == 32:
+        sites = {**sites, "qk": SiteConfig(), "attn_v": SiteConfig()}
+    cfg = BlockConfig(sites=sites, seed=3)
+    block = init_block(cfg)
+    x = np.random.default_rng(t).standard_normal((t, cfg.d_model)).astype(np.float32)
+    want, want_stats = forward_block(block, x)
+    name = "gemm_f32" if qk_bits == 32 else "gemm_int_affine"
+    kernel = getattr(agq.pipeline, name)
+
+    def spying(value, causal):
+        def spy(a, b):
+            out = kernel(a, b)
+            if (b.kind == "affine") if qk_bits == 8 else (a.shape[1] == cfg.d_head):
+                n, r1 = out.shape
+                out[0, r1 - n + (0 if causal else 1)] = value  # row r0's key r0 or r0 + 1
+            return out
+        return spy
+
+    for value in (np.inf, -np.inf, np.nan):
+        monkeypatch.setattr(agq.pipeline, name, spying(value, causal=False))
+        out, stats = forward_block(block, x)
+        assert out.tobytes() == want.tobytes()
+        assert stats_bytes(stats) == stats_bytes(want_stats)
+    monkeypatch.setattr(agq.pipeline, name, spying(-np.inf, causal=True))
+    with pytest.raises(PipelineError, match="non-finite activations after qk"):
+        forward_block(block, x)
+
+
+def test_fp32_stack_memory_stays_in_bands():
+    """A 4-block FP32 stack at T=1024 holds one (heads, 64, T) band per block,
+    not a (heads, T, T) map per block (29.7 MiB peak when it did)."""
+    cfg = BlockConfig(seed=0)
+    blocks = init_stack(cfg, 4)
+    x = np.random.default_rng(0).standard_normal((1024, cfg.d_model)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        forward_stack(blocks, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 class TestInit:
@@ -864,3 +923,5 @@ def test_cosine_similarity_edges():
     assert cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
     assert cosine_similarity([1, 0], [0, 1]) == pytest.approx(0.0)
     assert cosine_similarity([1, 2], [2, 4]) == pytest.approx(1.0)
+    with pytest.raises(PipelineError, match="must be the same size, got 3 and 4"):
+        cosine_similarity(np.ones(3), np.ones(4))

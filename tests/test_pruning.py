@@ -149,6 +149,10 @@ class TestMakeSchedule:
         assert default_start_layer(4) == 1
         assert default_start_layer(12) == 3
         assert default_start_layer(2) == 1
+        assert default_start_layer(1) == 1
+        for bad in ("4", 4.0, True, 0, -3):
+            with pytest.raises(PruneError, match="^n must be"):
+                default_start_layer(bad)
 
 
 class TestPruneStep:
