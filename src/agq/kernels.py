@@ -4,18 +4,18 @@ Four paths: an FP32 reference GEMM, an integer GEMM of zero-point-centred
 codes for 8-bit activations against 4-bit per-channel weights, a bit-exact
 model of the byte-lane-packed 4-bit multiplier (two weight nibbles per byte,
 two isolated 8-bit products per 16-bit multiply, dual 16-bit sub-lane
-accumulation), and a shift-based GEMM for log2-quantized attention
-probabilities.
+accumulation), and a shift-based GEMM for log2 probabilities. The FP32,
+affine and log2 GEMMs also multiply (heads, rows, cols) stacks, per head.
 
 The integer paths run as BLAS matmuls of integer codes, centred on their
 zero points except in the lane model. A float GEMM of integers is exact, in
 any summation order and with FMA, while every partial sum is an integer the
 float holds: below 2^24 in magnitude for float32, below 2^53 for float64.
-``check_exact`` bounds that sum from the code ranges and zero points in the
-quantization params (not from the data) and picks the narrowest exact
-width; beyond 2^53 it raises ``KernelError``. The affine and log2 GEMMs run
-in that width, chosen per call, and scale their sums in float64. The bound
-holds only for integer codes inside their params' range: float codes raise
+``check_exact`` bounds that sum from the params' code ranges and zero points
+(every head's), not from the data, and picks the narrowest exact width;
+beyond 2^53 it raises ``KernelError``. The affine and log2 GEMMs run in that
+width, chosen per call, and scale their sums in float64. The bound holds
+only for integer codes inside their params' range: float codes raise
 ``KernelError``, and codes outside the range were never supported. The lane
 GEMM's register words and the packed epilogue stay in float64.
 
@@ -88,17 +88,26 @@ def _nibbles(codes, what: str) -> np.ndarray:
     return codes
 
 
-def _max_centred(rng, zp: int) -> int:
-    """Largest magnitude of a ``CodeRange`` code minus the zero point ``zp``."""
-    return max(zp - rng.lo, rng.hi - zp)
+def _inner(a: np.ndarray, b: np.ndarray) -> None:
+    """Raise ``KernelError`` unless ``a @ b``'s inner dims and stacks' head counts agree."""
+    if a.shape[-1] != b.shape[-2] or a.ndim == b.ndim and a.shape[:-2] != b.shape[:-2]:
+        raise KernelError(f"inner dims or head counts differ: {a.shape} @ {b.shape}")
+
+
+def _max_centred(q: QuantTensor, zp) -> int:
+    """Largest |code - zp| over ``q``'s range and each head's ``zp``, in Python ints."""
+    if isinstance(zp, np.ndarray) and zp.shape != q.codes.shape[:-2] + (1, 1):
+        raise KernelError(f"per-head params {zp.shape} for codes {q.codes.shape}")
+    lo, hi = (int(zp.min()), int(zp.max())) if isinstance(zp, np.ndarray) else (zp, zp)
+    return max(hi - q.params.range.lo, q.params.range.hi - lo)
 
 
 def gemm_f32(a, w) -> np.ndarray:
-    """Reference GEMM: float64 accumulation narrowed to float32."""
-    a = as_tensor2d(a)
-    w = as_tensor2d(w)
-    if a.shape[1] != w.shape[0]:
-        raise KernelError(f"inner dims differ: {a.shape[1]} vs {w.shape[0]}")
+    """Reference GEMM of matrices or stacks: float64 sums narrowed to float32."""
+    a, w = (np.ascontiguousarray(x, dtype=np.float32) for x in (a, w))
+    for x in (a, w):  # a stack is checked as the matrix of its rows
+        as_tensor2d(x.reshape(-1, x.shape[-1]) if x.ndim == 3 else x)
+    _inner(a, w)
     return (a.astype(np.float64) @ w.astype(np.float64)).astype(np.float32)
 
 
@@ -126,8 +135,7 @@ def gemm_int_affine(aq: QuantTensor, wq: QuantTensor) -> np.ndarray:
         raise KernelError(f"activation side must be affine/trip codes, got {aq.kind}")
     if wq.kind not in ("weight", "affine"):
         raise KernelError(f"unsupported weight-side kind {wq.kind}")
-    if aq.cols != wq.rows:
-        raise KernelError(f"inner dims differ: {aq.cols} vs {wq.rows}")
+    _inner(aq.codes, wq.codes)
     zp_a = aq.params.zero_point
     if wq.kind == "weight":
         zp_b, s_b = 0, wq.params.scales
@@ -135,8 +143,7 @@ def gemm_int_affine(aq: QuantTensor, wq: QuantTensor) -> np.ndarray:
         zp_b, s_b = wq.params.zero_point, wq.params.scale
     _integer(aq.codes, "activation codes")
     _integer(wq.codes, "weight-side codes")
-    dt = check_exact(aq.cols, _max_centred(aq.params.range, zp_a),
-                     _max_centred(wq.params.range, zp_b))
+    dt = check_exact(aq.cols, _max_centred(aq, zp_a), _max_centred(wq, zp_b))
     raw = np.subtract(aq.codes, zp_a, dtype=dt) @ np.subtract(wq.codes, zp_b, dtype=dt)
     raw = raw.astype(np.float64, copy=False)
     raw *= aq.params.scale * s_b
@@ -294,7 +301,9 @@ def gemm_int4_packed(a_codes, packed: PackedInt4Matrix, params: Int4GemmParams):
     """Packed-nibble GEMM scaled back to FP32. The lane GEMM keeps unsigned
     nibbles, as the hardware does; the epilogue centres its sum exactly, in
     place in float64: ``raw - zp_w * rowsum(a) - zp_a * signed weight sums``."""
-    a = np.asarray(a_codes)
+    a, scales = np.asarray(a_codes), np.asarray(params.weight_scales)
+    if scales.shape != (packed.rows,):
+        raise KernelError(f"{scales.shape} weight scales for {packed.rows} output rows")
     acc = gemm_int4_raw(a, packed).astype(np.float64)
     zp_w = params.weight_zero_point
     # signed weight row sums from the nibble planes, in row order 2p, 2p + 1
@@ -302,7 +311,7 @@ def gemm_int4_packed(a_codes, packed: PackedInt4Matrix, params: Int4GemmParams):
     w_sums = planes.sum(axis=2, dtype=np.int64).ravel()[: packed.rows] - a.shape[1] * zp_w
     acc -= zp_w * a.sum(axis=1, dtype=np.int64)[:, None]
     acc -= params.act_zero_point * w_sums
-    acc *= params.act_scale * np.asarray(params.weight_scales)
+    acc *= params.act_scale * scales
     return acc.astype(np.float32)
 
 
@@ -325,13 +334,12 @@ def gemm_log2_attnv(probs_q: QuantTensor, vq: QuantTensor) -> np.ndarray:
         raise KernelError(f"expected log2 probabilities, got {probs_q.kind}")
     if vq.kind != "affine":
         raise KernelError(f"expected affine values, got {vq.kind}")
-    if probs_q.cols != vq.rows:
-        raise KernelError(f"inner dims differ: {probs_q.cols} vs {vq.rows}")
+    _inner(probs_q.codes, vq.codes)
     _integer(probs_q.codes, "log2 codes")
     _integer(probs_q.signs, "log2 signs")
     _integer(vq.codes, "value codes")
     ks = probs_q.params.code_hi
-    dt = check_exact(probs_q.cols, 2**ks, _max_centred(vq.params.range, vq.params.zero_point))
+    dt = check_exact(probs_q.cols, 2**ks, _max_centred(vq, vq.params.zero_point))
     lhs = np.ldexp(probs_q.signs.astype(dt), ks - probs_q.codes)
     acc = lhs @ np.subtract(vq.codes, vq.params.zero_point, dtype=dt)
     acc = acc.astype(np.float64, copy=False)

@@ -13,31 +13,30 @@ GEMM. Nonlinear operators (softmax, layernorm, the gate) always stay FP32.
 Weight codes are quantized and packed once, in ``init_block``; refined
 activations reach them as exact integer shifts (8-bit) or repeated lane
 channels (4-bit), never as a per-call weight re-quantization. Q, K and V are
-(n_heads, T, d_head) views of the fused output, quantized in one call per
-block, each head with its own fit; every per-head stack is (heads, rows, cols).
+(n_heads, T, d_head) views of the fused output: one call per block codes
+them as three stacks, one fit per head; every per-head operand is a stack.
 
 The attention chain (qk product, causal softmax, log2 quantizer, attn_v
-product) is one loop over causal row bands of all heads, one body per band,
-in one (heads, BAND_ROWS, T) buffer, at every site precision. Bands of
-BAND_ROWS query rows ``[r0, r1)`` read key columns ``[0, r1)`` only, so the
-scores right of a band's diagonal block are never computed, and those above
-the diagonal inside it are zeroed before the qk finiteness check: only
+product) is one loop over causal row bands, at every site precision: one qk
+and one attn_v call per band, all heads, through the public kernels. Bands
+of BAND_ROWS query rows ``[r0, r1)`` read key columns ``[0, r1)`` only, so
+the scores right of a band's diagonal block are never computed, and those
+above the diagonal inside it are zeroed before the qk finiteness check: only
 causal scores can make a block raise, and each output row depends only on
 its own and earlier rows. Bands run bottom band first, so later, smaller
 temporaries reuse the first ones' memory. No (heads, T, T) map is kept: each
 band writes its rows of the ``AttentionStats`` (the probabilities on token 0
-and on the two previous tokens) from its own softmax. Bands give the bytes of a whole-map pass: the
-integer qk and attn_v sums are exact in any order, ``gemm_f32`` adds exact
-float32 products in float64 in k order, softmax row i sums over BAND_ROWS *
-(i // BAND_ROWS + 1) columns, zero-padded, whatever T is (numpy's pairwise
-sum depends on the row length), and the log2 quantizer takes the map's
-maximum, which is exactly 1.0: row 0 is exp(0) / 1, and no rounded quotient
-of non-negative numbers exceeds it. The qk and attn_v products run per head
-and band, through the public kernels. Per-site MSE records are made only for
-a caller that passes a ``trace`` list, which runs the same bands; the attn_v
-record needs each head's whole (T, T) error, so only a traced quantized pass
-holds a (heads, T, T) buffer. The FP32 reference pass is ``forward_block``
-with ``replace(cfg, sites={})``.
+and on the two previous tokens) from its own softmax. Bands give the bytes
+of a whole-map pass: the integer qk and attn_v sums are exact in any order,
+``gemm_f32`` adds exact float32 products in float64 in k order, softmax row
+i sums over BAND_ROWS * (i // BAND_ROWS + 1) columns, zero-padded, whatever
+T is (numpy's pairwise sum depends on the row length), and the log2
+quantizer takes the map's maximum, which is exactly 1.0: row 0 is exp(0) /
+1, and no rounded quotient of non-negative numbers exceeds it. Per-site MSE
+records are made only for a caller that passes a ``trace`` list, which runs
+the same bands; the attn_v record needs each head's whole (T, T) error, so
+only a traced quantized pass holds a (heads, T, T) buffer. The FP32
+reference pass is ``forward_block`` with ``replace(cfg, sites={})``.
 """
 
 from __future__ import annotations
@@ -349,26 +348,19 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
 
     qkv = _finite(_site_matmul(block, cfg, "linear_transform", x, trace), "linear_transform")
     q, k, v = qkv.reshape(t, 3, nh, dh).transpose(1, 2, 0, 3)  # (nh, T, dh) views
-    q_heads = k_heads = v_heads = None
     if qk_sc.act_bits < 32 or av_sc.act_bits < 32:  # qk runs 8-bit or FP32
-        heads = _quantize_heads(qkv, 3 * nh, 8)  # one 8-bit fit per head of q, k, v
-        q_heads, k_heads, v_heads = heads[:nh], heads[nh:2 * nh], heads[2 * nh:]
+        qq, kq, vq = _quantize_heads(qkv, 3, nh, 8)  # one 8-bit fit per head of q, k, v
 
-    ctx = np.empty((t, nh, dh), dtype=np.float32)  # a (T, d) buffer, head by head
+    ctx = np.empty((t, nh, dh), dtype=np.float32).transpose(1, 0, 2)  # heads of a (T, d) buffer
     stats = np.zeros((3, nh, t), dtype=np.float32)
     start, prev1, prev2 = stats
     err = np.zeros((nh, t, t)) if trace is not None and av_sc.act_bits < 32 else None
-    band = np.empty((nh, min(t, BAND_ROWS), t), dtype=np.float32)
     for r0 in reversed(range(0, t, BAND_ROWS)):
         r1 = min(r0 + BAND_ROWS, t)
-        scores = band[:, :r1 - r0, :r1]  # replaced by their softmax
-        for h in range(nh):
-            if qk_sc.act_bits == 32:
-                scores[h] = gemm_f32(q[h, r0:r1], k[h, :r1].T)
-            else:
-                qh, kh = q_heads[h], k_heads[h]
-                scores[h] = gemm_int_affine(QuantTensor(qh.codes[r0:r1], qh.params),
-                                            QuantTensor(kh.codes[:r1].T, kh.params))
+        # all heads' scores in one call, later replaced in place by their softmax
+        scores = (gemm_f32(q[:, r0:r1], k[:, :r1].swapaxes(1, 2)) if qk_sc.act_bits == 32
+                  else gemm_int_affine(QuantTensor(qq.codes[:, r0:r1], qq.params),
+                                       QuantTensor(kq.codes[:, :r1].swapaxes(1, 2), kq.params)))
         scores /= np.float32(np.sqrt(dh))
         np.copyto(scores[..., r0:], 0, where=_FUTURE[:r1 - r0, :r1 - r0])  # read by no output
         _finite(scores, "qk")
@@ -377,23 +369,21 @@ def forward_block(block: Block, x, cfg: BlockConfig | None = None,
         prev1[:, max(r0, 1):r1] = scores.diagonal(r0 - 1, 1, 2)
         prev2[:, max(r0, 2):r1] = scores.diagonal(r0 - 2, 1, 2)
         if av_sc.act_bits == 32:
-            for h in range(nh):
-                ctx[r0:r1, h] = gemm_f32(scores[h], v[h, :r1])
+            ctx[:, r0:r1] = gemm_f32(scores, v[:, :r1])
             continue
         # each map's maximum is exactly 1.0 (see the module docstring)
-        for h, probs_q in enumerate(_quantize_log2(scores, av_sc.act_bits, 1.0)):
-            if err is not None:
-                np.subtract(scores[h], dequantize_log2(probs_q), out=err[h, r0:r1, :r1],
-                            dtype=np.float64)
-            vh = v_heads[h]
-            ctx[r0:r1, h] = gemm_log2_attnv(probs_q, QuantTensor(vh.codes[:r1], vh.params))
-        del probs_q  # its views would hold the band's log2 codes through the MLP
+        probs_q = _quantize_log2(scores, av_sc.act_bits, 1.0)
+        if err is not None:
+            np.subtract(scores, dequantize_log2(probs_q), out=err[:, r0:r1, :r1], dtype=np.float64)
+        ctx[:, r0:r1] = gemm_log2_attnv(probs_q, QuantTensor(vq.codes[:, :r1], vq.params))
+        del probs_q  # it would hold the band's log2 codes through the MLP
     if err is not None:  # each head's mean over its whole map, as _mse takes it
         np.square(err, out=err)
         trace.extend({"site": "attn_v", "act_bits": av_sc.act_bits,
                       "mse": float(err[h].mean())} for h in range(nh))
 
-    proj = _site_matmul(block, cfg, "projection", _finite(ctx.reshape(t, d), "attn_v"), trace)
+    ctx = _finite(ctx.transpose(1, 0, 2).reshape(t, d), "attn_v")  # the buffer, no copy
+    proj = _site_matmul(block, cfg, "projection", ctx, trace)
     h1 = _finite(x + proj, "projection")
     a1 = _site_matmul(block, cfg, "fc1", _layernorm(h1), trace)
     m2 = _site_matmul(block, cfg, "fc2", _silu(_finite(a1, "fc1")), trace)

@@ -107,11 +107,14 @@ def prune_step(x, scores, gamma: float):
 
     The start token is never pruned. Ties are broken by dropping the later
     position first. Returns the sliced tensor and the kept indices. Raises
-    ``PruneError`` unless gamma lies in [0, 1) and every score is finite.
+    ``PruneError`` unless gamma lies in [0, 1) and the scores are one finite
+    value per token.
     """
     x = as_tensor2d(x)
     t = x.shape[0]
     s = np.asarray(scores, dtype=np.float64)
+    if s.ndim != 1:
+        raise PruneError(f"scores must be 1-D, one per token, got {s.ndim}-D")
     if len(s) != t:
         raise PruneError(f"score length {len(s)} != token count {t}")
     if not 0.0 <= gamma < 1.0:

@@ -6,9 +6,9 @@ symmetric ranges per output channel. Affine rounding is round-half-to-even
 read off ``np.frexp``, which rounds -log2 exactly for float32 inputs, where
 no tie occurs. Every activation scale and zero point comes from
 ``_fit_range`` over a (heads, rows, cols) stack (one tensor ``x`` is
-``x[None]``), and every affine, TRIP and weight code from ``_codes``.
-Public functions check their input with ``as_tensor2d``; the forward pass
-calls the private cores of those it runs.
+``x[None]``), kept as one ``QuantTensor`` with (heads, 1, 1) params, and
+every affine, TRIP and weight code from ``_codes``. Public functions check
+input with ``as_tensor2d``; the forward pass calls their private cores.
 """
 
 from __future__ import annotations
@@ -50,13 +50,18 @@ class CodeRange:
 class AffineParams:
     kind: ClassVar[str] = "affine"
     range: CodeRange
-    scale: float
+    scale: float  # or (heads, 1, 1) arrays of both
     zero_point: int
 
     def __post_init__(self):
-        if not self.scale > 0:
+        scale, lo, hi = self.scale, self.zero_point, self.zero_point
+        if isinstance(scale, np.ndarray) or isinstance(lo, np.ndarray):  # per head
+            if np.shape(scale) != np.shape(lo):
+                raise QuantError(f"{np.shape(scale)} scales for {np.shape(lo)} zero points")
+            scale, lo, hi = np.min(scale), np.min(lo), np.max(lo)
+        if not scale > 0:
             raise QuantError(f"scale must be positive, got {self.scale}")
-        if not self.range.lo <= self.zero_point <= self.range.hi:
+        if not self.range.lo <= lo <= hi <= self.range.hi:
             raise QuantError(f"zero point {self.zero_point} outside code range")
 
 
@@ -79,7 +84,7 @@ class Log2Params:
 
 @dataclass(frozen=True)
 class QuantTensor:
-    codes: np.ndarray  # integer codes, shape (rows, cols)
+    codes: np.ndarray  # integer codes, shape (rows, cols) or (heads, rows, cols)
     params: object  # AffineParams, Log2Params, TripParams or ChannelSymmetricParams
     signs: np.ndarray | None = field(default=None)  # log2 only: -1/0/+1
 
@@ -90,11 +95,11 @@ class QuantTensor:
 
     @property
     def rows(self) -> int:
-        return self.codes.shape[0]
+        return self.codes.shape[-2]
 
     @property
     def cols(self) -> int:
-        return self.codes.shape[1]
+        return self.codes.shape[-1]
 
 
 def _clip(x: np.ndarray, lo, hi) -> np.ndarray:
@@ -145,14 +150,14 @@ def quantize_affine(x, p: AffineParams) -> QuantTensor:
     return QuantTensor(codes=_codes(as_tensor2d(x), p.scale, p.zero_point, p.range), params=p)
 
 
-def _quantize_heads(x: np.ndarray, n_heads: int, bits: int) -> list[QuantTensor]:
-    """Head h of ``x``'s equal column blocks as ``quantize_affine(x_h,
-    fit_affine(x_h, bits))``, all in one rint and clip of x's (heads, T, cols) view."""
-    heads = x.reshape(x.shape[0], n_heads, x.shape[1] // n_heads).transpose(1, 0, 2)
+def _quantize_heads(x: np.ndarray, groups: int, n_heads: int, bits: int) -> list[QuantTensor]:
+    """``groups`` stacks (Q, K, V) of ``n_heads`` heads of ``x``'s column blocks,
+    head h as ``quantize_affine(x_h, fit_affine(x_h, bits))``, in one rint and clip."""
+    heads = x.reshape(x.shape[0], groups * n_heads, -1).transpose(1, 0, 2)
     rng, scale, zp = _fit_range(heads, bits)
-    codes = _codes(heads, scale[:, None, None], zp[:, None, None], rng)
-    return [QuantTensor(codes[h], AffineParams(rng, float(s), int(z)))
-            for h, (s, z) in enumerate(zip(scale, zp))]
+    scale, zp = (a.reshape(groups, n_heads, 1, 1) for a in (scale, zp.astype(np.int64)))
+    codes = _codes(heads.reshape(groups, n_heads, *heads.shape[1:]), scale, zp, rng)
+    return [QuantTensor(c, AffineParams(rng, s, z)) for c, s, z in zip(codes, scale, zp)]
 
 
 def dequantize_affine(q: QuantTensor) -> np.ndarray:
@@ -167,15 +172,14 @@ def quantize_log2(x, bits: int) -> QuantTensor:
     if x.size == 0:
         raise QuantError("cannot fit quantizer on empty tensor")
     # + 0.0 turns a -0.0 maximum (all zeros) into +0.0
-    return _quantize_log2(x[None], bits, float(max(x.max(), -x.min())) + 0.0)[0]
+    return _quantize_log2(x, bits, float(max(x.max(), -x.min())) + 0.0)
 
 
-def _quantize_log2(x: np.ndarray, bits: int, max_abs: float) -> list[QuantTensor]:
+def _quantize_log2(x: np.ndarray, bits: int, max_abs: float) -> QuantTensor:
     """Quantize magnitudes to negated power-of-two exponents of ``max_abs``,
-    which bounds every |x|, for each head ``x[h]`` of a (heads, rows, cols)
-    stack; the heads share one Log2Params, and head h's codes and signs are
-    views of one array. Codes are elementwise, so a row band of an attention
-    map quantizes as it would inside the whole map given the map's maximum.
+    which bounds every |x|, of a matrix or a (heads, rows, cols) stack under
+    one Log2Params. Codes are elementwise, so a row band of an attention map
+    quantizes as it would inside the whole map given the map's maximum.
 
     A code is -log2(|x| / max_abs) rounded to the nearest integer, read off
     ``frexp`` of the ratio floored at 2^-code_hi: m * 2^ex with m in
@@ -202,7 +206,7 @@ def _quantize_log2(x: np.ndarray, bits: int, max_abs: float) -> list[QuantTensor
         codes = (m <= np.float32(2**-0.5)) - ex
     else:  # float64 rounds it up past every float32 below it
         codes = (m < 2**-0.5) - ex
-    return [QuantTensor(codes=codes[h], params=p, signs=signs[h]) for h in range(len(x))]
+    return QuantTensor(codes=codes, params=p, signs=signs)
 
 
 def dequantize_log2(q: QuantTensor) -> np.ndarray:

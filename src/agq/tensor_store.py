@@ -41,10 +41,13 @@ def as_tensor2d(data, dtype=np.float32) -> np.ndarray:
 
 
 def slice_rows(t: np.ndarray, keep) -> np.ndarray:
-    """Return the rows of ``t`` listed in ``keep`` (strictly increasing)."""
+    """Return the rows of ``t`` listed in ``keep`` (strictly increasing
+    integers; a float or a bool is refused, not truncated)."""
     keep = list(keep)
     prev = -1
     for i in keep:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ValueError(f"keep indices must be integers, got {i!r}")
         if i <= prev:
             raise ValueError("keep indices must be strictly increasing")
         if i >= t.shape[0]:

@@ -274,17 +274,17 @@ def naive_int_gemm(a_codes, w_codes_rows_by_k):
 
 def int64_gemm_int_affine(aq, wq):
     """The int64 formulation of ``gemm_int_affine``: exact integer matmul and
-    zero-point corrections, then one scale to float32."""
+    zero-point corrections, then one scale to float32. Operands may be
+    (heads, rows, cols) stacks with per-head (heads, 1, 1) params."""
     s_a, zp_a = aq.params.scale, aq.params.zero_point
     a = aq.codes.astype(np.int64)
     b = wq.codes.astype(np.int64)
     if wq.kind == "weight":
-        raw = a @ b - zp_a * b.sum(axis=0)[None, :]
-        return (raw.astype(np.float64) * (s_a * wq.params.scales[None, :])).astype(
-            np.float32)
+        raw = a @ b - zp_a * b.sum(axis=-2, keepdims=True)
+        return (raw.astype(np.float64) * (s_a * wq.params.scales)).astype(np.float32)
     s_b, zp_b = wq.params.scale, wq.params.zero_point
-    raw = (a @ b - zp_a * b.sum(axis=0)[None, :] - zp_b * a.sum(axis=1)[:, None]
-           + a.shape[1] * zp_a * zp_b)
+    raw = (a @ b - zp_a * b.sum(axis=-2, keepdims=True) - zp_b * a.sum(axis=-1, keepdims=True)
+           + a.shape[-1] * zp_a * zp_b)
     return (raw.astype(np.float64) * (s_a * s_b)).astype(np.float32)
 
 
@@ -314,13 +314,23 @@ def ref_trip_product(aq, wq):
 
 def int64_gemm_log2_attnv(probs_q, vq):
     """The int64 formulation of ``gemm_log2_attnv``: sign * 2^(Ks - code)
-    times (v_code - zp) accumulated in int64, then one scale to float32."""
+    times (v_code - zp) accumulated in int64, then one scale to float32.
+    Operands may be (heads, rows, cols) stacks with per-head value params."""
     ks = probs_q.params.code_hi
     shifts = np.left_shift(np.int64(1), ks - probs_q.codes.astype(np.int64))
     acc = (probs_q.signs.astype(np.int64) * shifts) @ (
         vq.codes.astype(np.int64) - vq.params.zero_point)
     scale = probs_q.params.max_abs * vq.params.scale * 2.0**-ks
     return (acc.astype(np.float64) * scale).astype(np.float32)
+
+
+def head(q, h):
+    """Head h of a (heads, rows, cols) ``QuantTensor`` stack as a tensor of
+    its own, its per-head (heads, 1, 1) affine params read as Python scalars."""
+    p = q.params
+    if p.kind == "affine" and isinstance(p.scale, np.ndarray):
+        p = agq.AffineParams(p.range, float(p.scale[h, 0, 0]), int(p.zero_point[h, 0, 0]))
+    return agq.QuantTensor(q.codes[h], p, None if q.signs is None else q.signs[h])
 
 
 def naive_block_forward(weights, x, n_heads):

@@ -78,7 +78,7 @@ def test_kind_follows_the_params_type():
         agq.quantize_log2(x, 4),
         agq.quantize_trip(x, agq.fit_trip(x, 8, 3)),
         agq.quantize_weight_symmetric(x, agq.fit_weight_symmetric(x, 4)),
-        *_quantize_heads(x, 2, 8),
+        *_quantize_heads(x, 2, 2, 8),  # two stacks of two heads
     ]
     for q in outputs:
         assert q.kind == q.params.kind

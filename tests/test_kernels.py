@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from helpers import (
+    head,
     int64_gemm_int4_packed,
     int64_gemm_int_affine,
     int64_gemm_log2_attnv,
@@ -34,6 +35,8 @@ from agq.quantizers import (
     ChannelSymmetricParams,
     CodeRange,
     QuantTensor,
+    _quantize_heads,
+    _quantize_log2,
     fit_affine,
     fit_weight_symmetric,
     quantize_affine,
@@ -416,6 +419,16 @@ class TestGemmInt4:
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, int64_gemm_int4_packed(a, packed, params))
 
+    @pytest.mark.parametrize("scales", [np.full(5, 0.2), np.full(7, 0.2), np.full((6, 1), 0.2),
+                                        0.2])
+    def test_one_weight_scale_per_output_row(self, scales):
+        """Weight scales that are not one per packed output row (6 here) raise
+        ``KernelError``, not a numpy broadcast error or a silent broadcast."""
+        packed = pack_weights_for_gemm(np.full((4, 6), 8, dtype=np.uint8))
+        params = Int4GemmParams(act_scale=0.1, act_zero_point=8, weight_scales=scales)
+        with pytest.raises(KernelError, match="weight scales for 6 output rows"):
+            gemm_int4_packed(np.full((3, 4), 8, dtype=np.uint8), packed, params)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_packed_matches_dequant_oracle(self, seed):
         rng = np.random.default_rng(seed + 70)
@@ -560,6 +573,107 @@ class TestGemmLog2AttnV:
         pq, vq = self._six_bit_worst_case(self.K_EXACT_6BIT + 1)
         with pytest.raises(KernelError, match="2\\^53"):
             gemm_log2_attnv(pq, vq)
+
+
+def _stack(rng, heads, rows, cols, amplitude, positive=False):
+    """A (heads, rows, cols) stack of 8-bit affine codes, one fit per head.
+    Non-negative values put every zero point at 0: centred codes up to 255."""
+    x = _normal(rng, (rows, heads * cols), amplitude)
+    (q,) = _quantize_heads(np.abs(x) if positive else x, 1, heads, 8)
+    return q
+
+
+def _centred(q) -> int:
+    """The largest |code - zero point| of an 8-bit affine stack's range."""
+    zp = q.params.zero_point
+    return int(max(zp.max(), 255 - zp.min()))
+
+
+class TestStackedCalls:
+    """A (heads, rows, cols) operand with per-head params multiplies as its
+    heads would one by one; the operand's ndim picks the stacked call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1),
+           amplitudes, st.sampled_from([np.float32, np.float64]))
+    def test_int_affine_equals_per_head_calls(self, heads, m, n, seed, amp, width):
+        """Bit for bit, at both GEMM widths, a stack against a stack and a
+        stack against one shared weight matrix."""
+        rng = np.random.default_rng(seed)
+        # k <= 200 keeps 200 * 255 * 255 below 2^24; 300 * 255 * 255 is past it
+        k = int(rng.integers(1, 201) if width is np.float32 else rng.integers(300, 601))
+        a = _stack(rng, heads, m, k, amp, positive=width is np.float64)
+        b = _stack(rng, heads, k, n, amp, positive=width is np.float64)
+        assert check_exact(k, _centred(a), _centred(b)) is width
+        w = rng.standard_normal((k, n)).astype(np.float32)
+        wq = quantize_weight_symmetric(w, fit_weight_symmetric(w, 4))
+        with np.errstate(over="ignore"):  # 3e38 x 3e38 is Inf on both sides
+            stacked, shared = gemm_int_affine(a, b), gemm_int_affine(a, wq)
+            heads_alone = [(gemm_int_affine(head(a, h), head(b, h)),
+                            gemm_int_affine(head(a, h), wq)) for h in range(heads)]
+            assert stacked.tobytes() == int64_gemm_int_affine(a, b).tobytes()
+        assert stacked.shape == shared.shape == (heads, m, n)
+        for h, (alone, alone_shared) in enumerate(heads_alone):
+            assert stacked[h].tobytes() == alone.tobytes()
+            assert shared[h].tobytes() == alone_shared.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1),
+           amplitudes, st.sampled_from([np.float32, np.float64]))
+    def test_log2_attnv_equals_per_head_calls(self, heads, m, n, seed, amp, width):
+        """Bit for bit, at both GEMM widths: log2 probabilities sharing one
+        maximum against per-head value params."""
+        rng = np.random.default_rng(seed)
+        # 4-bit log2 (Ks = 7) against codes centred up to 255: float32 to k = 514
+        k = int(rng.integers(1, 301) if width is np.float32 else rng.integers(515, 701))
+        probs = rng.random((heads, m, k)).astype(np.float32)
+        pq = _quantize_log2(probs, 4, 1.0)
+        vq = _stack(rng, heads, k, n, amp, positive=width is np.float64)
+        assert check_exact(k, 2**7, _centred(vq)) is width
+        with np.errstate(over="ignore"):  # sums near 3e38 are Inf on both sides
+            got = gemm_log2_attnv(pq, vq)
+            heads_alone = [gemm_log2_attnv(head(pq, h), head(vq, h)) for h in range(heads)]
+            assert got.tobytes() == int64_gemm_log2_attnv(pq, vq).tobytes()
+        assert got.shape == (heads, m, n)
+        for h, alone in enumerate(heads_alone):
+            assert got[h].tobytes() == alone.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 70), st.integers(1, 130), st.integers(1, 70),
+           st.integers(0, 2**32 - 1), st.sampled_from([1e-30, 1e-3, 1.0, 1e3]))
+    def test_f32_equals_per_head_calls(self, heads, m, k, n, seed, amp):
+        """The same bytes as per-head calls, for a contiguous stack against
+        a transposed view, as the pipeline passes queries and keys."""
+        rng = np.random.default_rng(seed)
+        a = _normal(rng, (heads, m, k), amp)
+        w = _normal(rng, (heads, n, k), amp).transpose(0, 2, 1)
+        got = gemm_f32(a, w)
+        assert got.dtype == np.float32 and got.shape == (heads, m, n)
+        for h in range(heads):
+            assert got[h].tobytes() == gemm_f32(a[h], w[h]).tobytes()
+
+    def test_head_count_mismatch_raises(self):
+        """Codes and params, or two stacks, of different head counts raise
+        ``KernelError`` rather than broadcast; so do 4-D codes."""
+        rng = np.random.default_rng(0)
+        a, b = _stack(rng, 3, 4, 5, 1.0), _stack(rng, 3, 5, 2, 1.0)
+        pq = _quantize_log2(rng.random((3, 4, 5)).astype(np.float32), 4, 1.0)
+        per_head = r"per-head params \(3, 1, 1\)"
+        cases = [
+            (gemm_int_affine, a, _stack(rng, 2, 5, 2, 1.0), "head counts differ"),
+            (gemm_int_affine, QuantTensor(a.codes[:2], a.params), head(b, 0), per_head),
+            (gemm_int_affine, QuantTensor(a.codes[0], a.params), head(b, 0), per_head),
+            (gemm_int_affine, head(a, 0), QuantTensor(b.codes[0], b.params), per_head),
+            (gemm_log2_attnv, head(pq, 0), QuantTensor(b.codes[:1], b.params), per_head),
+            (gemm_log2_attnv, pq, _stack(rng, 2, 5, 2, 1.0), "head counts differ"),
+            (gemm_int_affine, QuantTensor(a.codes[None], a.params), b, per_head),
+            (gemm_f32, np.zeros((3, 4, 5)), np.zeros((2, 5, 2)), "head counts differ"),
+        ]
+        for kernel, lhs, rhs, match in cases:
+            with pytest.raises(KernelError, match=match):
+                kernel(lhs, rhs)
+        with pytest.raises(ValueError, match="4-D"):  # as_tensor2d's float check
+            gemm_f32(np.zeros((1, 3, 4, 5)), np.zeros((5, 2)))
 
 
 class TestCheckExact:

@@ -8,6 +8,7 @@ from helpers import (
     GRID_QUANTIZERS,
     GRID_SHAPES,
     grid_case,
+    head,
     int64_gemm_int_affine,
     int64_gemm_log2_attnv,
     locality_trial,
@@ -234,7 +235,8 @@ def test_quantize_heads_equals_per_head_affine(t, n_heads, d_head, bits, seed,
                                                const_head, outliers):
     """One pass over all heads of the K block of a fused QKV output (a
     strided column view) equals fitting and quantizing each head on its own,
-    and a head's transposed codes equal quantizing K^T. ``const_head`` makes
+    and a head's transposed codes equal quantizing K^T. The K stack of the
+    whole output's Q, K and V stacks is the same stack. ``const_head`` makes
     one head constant (the ``SCALE_EPS`` fit); ``outliers`` plants +-1e30."""
     rng = np.random.default_rng(seed)
     d = n_heads * d_head
@@ -246,10 +248,14 @@ def test_quantize_heads_equals_per_head_affine(t, n_heads, d_head, bits, seed,
         qkv[rng.integers(t, size=2), d + rng.integers(d, size=2)] = [1e30, -1e30]
     _, k, _ = np.hsplit(qkv, 3)
     assert t == 1 or not k.flags.c_contiguous
-    heads = _quantize_heads(k, n_heads, bits)
-    assert len(heads) == n_heads
-    for h, got in enumerate(heads):
-        kh = k[:, h * d_head:(h + 1) * d_head]
+    (stack,) = _quantize_heads(k, 1, n_heads, bits)
+    _, k_stack, _ = _quantize_heads(qkv, 3, n_heads, bits)
+    assert stack.codes.shape == (n_heads, t, d_head)
+    assert stack.params.scale.shape == stack.params.zero_point.shape == (n_heads, 1, 1)
+    np.testing.assert_array_equal(k_stack.codes, stack.codes)
+    for h in range(n_heads):
+        got, kh = head(stack, h), k[:, h * d_head:(h + 1) * d_head]
+        assert head(k_stack, h).params == got.params
         want = quantize_affine(kh, fit_affine(kh, bits))
         assert got.kind == want.kind == "affine"
         assert got.params == want.params
@@ -308,10 +314,11 @@ def test_untraced_forward_block_equals_per_head_reference(mode, act_quantizer, t
 
 @pytest.mark.parametrize("amp", [1e18, 1e19, 3e19])
 def test_qk_scores_run_in_bands_at_every_amplitude(monkeypatch, amp):
-    """At T=256 a block runs 4 bands at every input amplitude, since bands
-    never compute the qk scores above the diagonal and only causal scores
-    are checked: up to 1e19 it gives the whole-map reference's bytes, and at
-    3e19 it raises on the overflowing causal scores as the reference does."""
+    """At T=256 a block runs 4 bands at every input amplitude, one qk call
+    of all heads each, since bands never compute the qk scores above the
+    diagonal and only causal scores are checked: up to 1e19 it gives the
+    whole-map reference's bytes, and at 3e19 it raises on the overflowing
+    causal scores as the reference does."""
     cfg = BlockConfig(sites=preset_sites("w4a4"), seed=256)
     block = init_block(cfg)
     x = np.random.default_rng(256).standard_normal((256, cfg.d_model)).clip(-4, 4)
@@ -321,7 +328,7 @@ def test_qk_scores_run_in_bands_at_every_amplitude(monkeypatch, amp):
 
     def spy(aq, wq):
         if wq.kind == "affine":
-            qk_calls.append(aq.rows)
+            qk_calls.append(aq.codes.shape)
         return kernel(aq, wq)
 
     monkeypatch.setattr(agq.pipeline, "gemm_int_affine", spy)
@@ -329,7 +336,7 @@ def test_qk_scores_run_in_bands_at_every_amplitude(monkeypatch, amp):
         out, stats = forward_block(block, x)
     except PipelineError as e:
         out, error = None, str(e)
-    assert set(qk_calls) == {BAND_ROWS}  # the query rows of each band
+    assert set(qk_calls) == {(cfg.n_heads, BAND_ROWS, cfg.d_head)}  # each band's queries
     with np.errstate(over="ignore", invalid="ignore"):  # the overflow under test
         if amp > 1e19:
             assert out is None and error == "non-finite activations after qk"
@@ -339,7 +346,7 @@ def test_qk_scores_run_in_bands_at_every_amplitude(monkeypatch, amp):
             ref_out, ref_probs = ref_forward_block(block, x, cfg)
             assert out.tobytes() == ref_out.tobytes()
             assert stats_bytes(stats) == stats_bytes(stats_of(ref_probs))
-            assert len(qk_calls) == 4 * cfg.n_heads
+            assert len(qk_calls) == 4
 
 
 @pytest.mark.parametrize("qk_bits", [8, 32])
@@ -348,8 +355,9 @@ def test_only_causal_qk_scores_are_checked(monkeypatch, qk_bits, t):
     """A non-finite qk score above the diagonal of a band's diagonal block
     changes nothing, as no output reads it; a -inf on the diagonal raises,
     although its softmax probability would come out 0 like a future one's.
-    The spy writes into every qk product: ``gemm_int_affine`` at an 8-bit qk
-    site, ``gemm_f32`` (the one call with d_head inner columns) at FP32."""
+    The spy writes into the last head of every qk product, a stack of all
+    heads: ``gemm_int_affine`` at an 8-bit qk site, ``gemm_f32`` (the one
+    call with d_head inner columns) at FP32."""
     sites = preset_sites("w4a8")
     if qk_bits == 32:
         sites = {**sites, "qk": SiteConfig(), "attn_v": SiteConfig()}
@@ -363,9 +371,10 @@ def test_only_causal_qk_scores_are_checked(monkeypatch, qk_bits, t):
     def spying(value, causal):
         def spy(a, b):
             out = kernel(a, b)
-            if (b.kind == "affine") if qk_bits == 8 else (a.shape[1] == cfg.d_head):
-                n, r1 = out.shape
-                out[0, r1 - n + (0 if causal else 1)] = value  # row r0's key r0 or r0 + 1
+            if (b.kind == "affine") if qk_bits == 8 else (a.shape[-1] == cfg.d_head):
+                heads, n, r1 = out.shape
+                assert heads == cfg.n_heads
+                out[-1, 0, r1 - n + (0 if causal else 1)] = value  # row r0's key r0 or r0 + 1
             return out
         return spy
 
@@ -507,9 +516,9 @@ def test_forward_picks_each_gemm_width_and_stays_exact(monkeypatch):
     x = np.random.default_rng(3).standard_normal((600, cfg.d_model)).astype(np.float32)
     out, _ = forward_block(init_block(cfg), x)
     assert np.isfinite(out).all()
-    # 4 weight sites, 4 heads x 10 bands of qk and of attn_v
-    assert calls == {"gemm_int_affine": 4 + 40, "gemm_log2_attnv": 40}
-    assert len(widths) == 84 and set(widths) == {np.float32, np.float64}
+    # 4 weight sites, 10 bands of qk and of attn_v, each call all 4 heads
+    assert calls == {"gemm_int_affine": 4 + 10, "gemm_log2_attnv": 10}
+    assert len(widths) == 24 and set(widths) == {np.float32, np.float64}
     # linear_transform's 64 * 255 * 512 < 2^24 <= fc2's 256 * 128 * 512
     assert widths[0] is np.float32 and widths[-1] is np.float64
 
@@ -712,8 +721,10 @@ class TestForwardStack:
         (dict(forced_keeps={9: [0, 1]}), "outside 0..3"),
         (dict(forced_keeps={-1: [0, 1]}), "outside 0..3"),
         (dict(forced_keeps={1: [9]}), "^block 1: row index 9 out of range for 6 rows$"),
+        (dict(forced_keeps={0: [0, 1.5, 3]}), "^block 0: keep indices must be integers"),
+        (dict(forced_keeps={0: [False, True]}), "^block 0: keep indices must be integers"),
     ], ids=["schedule-past-end", "schedule-negative", "keep-past-end", "keep-negative",
-            "keep-row-past-end"])
+            "keep-row-past-end", "keep-float", "keep-bool"])
     def test_prune_layers_outside_the_stack_rejected(self, keywords, match):
         """A prune or forced-keep layer that no block has is an error, not
         silently skipped; so is a forced keep of a row its block does not

@@ -193,6 +193,8 @@ class TestPruneStep:
         (np.ones(5), -0.5),  # would keep every token silently
         ([0, np.nan, 1, np.nan, 0.5], 0.5),  # NaN scores order arbitrarily
         ([0, 1, np.inf, 1, 0.5], 0.5),
+        (np.ones((5, 2)), 0.5),  # one score per token, not a row of them
+        (np.ones((5, 1)), 0.5),
     ])
     def test_unusable_ratio_or_scores(self, scores, gamma):
         with pytest.raises(PruneError):

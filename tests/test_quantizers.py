@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import ref_dequantize_log2, ref_quantize_log2
+from helpers import head, ref_dequantize_log2, ref_quantize_log2
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +10,7 @@ from agq.quantizers import (
     CodeRange,
     Log2Params,
     QuantError,
+    QuantTensor,
     _codes,
     _fit_range,
     _quantize_log2,
@@ -170,6 +171,27 @@ class TestDequantizeAffine:
         with pytest.raises(QuantError, match="^expected affine tensor, got log2$"):
             dequantize_affine(q)
 
+    def test_per_head_params(self):
+        """(heads, 1, 1) scales and zero points: every head is checked as a
+        scalar pair is, and the two arrays must have one shape."""
+        rng8 = CodeRange(8, signed=False)
+        scale, zp = np.full((3, 1, 1), 0.5), np.array([0, 128, 255]).reshape(3, 1, 1)
+        p = AffineParams(rng8, scale, zp)
+        codes = np.arange(3 * 2 * 2, dtype=np.int32).reshape(3, 2, 2)
+        np.testing.assert_array_equal(dequantize_affine(QuantTensor(codes, p)),
+                                      ((codes - zp) * 0.5).astype(np.float32))
+        for bad_scale, bad_zp, match in (
+            (np.array([0.5, 0.0, 0.5]).reshape(3, 1, 1), zp, "scale must be positive"),
+            (np.array([0.5, np.nan, 0.5]).reshape(3, 1, 1), zp, "scale must be positive"),
+            (scale, np.array([0, 256, 1]).reshape(3, 1, 1), "outside code range"),
+            (scale, np.array([-1, 0, 1]).reshape(3, 1, 1), "outside code range"),
+            (scale, zp[:2], "zero points"),
+            (scale, 0, "zero points"),
+            (0.5, zp, "zero points"),
+        ):
+            with pytest.raises(QuantError, match=match):
+                AffineParams(rng8, bad_scale, bad_zp)
+
 
 class TestLog2:
     def test_hand_example(self):
@@ -281,9 +303,10 @@ def test_log2_head_stack_equals_per_head(heads, shape, seed, amp, bits):
     zeros = rng.random(x.shape) < 0.2
     x[zeros] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[zeros]
     x[:, 0, 0] = amp * rng.choice([-1, 1], heads)
-    got = _quantize_log2(x, bits, float(np.float32(amp)))
-    assert len(got) == heads
-    for h, q in enumerate(got):
+    stack = _quantize_log2(x, bits, float(np.float32(amp)))
+    assert stack.codes.shape == stack.signs.shape == x.shape
+    for h in range(heads):
+        q = head(stack, h)
         for want in (quantize_log2(x[h], bits), ref_quantize_log2(x[h], bits)):
             assert q.params == want.params
             assert q.codes.dtype == want.codes.dtype
@@ -306,16 +329,16 @@ def test_log2_bands_with_the_head_maximum(heads, t, seed, amp, bits, cuts):
     x[:, 0, 0] = amp
     max_abs = float(np.float32(amp))
     whole = _quantize_log2(x, bits, max_abs)
-    for h, want in enumerate(whole):
+    for h in range(heads):
         alone = quantize_log2(x[h], bits)
-        assert alone.params == want.params
-        assert alone.codes.tobytes() == want.codes.tobytes()
+        assert alone.params == whole.params
+        assert alone.codes.tobytes() == whole.codes[h].tobytes()
     bounds = [0, *sorted({c for c in cuts if c < t}), t]
     for r0, r1 in zip(bounds, bounds[1:]):
-        for want, got in zip(whole, _quantize_log2(x[:, r0:r1, :r1], bits, max_abs)):
-            assert got.params == want.params
-            assert got.codes.tobytes() == want.codes[r0:r1, :r1].tobytes()
-            assert got.signs.tobytes() == want.signs[r0:r1, :r1].tobytes()
+        got = _quantize_log2(x[:, r0:r1, :r1], bits, max_abs)
+        assert got.params == whole.params
+        assert got.codes.tobytes() == whole.codes[:, r0:r1, :r1].tobytes()
+        assert got.signs.tobytes() == whole.signs[:, r0:r1, :r1].tobytes()
 
 
 @pytest.mark.parametrize("bits", range(2, 9))
@@ -344,8 +367,8 @@ def test_log2_float32_threshold_equals_float64_on_every_float32(bits):
     step = 1 << 22
     for a in range(lo, hi, step):
         x = np.arange(a, min(a + step, hi), dtype=np.uint32).view(np.float32)[None, None]
-        (q32,) = _quantize_log2(x, bits, 1.0)
-        (q64,) = _quantize_log2(x.astype(np.float64), bits, 1.0)
+        q32 = _quantize_log2(x, bits, 1.0)
+        q64 = _quantize_log2(x.astype(np.float64), bits, 1.0)
         np.testing.assert_array_equal(q32.codes, q64.codes)
 
 

@@ -125,6 +125,11 @@ def test_slice_rows_errors():
         slice_rows(t, [2, 1])
     with pytest.raises(ValueError):
         slice_rows(t, [0, 3])
+    # floats and bools are refused, never truncated to rows 0, 1, 2
+    for keep in ([0.5, 1.5, 2.9], [0, 1.0], np.array([0.0, 2.0]), [True], [0, np.True_]):
+        with pytest.raises(ValueError, match="must be integers"):
+            slice_rows(t, keep)
+    np.testing.assert_array_equal(slice_rows(t, np.array([0, 2])), t[[0, 2]])
 
 
 names = st.text(

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from helpers import stats_bytes
+from helpers import head, int64_gemm_int_affine, int64_gemm_log2_attnv, stats_bytes
 
 import agq
 from agq.cli import main
@@ -117,9 +117,10 @@ def test_forward_stack_validates_once_per_call_and_block(monkeypatch, act_quanti
     attnv = _counting(monkeypatch, agq.kernels, "gemm_log2_attnv")
     forward_stack(blocks, x)
     assert len(checks) <= 1 + n_blocks
-    # per block: linear_transform, projection, fc1, fc2 and one qk per head
-    assert len(affine) == n_blocks * (4 + cfg.n_heads)
-    assert len(attnv) == n_blocks * cfg.n_heads
+    # per block: linear_transform, projection, fc1, fc2 and the one band's
+    # qk (T = 16), all heads in one call, and its attn_v
+    assert len(affine) == n_blocks * (4 + 1)
+    assert len(attnv) == n_blocks
 
 
 @pytest.mark.parametrize("t,traced", [
@@ -128,13 +129,15 @@ def test_forward_stack_validates_once_per_call_and_block(monkeypatch, act_quanti
 def test_row_bands_call_the_public_kernels(monkeypatch, t, traced):
     """At every length every qk and attn_v product still goes through the
     public kernel names that outside wrappers (the benchmark's oracles)
-    replace: one call per head per causal row band ``[r0, r1)``, with the
-    band's query rows against key columns ``[0, r1)`` and the attn_v inner
-    dimension r1. No batched kernel of its own bypasses them. A ``trace``
+    replace: one qk and one attn_v call per causal row band ``[r0, r1)``, of
+    all heads at once, the band's (heads, r1 - r0, d_head) queries against
+    (heads, d_head, r1) keys and the attn_v inner dimension r1. Every head
+    of every call equals the int64 oracle on that head alone. A ``trace``
     records the pass without changing it: it makes the same calls."""
     cfg = BlockConfig(sites=preset_sites("w4a4"))
     block = agq.init_block(cfg)
     x = np.random.default_rng(t).standard_normal((t, cfg.d_model)).astype(np.float32)
+    kernels = agq.kernels.gemm_int_affine, agq.kernels.gemm_log2_attnv
     affine = _counting(monkeypatch, agq.kernels, "gemm_int_affine")
     attnv = _counting(monkeypatch, agq.kernels, "gemm_log2_attnv")
     trace = [] if traced else None
@@ -142,21 +145,59 @@ def test_row_bands_call_the_public_kernels(monkeypatch, t, traced):
     rows = agq.pipeline.BAND_ROWS
     bands = [(r0, min(r0 + rows, t)) for r0 in range(0, t, rows)]
     assert len(bands) == -(-t // rows)
-    per_head = sorted((r1 - r0, cfg.d_head, r1) for r0, r1 in bands) * cfg.n_heads
-    qk = [(aq.rows, wq.rows, wq.cols) for aq, wq in affine if wq.kind == "affine"]
-    assert sorted(qk) == sorted(per_head)
-    av = [(pq.rows, pq.cols, vq.rows) for pq, vq in attnv]
-    assert sorted(av) == sorted((m, r1, r1) for m, _, r1 in per_head)
+    nh, dh = cfg.n_heads, cfg.d_head
+    qk = [(aq, wq) for aq, wq in affine if wq.kind == "affine"]
+    assert sorted((aq.codes.shape, wq.codes.shape) for aq, wq in qk) == sorted(
+        ((nh, r1 - r0, dh), (nh, dh, r1)) for r0, r1 in bands)
+    assert sorted((pq.codes.shape, vq.codes.shape) for pq, vq in attnv) == sorted(
+        ((nh, r1 - r0, r1), (nh, r1, dh)) for r0, r1 in bands)
+    for kernel, oracle, calls in zip(kernels, (int64_gemm_int_affine, int64_gemm_log2_attnv),
+                                     (qk, attnv)):
+        for a, b in calls:
+            out = kernel(a, b)
+            for h in range(nh):
+                assert out[h].tobytes() == oracle(head(a, h), head(b, h)).tobytes()
     if traced:
         assert [r["site"] for r in trace].count("attn_v") == cfg.n_heads
+
+
+@pytest.mark.parametrize("qk_bits,av_bits", [(8, 4), (8, 32), (32, 4), (32, 32)])
+@pytest.mark.parametrize("t", [16, 300])
+def test_one_qk_and_one_attnv_call_per_band_at_every_precision(monkeypatch, qk_bits, av_bits,
+                                                               t):
+    """Whatever precision each attention site runs at, every causal row band
+    makes exactly one qk kernel call and one attn_v kernel call, all heads
+    stacked in each; no weight-site call takes a stack."""
+    sites = {**preset_sites("w4a8"), "qk": agq.SiteConfig(act_bits=qk_bits),
+             "attn_v": agq.SiteConfig(act_bits=av_bits)}
+    cfg = BlockConfig(sites=sites)
+    block = agq.init_block(cfg)
+    x = np.random.default_rng(t).standard_normal((t, cfg.d_model)).astype(np.float32)
+    names = ("gemm_f32", "gemm_int_affine", "gemm_log2_attnv")
+    calls = {name: _counting(monkeypatch, agq.kernels, name) for name in names}
+    agq.forward_block(block, x)
+
+    def shape(operand):
+        return getattr(operand, "codes", operand).shape
+
+    stacked = [(name, shape(a), shape(b)) for name, args in calls.items() for a, b in args
+               if len(shape(a)) == 3]
+    nh, dh, rows = cfg.n_heads, cfg.d_head, agq.pipeline.BAND_ROWS
+    bands = [(r0, min(r0 + rows, t)) for r0 in range(0, t, rows)]
+    qk = "gemm_int_affine" if qk_bits == 8 else "gemm_f32"
+    av = "gemm_log2_attnv" if av_bits < 32 else "gemm_f32"
+    want = [(qk, (nh, r1 - r0, dh), (nh, dh, r1)) for r0, r1 in bands]
+    want += [(av, (nh, r1 - r0, r1), (nh, r1, dh)) for r0, r1 in bands]
+    assert sorted(stacked) == sorted(want)
 
 
 @pytest.mark.parametrize("act_quantizer", ["trip", "affine"])
 def test_diagnostics_run_only_for_a_trace(monkeypatch, act_quantizer):
     """Counts, never times: a bare forward pass runs no dequantizer and
     quantizes q, k and v in one call per block; a ``trace`` list turns the
-    per-site dequantizations on (4 weight sites and one attn_v per head).
-    Weight sites are TRIP for both quantizers (affine is cap 0)."""
+    per-site dequantizations on (4 weight sites and one attn_v per band, of
+    all heads; T = 16 is one band). Weight sites are TRIP for both
+    quantizers (affine is cap 0)."""
     n_blocks = 4
     cfg = BlockConfig(sites=preset_sites("w4a8", act_quantizer=act_quantizer))
     blocks = init_stack(cfg, n_blocks)
@@ -174,7 +215,7 @@ def test_diagnostics_run_only_for_a_trace(monkeypatch, act_quantizer):
     weight_sites = 4 * n_blocks
     assert {name: len(c) for name, c in calls.items()} == {
         "dequantize_trip": weight_sites,
-        "dequantize_log2": cfg.n_heads * n_blocks,
+        "dequantize_log2": n_blocks,
         "dequantize_affine": 0,
         "_quantize_heads": n_blocks}
 
