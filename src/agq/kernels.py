@@ -17,15 +17,18 @@ beyond 2^53 it raises ``KernelError``. The affine and log2 GEMMs run in that
 width, chosen per call, and scale their sums in float64. The bound holds
 only for integer codes inside their params' range: float codes raise
 ``KernelError``, and codes outside the range were never supported. The lane
-GEMM's register words and the packed epilogue stay in float64.
+GEMM's register words stay in float64; the packed epilogue subtracts its
+row-sum and weight-sum corrections as float64 vectors.
 
 The packed path ships two implementations: a scalar per-element model that is
 the semantic reference, and the default, which must be bit-identical to it.
 The default models the packed 32-bit register word itself: under the
 256-addition budget, accumulating spread lane products without carries is
 one GEMM of the activations against the widened word ``w_lo + 2^16 * w_hi``
-per 256-wide group (each word stays below 2^32), whose low and high 16 bits
-are the two sub-lanes.
+per 256-wide group. Each word stays below 2^32 (``PackedInt4Matrix`` holds
+only uint8 cells), so it casts to little-endian uint32 exactly, and read as
+uint16 pairs its low and high halves are the two sub-lanes, output rows 2p
+and 2p + 1, added into the int64 sums in one pass.
 
 Per-kernel calls, MACs, self time and GMAC/s come from the traced benchmark
 runs in ``agqbench/``; nothing here times itself.
@@ -170,6 +173,16 @@ class PackedInt4Matrix:
     cols: int
     data: np.ndarray  # uint8, shape (ceil(rows / 2), cols)
 
+    def __post_init__(self):
+        # O(1), no scan of the data: uint8 cells keep every lane word below 2^32
+        dtype = getattr(self.data, "dtype", type(self.data).__name__)
+        if dtype != np.uint8:
+            raise KernelError(f"packed data must be a uint8 array, got {dtype}")
+        rows, cols, shape = self.rows, self.cols, self.data.shape
+        if not (isinstance(rows, (int, np.integer)) and isinstance(cols, (int, np.integer))
+                and rows >= 0 and shape == ((rows + 1) // 2, cols)):
+            raise KernelError(f"packed data of shape {shape} for {rows} x {cols} codes")
+
 
 def pack_int4(codes) -> PackedInt4Matrix:
     codes = _nibbles(codes, "codes")
@@ -247,6 +260,13 @@ class Int4GemmParams:
     weight_scales: np.ndarray  # per logical output row of the packed matrix
     weight_zero_point: ClassVar[int] = 8  # signed code + 8 -> unsigned nibble
 
+    def __post_init__(self):
+        if not 0 < self.act_scale < np.inf:
+            raise KernelError(f"act_scale must be finite and positive, got {self.act_scale}")
+        zp = self.act_zero_point
+        if not isinstance(zp, (int, np.integer)) or not 0 <= zp <= 15:
+            raise KernelError(f"act_zero_point must be an integer in 0..15, got {zp!r}")
+
 
 def pack_weights_for_gemm(weight_nibbles) -> PackedInt4Matrix:
     """Pack a (k x n) unsigned-nibble weight matrix output-major, so each
@@ -275,9 +295,8 @@ def gemm_int4_raw(a_codes, packed: PackedInt4Matrix, impl: str = "vector") -> np
         widened = (packed.data & 0x0F) + 65536.0 * (packed.data >> 4)  # (pairs, k)
         a64 = a.astype(np.float64)
         for lo, hi in zip(group_bounds, group_bounds[1:]):
-            acc = (a64[:, lo:hi] @ widened[:, lo:hi].T).astype(np.int64)
-            out[:, 0::2] += acc & 0xFFFF
-            out[:, 1::2] += acc >> 16
+            acc = (a64[:, lo:hi] @ widened[:, lo:hi].T).astype("<u4")
+            out += acc.view("<u2")  # sub-lanes, low half first: rows 2p, 2p + 1
     elif impl == "scalar":
         for i in range(m):
             for p in range(pairs):
@@ -309,8 +328,8 @@ def gemm_int4_packed(a_codes, packed: PackedInt4Matrix, params: Int4GemmParams):
     # signed weight row sums from the nibble planes, in row order 2p, 2p + 1
     planes = np.stack([packed.data & 0x0F, packed.data >> 4], axis=1)  # (pairs, 2, k)
     w_sums = planes.sum(axis=2, dtype=np.int64).ravel()[: packed.rows] - a.shape[1] * zp_w
-    acc -= zp_w * a.sum(axis=1, dtype=np.int64)[:, None]
-    acc -= params.act_zero_point * w_sums
+    acc -= np.multiply(a.sum(axis=1, dtype=np.int64), zp_w, dtype=np.float64)[:, None]
+    acc -= np.multiply(w_sums, params.act_zero_point, dtype=np.float64)
     acc *= params.act_scale * scales
     return acc.astype(np.float32)
 

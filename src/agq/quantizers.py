@@ -110,14 +110,18 @@ def _clip(x: np.ndarray, lo, hi) -> np.ndarray:
 
 def _fit_range(heads: np.ndarray, bits: int, cap: int = 0):
     """Min/max fit of each head ``heads[h]`` of a (heads, rows, cols) stack
-    to unsigned ``bits``-bit codes. Returns the code range, the scales over
-    2^cap (exact this far above the subnormals) and the zero points (floats)
-    of the cap-0 scales, so a TRIP base shares the affine zero point."""
+    to unsigned ``bits``-bit codes, reduced along the rows of the stack
+    flattened to (heads, rows * cols), which copies a transposed stack once
+    (min and max are exact in any order). Returns the code range, the
+    scales over 2^cap (exact this far above the subnormals) and the zero
+    points (floats) of the cap-0 scales, so a TRIP base shares the affine
+    zero point."""
     if heads.size == 0:
         raise QuantError("cannot fit quantizer on empty tensor")
     rng = CodeRange(bits, signed=False)
-    lo = heads.min(axis=(1, 2)).astype(np.float64)
-    scale = np.maximum(heads.max(axis=(1, 2)) - lo, SCALE_EPS) / (2**bits - 1)
+    flat = heads.reshape(len(heads), -1)
+    lo = flat.min(axis=1).astype(np.float64)
+    scale = np.maximum(flat.max(axis=1) - lo, SCALE_EPS) / (2**bits - 1)
     zp = _clip(np.rint(-lo / scale), rng.lo, rng.hi)
     return rng, scale / 2**cap, zp
 
@@ -193,7 +197,10 @@ def _quantize_log2(x: np.ndarray, bits: int, max_abs: float) -> QuantTensor:
     gives all-zero codes.
     """
     p = Log2Params(bits=bits, max_abs=max_abs)
-    signs = np.subtract(x > 0, x < 0, dtype=np.int8)
+    if x.min() >= 0:  # a softmax band: one pass; -0.0 gets sign 0 either way
+        signs = (x > 0).view(np.int8)
+    else:
+        signs = np.subtract(x > 0, x < 0, dtype=np.int8)
     if max_abs == 1.0:
         ratio = np.abs(x)
     else:

@@ -9,11 +9,12 @@ round-trip reconstruction error, every exponent at once, in row bands of at
 most 2^15 elements per exponent (a single channel is one band): one
 (cap+1, rows, C) buffer, reused from band to band, whose column sums carry
 over so that rows add in the order of a per-exponent loop over the whole
-input. The
-pipeline applies them as exact integer work on the plain 4-bit weight codes:
-an 8-bit site shifts weight row c left by alpha_c, and a 4-bit site counts
-channel c 2^(alpha_c - min alpha) times in the lane GEMM. At cap 0 every
-exponent is 0 and TRIP is the layer-wise affine quantizer.
+input. Each band passes through float64 once: its one widened copy feeds
+both the division by the scale and the residual. The pipeline applies the
+exponents as exact integer work on the plain 4-bit weight codes: an 8-bit
+site shifts weight row c left by alpha_c, and a 4-bit site counts channel c
+2^(alpha_c - min alpha) times in the lane GEMM. At cap 0 every exponent is
+0 and TRIP is the layer-wise affine quantizer.
 ``fold_trip_into_weights`` scales float weights instead, as a float reference
 for that identity. Input is validated as in ``quantizers``.
 """
@@ -29,7 +30,6 @@ from .quantizers import (
     AffineParams,
     QuantError,
     QuantTensor,
-    _clip,
     _codes,
     _fit_range,
     _reconstruct,
@@ -100,11 +100,9 @@ def _fit_trip(x: np.ndarray, bits: int, cap: int) -> TripParams:
     buf = np.empty((cap + 1, min(rows, t), c))
     err = None
     for r0 in range(0, t, rows):
-        xb = x[r0:r0 + rows]
-        base_steps = xb.astype(np.float64)
-        base_steps /= scale
-        r = np.multiply(base_steps, inv_steps, out=buf[:, :len(xb)])
-        _clip(np.rint(r, out=r), rng.lo - zp, rng.hi - zp)
+        xb = x[r0:r0 + rows].astype(np.float64)
+        r = np.multiply(xb / scale, inv_steps, out=buf[:, :len(xb)])
+        np.clip(np.rint(r, out=r), rng.lo - zp, rng.hi - zp, out=r)
         r *= steps
         np.subtract(xb, r, out=r)
         np.square(r, out=r)

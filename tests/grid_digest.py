@@ -1,12 +1,14 @@
-"""Print one SHA-256 over the bytes ``forward_stack`` gives on a fixed grid.
+"""Print one SHA-256 over the bytes ``forward_stack`` and the packed lane
+GEMM give on a fixed grid.
 
     python tests/grid_digest.py [--cases]
 
 Two source trees print the same digest when every case gives them the same
 outputs, attention statistics, kept indices and trace records (as JSON), so it
-checks that a change kept the forward pass bit-identical. ``--cases`` also
-prints one digest per case, to count the cases that differ. The cases, each
-run traced and untraced:
+checks that a change kept the forward pass and the lane kernels
+bit-identical. ``--cases`` also prints one digest per case, to count the
+cases that differ. The cases, those of ``forward_stack`` run traced and
+untraced:
 
 - every reference-grid shape, mode and activation quantizer
   (``helpers.GRID_*``) as a 2-block stack pruned at block 0;
@@ -16,7 +18,11 @@ run traced and untraced:
   inputs are seeded normals with three large channels;
 - the FP32 passes the benchmark runs on those geometries: each one's
   ``replace(cfg, sites={})`` pass, and the 8-block pass with the pruned
-  run's kept indices as forced keeps.
+  run's kept indices as forced keeps;
+- the packed lane GEMM called directly: ``gemm_int4_raw`` and
+  ``gemm_int4_packed`` at k = 1, 255, 256, 257 and 513 (one to three lane
+  groups) against 7 output rows (an odd count), with seeded codes and with
+  all-15 codes, which put every sub-lane at its group's largest sum.
 
 The file is not a test module; it imports agq from the tree it sits in.
 """
@@ -33,6 +39,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from helpers import GRID_MODES, GRID_QUANTIZERS, GRID_SHAPES, grid_case, stats_bytes  # noqa: E402
 
+from agq.kernels import (  # noqa: E402
+    Int4GemmParams,
+    gemm_int4_packed,
+    gemm_int4_raw,
+    pack_weights_for_gemm,
+)
 from agq.pipeline import BlockConfig, forward_stack, init_stack, preset_sites  # noqa: E402
 from agq.pruning import PruneSchedule, default_start_layer, make_schedule  # noqa: E402
 
@@ -67,6 +79,21 @@ def cases():
     yield from fp32
 
 
+def lane_cases():
+    """Yield (name, output bytes) for each direct lane-kernel case."""
+    rng = np.random.default_rng(0)
+    for k in (1, 255, 256, 257, 513):
+        for fill in (None, 15):
+            a, w = (rng.integers(0, 16, shape) if fill is None else np.full(shape, fill)
+                    for shape in ((3, k), (k, 7)))
+            packed = pack_weights_for_gemm(w.astype(np.uint8))
+            params = Int4GemmParams(float(rng.uniform(1e-3, 2.0)), int(rng.integers(0, 16)),
+                                    rng.uniform(1e-3, 2.0, 7))
+            name = f"lane-k{k}-{'all15' if fill else 'seeded'}"
+            yield f"{name}-raw", gemm_int4_raw(a, packed).tobytes()
+            yield f"{name}-packed", gemm_int4_packed(a, packed, params).tobytes()
+
+
 def case_digest(blocks, x, kwargs, traced: bool) -> bytes:
     trace = [] if traced else None
     out, info = forward_stack(blocks, x, trace=trace, **kwargs)
@@ -86,6 +113,12 @@ def main(argv) -> int:
             n += 1
             if "--cases" in argv:
                 print(d.hex(), name, "traced" if traced else "untraced")
+    for name, out in lane_cases():
+        d = hashlib.sha256(out).digest()
+        total.update(d)
+        n += 1
+        if "--cases" in argv:
+            print(d.hex(), name)
     print(total.hexdigest(), f"{n} cases")
     return 0
 

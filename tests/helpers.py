@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 
 import agq
-from agq.quantizers import SCALE_EPS
+from agq.quantizers import SCALE_EPS, _fit_range
 from agq.tensor_store import as_tensor2d
+from agq.trip import _BAND_ELEMENTS
 
 # Seeds frozen after an oracle scan: on these, the pruned quantized run
 # diverges less from its FP reference than the unpruned one does, and
@@ -265,6 +266,36 @@ def ref_fit_trip(x, bits, cap):
         alphas[better] = a
         best[better] = err[better]
     return agq.TripParams(rng, float(scale), zp, alphas=alphas, cap=cap)
+
+
+def ref_trip_error_sums(x, bits, cap):
+    """The (cap+1, C) squared-error sums that the banded TRIP fit hands to
+    ``np.sqrt``, by its mixed-width formulation: each band widened to
+    float64 and divided by the scale in place, codes clipped by
+    ``np.maximum`` then ``np.minimum``, and the float32 band minus its
+    float64 reconstruction. ``cap`` >= 1."""
+    rng, scales, zps = _fit_range(x[None], bits, cap)
+    scale, zp = float(scales[0]), int(zps[0])
+    t, c = x.shape
+    rows = t if c == 1 else max(1, _BAND_ELEMENTS // c)
+    a = np.arange(cap + 1)[:, None, None]
+    inv_steps, steps = np.ldexp(1.0, -a), np.ldexp(scale, a)
+    buf = np.empty((cap + 1, min(rows, t), c))
+    err = None
+    for r0 in range(0, t, rows):
+        xb = x[r0:r0 + rows]
+        base_steps = xb.astype(np.float64)
+        base_steps /= scale
+        r = np.multiply(base_steps, inv_steps, out=buf[:, :len(xb)])
+        np.maximum(np.rint(r, out=r), rng.lo - zp, out=r)
+        np.minimum(r, rng.hi - zp, out=r)
+        r *= steps
+        np.subtract(xb, r, out=r)
+        np.square(r, out=r)
+        if err is not None:
+            r[:, 0] += err
+        err = np.add.reduce(r, axis=1)
+    return err
 
 
 def naive_int_gemm(a_codes, w_codes_rows_by_k):

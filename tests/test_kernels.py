@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from helpers import (
@@ -282,6 +284,35 @@ class TestPacking:
         np.testing.assert_array_equal(gemm_int4_raw(np.array([[2]], np.uint8), packed),
                                       [[6, 2]])
 
+    @pytest.mark.parametrize("rows, data", [
+        (2, np.full((1, 2), 0x1FF, np.int16)),  # vector gave [[675, 1395], ...]
+        (2, np.full((1, 2), -1, np.int64)),  # vector gave [[675, -45], ...]
+        (2, np.full((1, 2), 2.5)),  # scalar truncated 2.5 to 2
+        (2, np.full((1, 2), True)),
+        (2, [[3, 3]]),
+        (5, np.full((1, 2), 3, np.uint8)),  # gave 2 output rows
+        (1, np.full((2, 2), 3, np.uint8)),
+        (2, np.full((1, 3), 3, np.uint8)),
+        (2, np.full(2, 3, np.uint8)),
+        (2, np.full((1, 2, 1), 3, np.uint8)),
+        (-1, np.full((0, 2), 3, np.uint8)),
+        (2.0, np.full((1, 2), 3, np.uint8)),
+    ])
+    def test_malformed_data_rejected(self, rows, data):
+        """Packed data must be a uint8 array of shape (ceil(rows / 2), cols):
+        anything else raises ``KernelError`` at construction, where the two
+        lane implementations used to disagree or misread it."""
+        with pytest.raises(KernelError, match="packed data"):
+            agq.PackedInt4Matrix(rows=rows, cols=2, data=data)
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 5])
+    def test_well_formed_data_accepted(self, rows):
+        data = np.full(((rows + 1) // 2, 3), 0x1F, np.uint8)
+        p = agq.PackedInt4Matrix(rows=np.int64(rows), cols=3, data=data)
+        assert unpack_int4(p).shape == (rows, 3)
+        sub = dataclasses.replace(p, cols=2, data=data[:, [0, 2]])  # as _site_product does
+        assert sub.data.shape == ((rows + 1) // 2, 2)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_roundtrip(self, seed):
         rng = np.random.default_rng(seed)
@@ -387,6 +418,49 @@ class TestGemmInt4:
         assert vector.dtype == np.int64
         np.testing.assert_array_equal(vector, expect)
         np.testing.assert_array_equal(gemm_int4_raw(a, p, impl="scalar"), expect)
+
+    @pytest.mark.parametrize("k", [0, 1, 257, 513])
+    @pytest.mark.parametrize("rows", [1, 5, 6])
+    def test_lane_halves_in_row_order(self, k, rows):
+        """Each register word's low 16 bits are row 2p and its high 16 bits
+        row 2p + 1. The first pair's cells are 0x1F (row 0 reads 15, row 1
+        reads 1), the rest random, and odd ``rows`` leave a zero pad nibble:
+        the vector model, the scalar model and the int64 oracle agree, and
+        would not with the halves swapped."""
+        rng = np.random.default_rng(k + rows)
+        w = rng.integers(0, 16, (rows, k))
+        w[:2] = [[15], [1]][:rows]
+        a = rng.integers(0, 16, (3, k)).astype(np.uint8)
+        a[0] = 15
+        p = pack_int4(w)
+        if k:
+            assert p.data[0, 0] == (0x1F if rows > 1 else 0x0F)
+        want = naive_int_gemm(a, w)
+        vector = gemm_int4_raw(a, p)
+        assert vector.dtype == np.int64 and vector.shape == (3, rows)
+        np.testing.assert_array_equal(vector, want)
+        np.testing.assert_array_equal(gemm_int4_raw(a, p, impl="scalar"), want)
+        if k and rows > 1:
+            assert vector[0, 0] == 225 * k and vector[0, 1] == 15 * k
+
+    @pytest.mark.parametrize("scale, zp", [
+        (-1.0, 5), (0.0, 5), (np.nan, 5), (np.inf, 5), (-np.inf, 5),
+        (1.0, 5.5), (1.0, -1), (1.0, 16), (1.0, "3"), (1.0, np.float64(3.0)),
+    ])
+    def test_unusable_params_rejected(self, scale, zp):
+        """act_scale must be finite and positive and act_zero_point an integer
+        in 0..15: ``Int4GemmParams(-1.0, 5.5, ...)`` used to give 199.5
+        everywhere."""
+        with pytest.raises(KernelError, match="act_"):
+            Int4GemmParams(act_scale=scale, act_zero_point=zp, weight_scales=np.ones(2))
+
+    @pytest.mark.parametrize("scale, zp", [(1e-30, 0), (3e38, 15), (np.float32(0.5), np.int64(8)),
+                                           (1.0, np.uint8(15))])
+    def test_usable_params_accepted(self, scale, zp):
+        packed = pack_weights_for_gemm(np.full((4, 2), 8, dtype=np.uint8))
+        params = Int4GemmParams(act_scale=scale, act_zero_point=zp, weight_scales=np.ones(2))
+        a = np.full((1, 4), zp, dtype=np.uint8)
+        np.testing.assert_array_equal(gemm_int4_packed(a, packed, params), 0.0)
 
     def test_all_codes_at_zero_point_gives_zero(self):
         k, n = 20, 6

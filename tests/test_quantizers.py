@@ -341,6 +341,26 @@ def test_log2_bands_with_the_head_maximum(heads, t, seed, amp, bits, cuts):
         assert got.signs.tobytes() == whole.signs[:, r0:r1, :r1].tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["non-negative", "mixed", "+0.0", "-0.0", "+-0.0"])
+def test_log2_signs_on_either_path(kind, dtype):
+    """Signs are int8 ``np.sign(x)``, -0.0 giving 0, whether the input is
+    all non-negative (one comparison) or not (two and a subtraction): a
+    softmax band with scattered +-0.0, mixed signs, and all-zero input."""
+    rng = np.random.default_rng(len(kind))
+    x = rng.random((2, 9, 11)).astype(dtype)
+    zeros = rng.random(x.shape) < 0.3
+    x[zeros] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[zeros]
+    if kind == "mixed":
+        x[rng.random(x.shape) < 0.5] *= -1
+    elif kind != "non-negative":
+        x[:] = {"+0.0": 0.0, "-0.0": -0.0, "+-0.0": np.where(zeros, -0.0, 0.0)}[kind]
+    q = _quantize_log2(x, 4, 1.0)
+    assert q.signs.dtype == np.int8
+    assert q.signs.tobytes() == np.sign(x).astype(np.int8).tobytes()
+    assert (q.signs[np.signbit(x) & (x == 0)] == 0).all()
+
+
 @pytest.mark.parametrize("bits", range(2, 9))
 def test_log2_codes_near_every_rounding_midpoint(bits):
     """At max_abs 1.0, the pipeline's constant, the ``frexp`` codes and the

@@ -1,9 +1,10 @@
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import naive_trip_argmin, ref_fit_trip, ref_trip_product
+from helpers import naive_trip_argmin, ref_fit_trip, ref_trip_error_sums, ref_trip_product
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -244,6 +245,18 @@ class TestFolding:
             quantize_trip(np.zeros((3, 5), dtype=np.float32), p)
 
 
+def _fit_input(shape, seed, amp, on_grid):
+    """Seeded float32 input for a fit: channels of magnitudes 2^-0..2^-7
+    times ``amp``, offset from 0, on a coarse grid of exact ties if
+    ``on_grid``."""
+    rng = np.random.default_rng(seed)
+    x = np.clip(rng.standard_normal(shape) + rng.uniform(-2, 2), -4, 4) / 4
+    if on_grid:
+        x = np.rint(x * 4) / 4
+    gains = 2.0 ** -rng.integers(0, 8, shape[1])  # per-channel magnitudes, <= 1
+    return (x * gains * amp).astype(np.float32)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.tuples(st.integers(1, 40), st.integers(1, 40)), st.integers(0, 2**32 - 1),
        st.sampled_from([1e-30, 1e-3, 1.0, 1e3, 1e30, 3e38]), st.integers(2, 8),
@@ -252,12 +265,7 @@ def test_fit_equals_norm_loop_oracle(shape, seed, amp, bits, cap, on_grid):
     """The whole TripParams (scale, zero point, exponents) equals the
     np.linalg.norm formulation bit for bit, outlier channels and exact ties
     (values on a coarse grid) included."""
-    rng = np.random.default_rng(seed)
-    x = np.clip(rng.standard_normal(shape) + rng.uniform(-2, 2), -4, 4) / 4
-    if on_grid:
-        x = np.rint(x * 4) / 4
-    gains = 2.0 ** -rng.integers(0, 8, shape[1])  # per-channel magnitudes, <= 1
-    x = (x * gains * amp).astype(np.float32)
+    x = _fit_input(shape, seed, amp, on_grid)
     p, ref = fit_trip(x, bits, cap), ref_fit_trip(x, bits, cap)
     assert (p.cap, p.base) == (ref.cap, ref.base)
     assert p.alphas.dtype == ref.alphas.dtype
@@ -278,6 +286,45 @@ def test_banded_fit_equals_norm_loop_oracle(t, c, seed, amp, bits, cap, on_grid)
     sums from band to band and still equal the oracle bit for bit."""
     test_fit_equals_norm_loop_oracle.hypothesis.inner_test((t, c), seed, amp, bits, cap,
                                                            on_grid)
+
+
+# (T, C): one band and several, around each band boundary (2^15 // C rows),
+# single columns (one pairwise-summed band) and one-row bands (C > 2^15).
+_SUM_SHAPES = [
+    (1, 1), (16, 1), (700, 1), (1024, 1),
+    (17, 2), (1024, 2),
+    (5, 3), (256, 3), (1024, 3),
+    (1, 64), (16, 64), (128, 64), (256, 64), (512, 64), (513, 64), (1024, 64),
+    (16, 130), (252, 130), (253, 130), (700, 130), (757, 130),
+    (16, 256), (128, 256), (129, 256), (256, 256), (257, 256), (384, 256),
+    (1, 700), (46, 700), (47, 700), (140, 700),
+    (1, 2048), (16, 2048), (17, 2048), (48, 2048),
+    (1, 40000), (2, 40000),
+]
+
+
+@pytest.mark.parametrize("shape", _SUM_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_fit_error_sums_equal_the_mixed_width_loop(shape, monkeypatch):
+    """The per-channel error sums that the fit hands to ``np.sqrt`` are
+    byte-identical to the mixed-width, two-pass-clip formulation's
+    (``helpers.ref_trip_error_sums``), not only their argmin: at caps 1, 3
+    and 6, 4 and 8 bits, amplitudes 1e-30, 1 and 3e38, with and without
+    exact ties, 36 fits per shape."""
+    seen = []
+    sqrt = np.sqrt
+
+    def spy(err, out=None):
+        seen.append(err.copy())
+        return sqrt(err, out=out)
+
+    for cap, bits, amp, on_grid in itertools.product((1, 3, 6), (4, 8), (1e-30, 1.0, 3e38),
+                                                     (False, True)):
+        x = _fit_input(shape, cap + bits, amp, on_grid)
+        with monkeypatch.context() as m:
+            m.setattr(np, "sqrt", spy)
+            fit_trip(x, bits, cap)
+        assert len(seen) == 1
+        assert seen.pop().tobytes() == ref_trip_error_sums(x, bits, cap).tobytes()
 
 
 @pytest.mark.parametrize("contiguous", [True, False])
